@@ -5,7 +5,6 @@ from .pick import DiskProblem, gram_decompose, pick_matrix
 from .polynomials import BlaschkeProduct, MoebiusMap, Poly, moebius_swap
 from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_gram
 from .realization import Realization, eval_realization, kernel_gamma, realization_to_rational
-from .disk import DiskProblem as _DiskProblem  # noqa: F401  (re-exported via pick)
 from .disk import RationalInterpolant, TakagiSolution, combine, solve, solve_all_shifts, solve_centered
 from .bidisk import (
     AglerPair,

@@ -20,9 +20,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_unitarity_defect
-from .linalg import Inertia, check_hermitian, hermitian_inertia, hermitize, rank_with_tol
+from .linalg import (
+    Inertia,
+    check_hermitian,
+    hermitian_inertia,
+    hermitize,
+    rank_with_tol,
+    real_combination,
+)
 from .pick import DiskProblem, pick_matrix
-from .polynomials import MoebiusMap, Poly, moebius_compose_poly, poly_gcd_numeric, poly_roots
+from .polynomials import (
+    MoebiusMap,
+    Poly,
+    moebius_matrix,
+    pad_coeffs,
+    poly_gcd_numeric,
+    poly_roots,
+    ratio_agreement,
+    reflect_coeffs,
+    reflective_constant,
+    rotate_reflective,
+    vacuous_node_factor,
+)
+from .verify import certify_bidisk, node_status, weak_node_status
 
 PAIR_RESIDUAL_TOL = 1e-9
 
@@ -141,14 +161,6 @@ class Poly2:
         c = p.coeffs.reshape(-1, 1) if variable == 0 else p.coeffs.reshape(1, -1)
         return Poly2(c)
 
-    def coeff_slices(self, axis: int) -> list[Poly]:
-        """One-variable slice polynomials along the given axis."""
-        if self.is_zero:
-            return []
-        if axis == 0:
-            return [Poly(self.coeffs[k, :]) for k in range(self.coeffs.shape[0])]
-        return [Poly(self.coeffs[:, k]) for k in range(self.coeffs.shape[1])]
-
 
 def poly2_reflect(p: Poly2, d: tuple[int, int]) -> Poly2:
     """Reflection at declared bidegree: coeff (k1,k2) -> conj(coeff (d1-k1, d2-k2)).
@@ -156,14 +168,9 @@ def poly2_reflect(p: Poly2, d: tuple[int, int]) -> Poly2:
     Equals ``z1**d1 z2**d2 * conj(p(1/conj(z1), 1/conj(z2)))``; on the torus the
     reflection has the same modulus as p.
     """
-    d1, d2 = d
-    a1, a2 = p.bidegree
-    if d1 < a1 or d2 < a2:
+    if d[0] < p.bidegree[0] or d[1] < p.bidegree[1]:
         raise ValueError(f"declared bidegree {d} below actual {p.bidegree}")
-    padded = np.zeros((d1 + 1, d2 + 1), dtype=complex)
-    if not p.is_zero:
-        padded[: a1 + 1, : a2 + 1] = p.coeffs
-    return Poly2(np.conj(padded[::-1, ::-1]))
+    return Poly2(reflect_coeffs(p.coeffs, d))
 
 
 # ---------------------------------------------------------------------------
@@ -655,19 +662,15 @@ def restrict_balanced(br: BiRational, m: MoebiusMap) -> tuple[Poly, Poly]:
     cancels in the ratio, then divides out near-common roots.
     """
     d2 = max(br.numerator.bidegree[1], br.denominator.bidegree[1], 0)
+    M2 = moebius_matrix(m.a, d2)
 
     def compose(p: Poly2) -> Poly:
-        if p.is_zero:
-            return Poly()
-        out = Poly()
-        z_pow = Poly.one()
-        zvar = Poly(np.array([0.0, 1.0]))
-        for row in p.coeff_slices(0):
-            if not row.is_zero:
-                comp, _ = moebius_compose_poly(m, row, d2)
-                out = out + z_pow * comp
-            z_pow = z_pow * zvar
-        return out
+        # Row k1 of C @ M2.T holds the cleared composition of z1**k1's slice;
+        # after z1 = z, coefficient n of the result sums the antidiagonal k1 + j = n.
+        B = pad_coeffs(p.coeffs, (p.coeffs.shape[0] - 1, d2)) @ M2.T
+        out = np.zeros(B.shape[0] + d2, dtype=complex)
+        np.add.at(out, np.add.outer(np.arange(B.shape[0]), np.arange(d2 + 1)), B)
+        return Poly(out)
 
     num = compose(br.numerator)
     den = compose(br.denominator)
@@ -679,26 +682,10 @@ def restrict_balanced(br: BiRational, m: MoebiusMap) -> tuple[Poly, Poly]:
         n0, d0, common = poly_gcd_numeric(num, den, tol)
         if common.degree <= 0:
             break
-        if not d0.is_zero and _restriction_agreement(num, den, n0, d0) <= 1e-7:
+        if not d0.is_zero and ratio_agreement(num, den, n0, d0) <= 1e-7:
             num, den = n0, d0
             break
     return num, den
-
-
-def _restriction_agreement(num0, den0, num1, den1) -> float:
-    worst = 0.0
-    for radius in (0.47, 0.88):
-        z = radius * np.exp(2j * np.pi * (np.arange(16) + 0.21) / 16)
-        d0, d1 = den0(z), den1(z)
-        ok = (np.abs(d0) > 1e-9 * max(den0.norm(), 1e-300)) & (
-            np.abs(d1) > 1e-9 * max(den1.norm(), 1e-300)
-        )
-        if not np.any(ok):
-            continue
-        v0 = num0(z[ok]) / d0[ok]
-        v1 = num1(z[ok]) / d1[ok]
-        worst = max(worst, float(np.max(np.abs(v0 - v1) / (1.0 + np.abs(v0)))))
-    return worst
 
 
 def count_disk_roots(p: Poly) -> int:
@@ -721,68 +708,23 @@ def _transport_pair(problem: BidiskProblem, pair: AglerPair, j: int) -> tuple[Bi
     maps = (MoebiusMap(complex(problem.nodes[j, 0])), MoebiusMap(complex(problem.nodes[j, 1])))
     new_nodes = np.column_stack([maps[0](problem.nodes[:, 0]), maps[1](problem.nodes[:, 1])])
     shifted_problem = BidiskProblem(nodes=new_nodes, values=problem.values)
-    new_gammas = []
-    for r, G in enumerate(pair.gammas()):
+
+    def congruence(r: int, G: np.ndarray | None) -> np.ndarray | None:
+        if G is None:
+            return None
         a = maps[r].a
         d = 1.0 - np.conj(a) * problem.nodes[:, r]
-        new_gammas.append(hermitize(np.outer(d, d.conj()) * G / (1.0 - abs(a) ** 2)))
-    ys = []
-    for r, Y in enumerate(pair.regularizers()):
-        if Y is None:
-            ys.append(None)
-        else:
-            a = maps[r].a
-            d = 1.0 - np.conj(a) * problem.nodes[:, r]
-            ys.append(hermitize(np.outer(d, d.conj()) * Y / (1.0 - abs(a) ** 2)))
-    return shifted_problem, AglerPair(gamma1=new_gammas[0], gamma2=new_gammas[1], y1=ys[0], y2=ys[1]), maps
+        return hermitize(np.outer(d, d.conj()) * G / (1.0 - abs(a) ** 2))
 
-
-def _reflective_constant2(num: Poly2, den: Poly2, d: tuple[int, int]) -> tuple[complex, float]:
-    """Estimate c with num = c * reflect(den, d); return (c, relative defect)."""
-    ref = poly2_reflect(den, d)
-    rc = np.zeros((d[0] + 1, d[1] + 1), dtype=complex)
-    rc[: ref.coeffs.shape[0], : ref.coeffs.shape[1]] = ref.coeffs
-    nc = np.zeros_like(rc)
-    if not num.is_zero:
-        nc[: num.coeffs.shape[0], : num.coeffs.shape[1]] = num.coeffs
-    big = np.abs(rc) > 1e-6 * max(float(np.max(np.abs(rc))), 1e-300)
-    if not np.any(big):
-        return 1.0 + 0.0j, np.inf
-    ratios = nc[big] / rc[big]
-    c = complex(np.median(ratios.real) + 1j * np.median(ratios.imag))
-    defect = float(np.max(np.abs(nc - c * rc))) / max(float(np.max(np.abs(nc))), 1e-300)
-    return c, defect
+    g1, g2 = (congruence(r, G) for r, G in enumerate(pair.gammas()))
+    y1, y2 = (congruence(r, Y) for r, Y in enumerate(pair.regularizers()))
+    return shifted_problem, AglerPair(gamma1=g1, gamma2=g2, y1=y1, y2=y2), maps
 
 
 def _compose_poly2_with_maps(p: Poly2, maps: tuple[MoebiusMap, MoebiusMap], d: tuple[int, int]) -> Poly2:
     """Cleared composition prod_r (1 - conj(a_r) z_r)^{d_r} * p(m1(z1), m2(z2))."""
-    d1, d2 = d
-    # First substitute in variable 2 row by row, then in variable 1.
-    rows = p.coeff_slices(0) if not p.is_zero else []
-    mid = np.zeros((max(len(rows), 1), d2 + 1), dtype=complex)
-    for k, row in enumerate(rows):
-        if row.is_zero:
-            continue
-        comp, _ = moebius_compose_poly(maps[1], row, d2)
-        mid[k, : comp.coeffs.size] = comp.coeffs
-    mid_poly = Poly2(mid)
-    cols = mid_poly.coeff_slices(1)
-    out = Poly2()
-    for k2, col in enumerate(cols):
-        if col.is_zero:
-            continue
-        comp, _ = moebius_compose_poly(maps[0], col, d1)
-        lift = Poly2(comp.coeffs.reshape(-1, 1) if comp.coeffs.size else np.zeros((0, 1)))
-        shift = np.zeros((1, k2 + 1), dtype=complex)
-        shift[0, k2] = 1.0
-        out = out + lift * Poly2(shift)
-    return out
-
-
-def _vacuous_factor2(lam1: complex) -> Poly2:
-    """(z1 - lam)(1 - conj(lam) z1): self-reflective at bidegree (2, 0)."""
-    p = Poly(np.array([-lam1, 1.0])) * Poly(np.array([1.0, -np.conj(lam1)]))
-    return Poly2.from_one_variable(p, 0)
+    M1, M2 = (moebius_matrix(m.a, k) for m, k in zip(maps, d))
+    return Poly2(M1 @ pad_coeffs(p.coeffs, d) @ M2.T)
 
 
 class BidiskSolveError(BidiskError):
@@ -812,38 +754,29 @@ def _shifted_denominator(
         max(br.numerator.bidegree[0], br.denominator.bidegree[0], 0),
         max(br.numerator.bidegree[1], br.denominator.bidegree[1], 0),
     )
-    c, defect = _reflective_constant2(br.numerator, br.denominator, d)
+    c, defect = reflective_constant(br.numerator, br.denominator, d)
     if defect > 1e-7 or abs(abs(c) - 1.0) > 1e-6:
         raise BidiskSolveError(
             f"numerator is not a unimodular reflection of the denominator (defect {defect:.3e})"
         )
-    den_centered = np.exp(-0.5j * np.angle(c)) * br.denominator
-    den = _compose_poly2_with_maps(den_centered, maps, d)
+    den = _compose_poly2_with_maps(rotate_reflective(br.denominator, c), maps, d)
     num = poly2_reflect(den, d)
-    c2, defect2 = _reflective_constant2(_compose_poly2_with_maps(
-        np.exp(-0.5j * np.angle(c)) * br.numerator, maps, d), den, d)
+    c2, defect2 = reflective_constant(
+        _compose_poly2_with_maps(rotate_reflective(br.numerator, c), maps, d), den, d
+    )
     # Composition may flip the reflection constant per odd degree; re-rotate.
     if defect2 <= 1e-6 and abs(abs(c2) - 1.0) <= 1e-6:
-        den = np.exp(-0.5j * np.angle(c2)) * den
+        den = rotate_reflective(den, c2)
         num = poly2_reflect(den, d)
-    statuses = []
-    scale = max(den.norm(), num.norm(), 1e-300)
-    for i in range(problem.size):
-        lam = problem.nodes[i]
-        w = problem.values[i]
-        pv = den(lam[0], lam[1])
-        qv = num(lam[0], lam[1])
-        resid = abs(qv - w * pv)
-        if abs(pv) > 1e-8 * scale and resid <= 1e-7 * scale * (1.0 + abs(w)):
-            statuses.append("strict")
-        elif resid <= 1e-7 * scale * (1.0 + abs(w)):
-            statuses.append("weak")
-        else:
-            statuses.append("forced-weak")
-    fixes = [i for i, s in enumerate(statuses) if s == "forced-weak"]
-    for i in fixes:
-        den = den * _vacuous_factor2(complex(problem.nodes[i, 0]))
-        d = (d[0] + 2, d[1])
+    lam = problem.nodes
+    statuses = weak_node_status(
+        num(lam[:, 0], lam[:, 1]), den(lam[:, 0], lam[:, 1]), problem.values,
+        max(den.norm(), num.norm(), 1e-300),
+    )
+    for lam1, status in zip(lam[:, 0], statuses):
+        if status == "forced-weak":
+            den = den * Poly2.from_one_variable(vacuous_node_factor(complex(lam1)), 0)
+            d = (d[0] + 2, d[1])
     if statuses[j] != "strict":
         raise BidiskSolveError(f"lost strict interpolation at the re-centered node {j}")
     inertias = (gram.inertias[0], gram.inertias[1])
@@ -909,38 +842,18 @@ def combine_bidisk(
     """Real combination of the shifted denominators into a strict interpolant."""
     if rng is None:
         rng = np.random.default_rng(0)
-    N = problem.size
     d = family.bidegree
-    scale = max(p.norm() for p in family.dens)
-    vals = np.array(
-        [[p(problem.nodes[i, 0], problem.nodes[i, 1]) for p in family.dens] for i in range(N)]
-    )
-    best_q = None
-    for trial in range(retries):
-        t = np.ones(N) if (trial == 0 and N == 1) else rng.uniform(-1.0, 1.0, size=N)
-        node_vals = vals @ t
-        floor = 1e-8 * scale * float(np.linalg.norm(t))
-        if np.min(np.abs(node_vals)) > floor:
-            q = Poly2()
-            for j in range(N):
-                q = q + t[j] * family.dens[j]
-            best_q = q
-            break
-    if best_q is None:
+    lam = problem.nodes
+    vals = np.column_stack([p(lam[:, 0], lam[:, 1]) for p in family.dens])
+    t, _ = real_combination(vals, max(p.norm() for p in family.dens), rng, retries)
+    if t is None:
         raise BidiskSolveError("could not find a real combination avoiding all nodes")
-    q = best_q
+    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly2())
     p = poly2_reflect(q, d)
-    statuses = []
-    for i in range(N):
-        lam = problem.nodes[i]
-        w = problem.values[i]
-        pv = q(lam[0], lam[1])
-        if abs(pv) <= 1e-8 * q.norm():
-            statuses.append("weak")
-        elif abs(p(lam[0], lam[1]) / pv - w) <= 1e-7 * (1.0 + abs(w)):
-            statuses.append("strict")
-        else:
-            statuses.append("fail")
+    statuses = node_status(
+        p(lam[:, 0], lam[:, 1]), q(lam[:, 0], lam[:, 1]), problem.values,
+        max(p.norm(), q.norm(), 1e-300),
+    )
     if any(s != "strict" for s in statuses):
         raise BidiskSolveError(f"combination is not strict at all nodes: {statuses}")
     return BidiskSolution(
@@ -983,7 +896,5 @@ def solve_bidisk(
         weak_solution=weak_br,
     )
     if certify:
-        from . import verify
-
-        solution.certificates.update(verify.certify_bidisk(solution, problem))
+        solution.certificates.update(certify_bidisk(solution, problem))
     return solution

@@ -14,20 +14,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .krein import ExtensionError, PartialJIsometry, SignatureMatrix, extend_j_isometry
-from .linalg import Inertia
+from .linalg import Inertia, real_combination
 from .pick import DiskProblem, GramDecomposition, gram_decompose, pick_matrix
 from .polynomials import (
     BlaschkeProduct,
     MoebiusMap,
     Poly,
+    moebius_compose_poly,
+    pad_coeffs,
     poly_gcd_numeric,
     poly_reflect,
     poly_roots,
+    ratio_agreement,
+    reflective_constant,
+    rotate_reflective,
+    vacuous_node_factor,
 )
 from .realization import Realization, realization_to_rational
+from .verify import certify_disk, check_interpolation, weak_node_status
 
 DISK_INTERIOR = 1.0 - 1e-9
-WEAK_DENOM_TOL = 1e-8
 
 
 class SolveError(RuntimeError):
@@ -44,46 +50,6 @@ class CombinationError(SolveError):
         super().__init__("could not find a real combination avoiding all nodes")
 
 
-def reflective_constant(num: Poly, den: Poly, d: int) -> tuple[complex, float]:
-    """Estimate c with num = c * reflect(den, d); return (c, relative defect)."""
-    ref = poly_reflect(den, d)
-    rc = np.zeros(d + 1, dtype=complex)
-    rc[: ref.coeffs.size] = ref.coeffs
-    nc = np.zeros(d + 1, dtype=complex)
-    nc[: num.coeffs.size] = num.coeffs
-    big = np.abs(rc) > 1e-6 * max(np.max(np.abs(rc)), 1e-300)
-    if not np.any(big):
-        return 1.0 + 0.0j, np.inf
-    ratios = nc[big] / rc[big]
-    c = complex(np.median(ratios.real) + 1j * np.median(ratios.imag))
-    defect = float(np.max(np.abs(nc - c * rc))) / max(np.max(np.abs(nc)), 1e-300)
-    return c, defect
-
-
-def _rotate_reflective(den: Poly, c: complex) -> Poly:
-    """Rotate den by gamma with conj(gamma)/gamma = c, absorbing the constant."""
-    gamma = np.exp(-0.5j * np.angle(c))
-    return gamma * den
-
-
-def _ratio_agreement(num0: Poly, den0: Poly, num1: Poly, den1: Poly) -> float:
-    """Max relative deviation of the two rational functions on two circles."""
-    worst = 0.0
-    for radius in (0.53, 0.91):
-        z = radius * np.exp(2j * np.pi * (np.arange(24) + 0.37) / 24)
-        d0 = den0(z)
-        d1 = den1(z)
-        ok = (np.abs(d0) > 1e-9 * max(den0.norm(), 1e-300)) & (
-            np.abs(d1) > 1e-9 * max(den1.norm(), 1e-300)
-        )
-        if not np.any(ok):
-            continue
-        v0 = num0(z[ok]) / d0[ok]
-        v1 = num1(z[ok]) / d1[ok]
-        worst = max(worst, float(np.max(np.abs(v0 - v1) / (1.0 + np.abs(v0)))))
-    return worst
-
-
 def best_reflective_pair(num: Poly, den: Poly, defect_tol: float = 1e-8) -> tuple[Poly, Poly, int]:
     """Representation of num/den whose numerator is c * reflection of the denominator.
 
@@ -95,7 +61,7 @@ def best_reflective_pair(num: Poly, den: Poly, defect_tol: float = 1e-8) -> tupl
     d = max(num.degree, den.degree)
     c, defect = reflective_constant(num, den, d)
     if defect <= defect_tol and abs(abs(c) - 1.0) <= 1e-6:
-        return num, _rotate_reflective(den, c), d
+        return num, rotate_reflective(den, c), d
     for tol in (1e-10, 1e-8, 1e-6, 1e-4):
         try:
             n0, d0, _ = poly_gcd_numeric(num, den, tol)
@@ -106,16 +72,11 @@ def best_reflective_pair(num: Poly, den: Poly, defect_tol: float = 1e-8) -> tupl
         dd = max(n0.degree, d0.degree)
         c0, defect0 = reflective_constant(n0, d0, dd)
         if defect0 <= 1e-6 and abs(abs(c0) - 1.0) <= 1e-6:
-            if _ratio_agreement(num, den, n0, d0) <= 1e-6:
-                return n0, _rotate_reflective(d0, c0), dd
+            if ratio_agreement(num, den, n0, d0) <= 1e-6:
+                return n0, rotate_reflective(d0, c0), dd
     raise ReflectiveStructureError(
         f"no reflective representation found (raw defect {defect:.3e})"
     )
-
-
-def _vacuous_node_factor(lam: complex) -> Poly:
-    """(z - lam)(1 - conj(lam) z): self-reflective at degree 2, vanishing at lam."""
-    return Poly(np.array([-lam, 1.0])) * Poly(np.array([1.0, -np.conj(lam)]))
 
 
 def enforce_weak_interpolation(
@@ -128,24 +89,13 @@ def enforce_weak_interpolation(
     condition hold trivially.  Returns the adjusted (den, d) and per-node
     status before adjustment.
     """
-    statuses = []
-    extra = []
     num = poly_reflect(den, d)
     scale = max(den.norm(), num.norm())
-    for lam, w in zip(problem.nodes, problem.values):
-        pv = den(lam)
-        qv = num(lam)
-        resid = abs(qv - w * pv)
-        if abs(pv) > WEAK_DENOM_TOL * scale and resid <= tol * scale * (1.0 + abs(w)):
-            statuses.append("strict")
-        elif resid <= tol * scale * (1.0 + abs(w)):
-            statuses.append("weak")
-        else:
-            statuses.append("forced-weak")
-            extra.append(lam)
-    for lam in extra:
-        den = den * _vacuous_node_factor(lam)
-        d += 2
+    statuses = weak_node_status(num(problem.nodes), den(problem.nodes), problem.values, scale, tol)
+    for lam, status in zip(problem.nodes, statuses):
+        if status == "forced-weak":
+            den = den * vacuous_node_factor(lam)
+            d += 2
     return den, d, statuses
 
 
@@ -191,29 +141,6 @@ def solve_centered(problem: DiskProblem, tol: float = 1e-9) -> CenteredSolution:
     )
 
 
-def _compose_with_swap(sol: CenteredSolution, m: MoebiusMap) -> tuple[Poly, int]:
-    """Pull a centered solution back through the swap map, clearing denominators.
-
-    Returns the denominator polynomial of phi(m(z)) at the same reflection
-    degree, rotated so its reflection is again the numerator.
-    """
-    d = sol.refl_degree
-    den = Poly()
-    num_m = m.numerator()
-    den_m = m.denominator()
-    num_pow = Poly.one()
-    den_pows = [Poly.one()]
-    for _ in range(d):
-        den_pows.append(den_pows[-1] * den_m)
-    for k in range(sol.den.coeffs.size):
-        den = den + sol.den.coeffs[k] * (num_pow * den_pows[d - k])
-        num_pow = num_pow * num_m
-    # Composition flips the reflection constant by (-1)**d.
-    if d % 2 == 1:
-        den = 1j * den
-    return den, d
-
-
 @dataclass(frozen=True)
 class ShiftedFamily:
     """Per-node shifted denominators, padded to a common reflection degree."""
@@ -232,8 +159,7 @@ def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
     by the realization arithmetic.  The original polynomial is kept when the
     correction is large or does not help.
     """
-    c = np.zeros(d + 1, dtype=complex)
-    c[: den.coeffs.size] = den.coeffs
+    c = pad_coeffs(den.coeffs, (d,))
     lam = problem.nodes
     w = problem.values
     V = np.vander(lam, d + 1, increasing=True)
@@ -277,7 +203,13 @@ def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
             errors.append(f"node {j}: {exc}")
             continue
         inertia = sol.inertia
-        den_j, d_j = _compose_with_swap(sol, m)
+        # Pull back through the swap map at the same reflection degree.
+        # Composition flips the reflection constant by (-1)**d; rotating by 1j
+        # makes the reflection of den_j its numerator again.
+        d_j = sol.refl_degree
+        den_j, _ = moebius_compose_poly(m, sol.den, d_j)
+        if d_j % 2 == 1:
+            den_j = 1j * den_j
         if abs(den_j(problem.nodes[j])) <= 1e-10 * max(den_j.norm(), 1e-300):
             errors.append(f"node {j}: shifted denominator vanishes at its own node")
             continue
@@ -329,67 +261,33 @@ def _reduce_reflective(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         n0, d0, common = poly_gcd_numeric(num, den, tol)
         if common.degree <= 0:
             return num, den
-        if _ratio_agreement(num, den, n0, d0) <= 1e-7:
+        if ratio_agreement(num, den, n0, d0) <= 1e-7:
             return n0, d0
     return num, den
 
 
-def _blaschke_from_roots(roots: np.ndarray) -> BlaschkeProduct:
-    inside = [complex(r) for r in roots if abs(r) < DISK_INTERIOR]
-    return BlaschkeProduct(zeros=tuple(inside))
+def _inner_factor(p: Poly) -> BlaschkeProduct:
+    """Blaschke product over the roots of p inside the disk."""
+    roots = poly_roots(p) if p.degree > 0 else np.zeros(0, dtype=complex)
+    return BlaschkeProduct(zeros=tuple(complex(r) for r in roots if abs(r) < DISK_INTERIOR))
 
 
-def combine(
-    family: ShiftedFamily,
-    problem: DiskProblem,
-    rng: np.random.Generator | None = None,
-    retries: int = 64,
+def _strict_solution(
+    num: Poly, den: Poly, problem: DiskProblem, stage: str, inertia: Inertia,
+    unreduced_den: Poly, refl_degree: int,
 ) -> TakagiSolution:
-    """Real combination of shifted denominators into a strict interpolant."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    M = len(family.dens)
-    d = family.refl_degree
-    scale = max(p.norm() for p in family.dens)
-    best_q = None
-    residual_table = []
-    vals = np.array([[p(lam) for p in family.dens] for lam in problem.nodes])
-    for trial in range(retries):
-        t = np.ones(M) if (trial == 0 and M == 1) else rng.uniform(-1.0, 1.0, size=M)
-        node_vals = vals @ t
-        floor = 1e-8 * scale * float(np.linalg.norm(t))
-        if np.min(np.abs(node_vals)) > floor:
-            q = Poly(sum((t[j] * family.dens[j] for j in range(M)), start=Poly()).coeffs)
-            best_q = q
-            break
-        residual_table.append(np.abs(node_vals).tolist())
-    if best_q is None:
-        raise CombinationError(residual_table)
-    q = best_q
-    num = poly_reflect(q, d)
-    num_r, den_r = _reduce_reflective(num, q)
-    c, defect = reflective_constant(num_r, den_r, max(num_r.degree, den_r.degree))
-    if defect < 1e-6 and abs(abs(c) - 1.0) < 1e-6:
-        den_r = _rotate_reflective(den_r, c)
-        num_r = poly_reflect(den_r, max(num_r.degree, den_r.degree))
-    statuses = []
-    for lam, w in zip(problem.nodes, problem.values):
-        pv = den_r(lam)
-        if abs(pv) <= WEAK_DENOM_TOL * den_r.norm():
-            statuses.append("weak")
-        elif abs(num_r(lam) / pv - w) <= 1e-7 * (1.0 + abs(w)):
-            statuses.append("strict")
-        else:
-            statuses.append("fail")
+    """Classify the nodes of num/den, split it into Blaschke factors, find the constant.
+
+    Raises SolveError naming ``stage`` unless num/den is strict at every node.
+    """
+    statuses = check_interpolation(num, den, problem)
     if any(s != "strict" for s in statuses):
-        raise SolveError(f"combination is not strict at all nodes: {statuses}")
-    zeros = poly_roots(num_r) if num_r.degree > 0 else np.zeros(0, dtype=complex)
-    poles = poly_roots(den_r) if den_r.degree > 0 else np.zeros(0, dtype=complex)
-    f = _blaschke_from_roots(zeros)
-    g = _blaschke_from_roots(poles)
+        raise SolveError(f"{stage} is not strict at all nodes: {statuses}")
+    f = _inner_factor(num)
+    g = _inner_factor(den)
     interp = RationalInterpolant(
-        numerator=num_r,
-        denominator=den_r,
+        numerator=num,
+        denominator=den,
         node_status=statuses,
         zeros_in_disk=f.degree,
         poles_in_disk=g.degree,
@@ -405,10 +303,38 @@ def combine(
         f=f,
         g=g,
         constant=complex(c_phi),
-        inertia=family.inertia,
-        unreduced_den=q,
-        refl_degree=d,
+        inertia=inertia,
+        unreduced_den=unreduced_den,
+        refl_degree=refl_degree,
         certificates={},
+    )
+
+
+def combine(
+    family: ShiftedFamily,
+    problem: DiskProblem,
+    rng: np.random.Generator | None = None,
+    retries: int = 64,
+) -> TakagiSolution:
+    """Real combination of shifted denominators into a strict interpolant."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    d = family.refl_degree
+    vals = np.column_stack([p(problem.nodes) for p in family.dens])
+    t, residual_table = real_combination(
+        vals, max(p.norm() for p in family.dens), rng, retries
+    )
+    if t is None:
+        raise CombinationError(residual_table)
+    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
+    num = poly_reflect(q, d)
+    num_r, den_r = _reduce_reflective(num, q)
+    c, defect = reflective_constant(num_r, den_r, max(num_r.degree, den_r.degree))
+    if defect < 1e-6 and abs(abs(c) - 1.0) < 1e-6:
+        den_r = rotate_reflective(den_r, c)
+        num_r = poly_reflect(den_r, max(num_r.degree, den_r.degree))
+    return _strict_solution(
+        num_r, den_r, problem, "combination", family.inertia, unreduced_den=q, refl_degree=d
     )
 
 
@@ -446,44 +372,13 @@ def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
     real = Realization.from_colligation(V1, SignatureMatrix(np.ones(pi)))
     num, den = realization_to_rational(real)
     num_r, den_r, _ = poly_gcd_numeric(num, den, 1e-9)
-    statuses = []
-    for lam, w in zip(problem.nodes, problem.values):
-        pv = den_r(lam)
-        if abs(pv) <= WEAK_DENOM_TOL * den_r.norm():
-            statuses.append("weak")
-        elif abs(num_r(lam) / pv - w) <= 1e-7 * (1.0 + abs(w)):
-            statuses.append("strict")
-        else:
-            statuses.append("fail")
-    if any(s != "strict" for s in statuses):
-        raise SolveError(f"positive-case solve is not strict at all nodes: {statuses}")
-    zeros = poly_roots(num_r) if num_r.degree > 0 else np.zeros(0, dtype=complex)
-    f = _blaschke_from_roots(zeros)
-    if f.degree != pi or num_r.degree != pi:
+    solution = _strict_solution(
+        num_r, den_r, problem, "positive-case solve", dec.inertia,
+        unreduced_den=den, refl_degree=max(num_r.degree, den_r.degree),
+    )
+    if solution.f.degree != pi or num_r.degree != pi or solution.g.degree:
         raise SolveError("positive-case solve did not reach an inner function of rank degree")
-    g = BlaschkeProduct(zeros=())
-    interp = RationalInterpolant(
-        numerator=num_r,
-        denominator=den_r,
-        node_status=statuses,
-        zeros_in_disk=f.degree,
-        poles_in_disk=0,
-    )
-    z0 = 0.237 + 0.111j
-    fz = f(z0)
-    c_phi = interp(z0) / fz if abs(fz) > 1e-12 else 1.0 + 0.0j
-    if abs(abs(c_phi) - 1.0) > 1e-6:
-        c_phi = c_phi / abs(c_phi)
-    return TakagiSolution(
-        interpolant=interp,
-        f=f,
-        g=g,
-        constant=complex(c_phi),
-        inertia=dec.inertia,
-        unreduced_den=den,
-        refl_degree=max(num_r.degree, den_r.degree),
-        certificates={},
-    )
+    return solution
 
 
 def solve(
@@ -508,7 +403,5 @@ def solve(
         family = solve_all_shifts(problem, tol)
         solution = combine(family, problem, rng=np.random.default_rng(seed))
     if certify:
-        from . import verify
-
-        solution.certificates.update(verify.certify_disk(solution, problem))
+        solution.certificates.update(certify_disk(solution, problem))
     return solution

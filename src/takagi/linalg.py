@@ -1,4 +1,8 @@
-"""Dense Hermitian eigen-analysis with tolerance-aware inertia counting."""
+"""Dense Hermitian eigen-analysis with tolerance-aware inertia counting.
+
+Also holds the randomized real-combination search that the disk and bidisk
+solvers share (``real_combination``).
+"""
 
 from __future__ import annotations
 
@@ -74,3 +78,24 @@ def rank_with_tol(M: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def real_combination(
+    vals: np.ndarray, scale: float, rng: np.random.Generator, retries: int
+) -> tuple[np.ndarray | None, list[list[float]]]:
+    """Random real weights t whose combination ``vals @ t`` avoids zero at every row.
+
+    ``vals[i, j]`` is candidate j at node i and ``scale`` the largest
+    coefficient among the candidates.  A single candidate is tried with t = 1
+    first.  Returns (t, moduli of the rejected trials); t is None when all
+    ``retries`` trials came within ``1e-8 * scale * |t|`` of zero somewhere.
+    """
+    M = vals.shape[1]
+    rejected = []
+    for trial in range(retries):
+        t = np.ones(M) if (trial == 0 and M == 1) else rng.uniform(-1.0, 1.0, size=M)
+        node_vals = vals @ t
+        if np.min(np.abs(node_vals)) > 1e-8 * scale * float(np.linalg.norm(t)):
+            return t, rejected
+        rejected.append(np.abs(node_vals).tolist())
+    return None, rejected

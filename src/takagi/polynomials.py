@@ -4,6 +4,13 @@ Coefficients are stored in ascending degree order.  The zero polynomial has
 degree -1.  Root finding goes through the companion matrix (numpy.roots);
 the numeric GCD pairs roots of the two polynomials rather than running a
 Euclidean remainder sequence, which is unstable in floating point.
+
+The coefficient-space kernels shared by the disk and bidisk solvers live
+here: Moebius composition as a matrix on coefficients (``moebius_matrix``),
+reflection of a coefficient array of any rank (``reflect_coeffs``), the
+reflective constant of a numerator/denominator pair
+(``reflective_constant``), the agreement of two rational functions away from
+their poles (``ratio_agreement``) and the vacuous node factor.
 """
 
 from __future__ import annotations
@@ -98,6 +105,18 @@ def poly_roots(p: Poly) -> np.ndarray:
     return np.roots(p.coeffs[::-1])
 
 
+def pad_coeffs(coeffs: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
+    """Coefficient array zero-padded to shape ``(d + 1 for d in degrees)``."""
+    out = np.zeros(tuple(d + 1 for d in degrees), dtype=complex)
+    out[tuple(slice(0, n) for n in coeffs.shape)] = coeffs
+    return out
+
+
+def reflect_coeffs(coeffs: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
+    """Conjugated coefficients flipped along every axis at the declared degrees."""
+    return np.conj(np.flip(pad_coeffs(coeffs, degrees)))
+
+
 def poly_reflect(p: Poly, d: int) -> Poly:
     """Reflection at declared degree d: coefficient k becomes conj(coeff[d-k]).
 
@@ -106,9 +125,54 @@ def poly_reflect(p: Poly, d: int) -> Poly:
     """
     if d < p.degree:
         raise ValueError(f"declared degree {d} below actual degree {p.degree}")
-    padded = np.zeros(d + 1, dtype=complex)
-    padded[: p.coeffs.size] = p.coeffs
-    return Poly(np.conj(padded[::-1]))
+    return Poly(reflect_coeffs(p.coeffs, (d,)))
+
+
+def reflective_constant(num, den, d) -> tuple[complex, float]:
+    """Estimate c with num = c * reflect(den, d); return (c, relative defect).
+
+    ``num`` and ``den`` are polynomials in one or two variables (``Poly`` or
+    ``bidisk.Poly2``) and ``d`` is their declared degree or bidegree.
+    """
+    degrees = tuple(np.atleast_1d(d))
+    rc = reflect_coeffs(den.coeffs, degrees)
+    nc = pad_coeffs(num.coeffs, degrees)
+    big = np.abs(rc) > 1e-6 * max(float(np.max(np.abs(rc))), 1e-300)
+    if not np.any(big):
+        return 1.0 + 0.0j, np.inf
+    ratios = nc[big] / rc[big]
+    c = complex(np.median(ratios.real) + 1j * np.median(ratios.imag))
+    defect = float(np.max(np.abs(nc - c * rc))) / max(float(np.max(np.abs(nc))), 1e-300)
+    return c, defect
+
+
+def rotate_reflective(den, c: complex):
+    """Rotate den by gamma with conj(gamma)/gamma = c, absorbing the constant.
+
+    Works for ``Poly`` and ``bidisk.Poly2`` alike.
+    """
+    return np.exp(-0.5j * np.angle(c)) * den
+
+
+def ratio_agreement(num0: Poly, den0: Poly, num1: Poly, den1: Poly) -> float:
+    """Max relative deviation of num0/den0 from num1/den1 on two circles.
+
+    Points where either denominator nearly vanishes are skipped.
+    """
+    worst = 0.0
+    for radius in (0.53, 0.91):
+        z = radius * np.exp(2j * np.pi * (np.arange(24) + 0.37) / 24)
+        d0 = den0(z)
+        d1 = den1(z)
+        ok = (np.abs(d0) > 1e-9 * max(den0.norm(), 1e-300)) & (
+            np.abs(d1) > 1e-9 * max(den1.norm(), 1e-300)
+        )
+        if not np.any(ok):
+            continue
+        v0 = num0(z[ok]) / d0[ok]
+        v1 = num1(z[ok]) / d1[ok]
+        worst = max(worst, float(np.max(np.abs(v0 - v1) / (1.0 + np.abs(v0)))))
+    return worst
 
 
 def poly_gcd_numeric(p: Poly, q: Poly, tol: float = 1e-8) -> tuple[Poly, Poly, Poly]:
@@ -160,15 +224,26 @@ class MoebiusMap:
         out = (self.a - z) / (1.0 - np.conj(self.a) * z)
         return out if out.ndim else complex(out)
 
-    def numerator(self) -> Poly:
-        return Poly(np.array([self.a, -1.0]))
-
-    def denominator(self) -> Poly:
-        return Poly(np.array([1.0, -np.conj(self.a)]))
 
 
 def moebius_swap(a: complex) -> MoebiusMap:
     return MoebiusMap(complex(a))
+
+
+def moebius_matrix(a: complex, d: int) -> np.ndarray:
+    """Coefficient map of p -> (1 - conj(a) z)**d * p(m(z)) at degree d, m = MoebiusMap(a).
+
+    The (d+1) x (d+1) matrix acts on ascending coefficient vectors; column k
+    holds ``(a - z)**k (1 - conj(a) z)**(d - k)``.  Column 0 is the cleared
+    denominator ``(1 - conj(a) z)**d``.  Since m is self-inverse,
+    ``M @ M = (1 - |a|**2)**d I``.
+    """
+    num_pows = [np.ones(1, dtype=complex)]
+    den_pows = [np.ones(1, dtype=complex)]
+    for _ in range(d):
+        num_pows.append(np.convolve(num_pows[-1], [a, -1.0]))
+        den_pows.append(np.convolve(den_pows[-1], [1.0, -np.conj(a)]))
+    return np.column_stack([np.convolve(num_pows[k], den_pows[d - k]) for k in range(d + 1)])
 
 
 def moebius_compose_poly(m: MoebiusMap, p: Poly, d: int | None = None) -> tuple[Poly, Poly]:
@@ -181,18 +256,13 @@ def moebius_compose_poly(m: MoebiusMap, p: Poly, d: int | None = None) -> tuple[
         d = max(p.degree, 0)
     if d < p.degree:
         raise ValueError("clearing degree below deg p")
-    num_m = m.numerator()
-    den_m = m.denominator()
-    num = Poly()
-    # p(m) * den_m**d = sum_k p_k * num_m**k * den_m**(d-k)
-    num_pow = Poly.one()
-    den_pows = [Poly.one()]
-    for _ in range(d):
-        den_pows.append(den_pows[-1] * den_m)
-    for k in range(p.coeffs.size):
-        num = num + p.coeffs[k] * (num_pow * den_pows[d - k])
-        num_pow = num_pow * num_m
-    return num, den_pows[d]
+    M = moebius_matrix(m.a, d)
+    return Poly(M @ pad_coeffs(p.coeffs, (d,))), Poly(M[:, 0])
+
+
+def vacuous_node_factor(lam: complex) -> Poly:
+    """(z - lam)(1 - conj(lam) z): self-reflective at degree 2, vanishing at lam."""
+    return Poly(np.array([-lam, 1.0])) * Poly(np.array([1.0, -np.conj(lam)]))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
-"""Independent certification of interpolants.
+"""Independent certification of interpolants, and the node-status rules.
 
 Every check here recomputes its quantities from the rational function and the
 problem data alone, never reusing solver intermediates, so a passing
 certificate is evidence independent of the construction path.
+
+The two per-node classification rules live here and serve the disk and bidisk
+solvers alike: ``node_status`` (strict | weak | fail, the rule of
+``check_interpolation``) judges a finished interpolant, and
+``weak_node_status`` (strict | weak | forced-weak) judges a weak solution by
+the residual of its cleared identity.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ class OracleError(ValueError):
     pass
 
 
-def check_interpolation(
-    num: Poly, den: Poly, problem: DiskProblem, tol: float = STRICT_TOL
-) -> list[str]:
-    """Per-node classification strict | weak | fail for phi = num/den (reduced)."""
+def node_status(num_vals, den_vals, values, scale: float, tol: float = STRICT_TOL) -> list[str]:
+    """Per-node strict | weak | fail from the values of num and den at the nodes.
+
+    A node is strict when the denominator is clear of zero (relative to
+    ``scale``, the largest coefficient of the pair) and num/den matches the
+    target; weak when the denominator vanishes and the cleared identity holds.
+    """
     out = []
-    scale = max(num.norm(), den.norm(), 1e-300)
-    for lam, w in zip(problem.nodes, problem.values):
-        pv = den(lam)
-        qv = num(lam)
+    for qv, pv, w in zip(num_vals, den_vals, values):
         if abs(pv) > 1e-8 * scale:
             out.append("strict" if abs(qv / pv - w) <= tol * (1.0 + abs(w)) else "fail")
         elif abs(qv - w * pv) <= tol * scale * (1.0 + abs(w)):
@@ -40,6 +46,32 @@ def check_interpolation(
         else:
             out.append("fail")
     return out
+
+
+def weak_node_status(num_vals, den_vals, values, scale: float, tol: float = STRICT_TOL) -> list[str]:
+    """Per-node strict | weak | forced-weak of a weak solution, by its cleared residual.
+
+    The residual ``|num - w den|`` is judged against ``scale``, not against
+    the denominator's value, so a node with a small but nonzero denominator can
+    be strict here and fail under ``node_status``.  Forced-weak nodes need a
+    vacuous factor to satisfy the weak identity.
+    """
+    out = []
+    for qv, pv, w in zip(num_vals, den_vals, values):
+        holds = abs(qv - w * pv) <= tol * scale * (1.0 + abs(w))
+        if holds and abs(pv) > 1e-8 * scale:
+            out.append("strict")
+        else:
+            out.append("weak" if holds else "forced-weak")
+    return out
+
+
+def check_interpolation(
+    num: Poly, den: Poly, problem: DiskProblem, tol: float = STRICT_TOL
+) -> list[str]:
+    """Per-node classification strict | weak | fail for phi = num/den (reduced)."""
+    scale = max(num.norm(), den.norm(), 1e-300)
+    return node_status(num(problem.nodes), den(problem.nodes), problem.values, scale, tol)
 
 
 def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from takagi.bidisk import (
+    _compose_poly2_with_maps,
     AglerPair,
     BidiskProblem,
     BiRational,
@@ -90,6 +91,19 @@ class TestPoly2:
             z1 = np.exp(2j * np.pi * rng.uniform())
             z2 = np.exp(2j * np.pi * rng.uniform())
             assert abs(abs(ref(z1, z2)) - abs(p(z1, z2))) < 1e-10 * p.norm()
+
+
+    @pytest.mark.parametrize("a1, a2", [(0.0, 0.0), (0.3 - 0.2j, 0.0), (-0.5j, 0.7), (0.85, -0.6 + 0.4j)])
+    def test_moebius_composition_matches_direct(self, a1, a2):
+        rng = np.random.default_rng(14)
+        p = Poly2(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+        d = (4, 5)
+        m1, m2 = MoebiusMap(a1), MoebiusMap(a2)
+        composed = _compose_poly2_with_maps(p, (m1, m2), d)
+        for _ in range(20):
+            z1, z2 = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.6
+            cleared = (1.0 - np.conj(a1) * z1) ** d[0] * (1.0 - np.conj(a2) * z2) ** d[1]
+            assert abs(composed(z1, z2) - cleared * p(m1(z1), m2(z2))) < 1e-11 * composed.norm()
 
 
 class TestProblemAndPair:
@@ -223,6 +237,26 @@ class TestBalancedRestrictions:
             assert check_unimodular(num, den) < 1e-6
             assert count_disk_roots(num) <= i1.positive + i2.positive + d1 + d2
             assert count_disk_roots(den) <= i1.negative + i2.negative + d1 + d2
+
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.3 + 0.6j, 0.9j])
+    def test_restriction_matches_direct(self, a):
+        rng = np.random.default_rng(15)
+        p = random_bidisk_problem(rng, n_max=3)
+        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=15)
+        br = to_birational(build_bidisk_realization(p, pair)[0])
+        m = MoebiusMap(a)
+        num, den = restrict_balanced(br, m)
+        checked = 0
+        for _ in range(40):
+            z = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
+            dv = br.denominator(z, m(z))
+            if abs(dv) < 1e-6 * br.denominator.norm() or abs(den(z)) < 1e-6 * den.norm():
+                continue
+            direct = br.numerator(z, m(z)) / dv
+            assert abs(num(z) / den(z) - direct) < 1e-8 * (1.0 + abs(direct))
+            checked += 1
+        assert checked >= 20
 
 
 class TestSolveBidisk:

@@ -10,6 +10,7 @@ from takagi.linalg import (
     hermitian_inertia,
     hermitize,
     rank_with_tol,
+    real_combination,
 )
 from takagi.pick import DiskProblem, pick_matrix
 
@@ -73,6 +74,19 @@ def test_rank_with_tol():
     M = np.diag([1.0, 1e-14, 0.0])
     assert rank_with_tol(M, 1e-9) == 1
     assert rank_with_tol(np.zeros((3, 3))) == 0
+
+
+def test_real_combination_single_candidate_takes_unit_weight():
+    t, rejected = real_combination(np.array([[2.0], [1.0j]]), 2.0, np.random.default_rng(0), 8)
+    assert t.tolist() == [1.0] and rejected == []
+
+
+def test_real_combination_reports_every_rejected_trial():
+    # Both candidates vanish at the second node, so every weight vector is rejected.
+    vals = np.array([[1.0, 1.0], [0.0, 0.0]])
+    t, rejected = real_combination(vals, 1.0, np.random.default_rng(0), 5)
+    assert t is None
+    assert len(rejected) == 5 and all(row[1] == 0.0 for row in rejected)
 
 
 def test_check_hermitian_accepts_roundoff():

@@ -8,6 +8,7 @@ from takagi.polynomials import (
     MoebiusMap,
     Poly,
     moebius_compose_poly,
+    moebius_matrix,
     moebius_swap,
     poly_gcd_numeric,
     poly_reflect,
@@ -138,13 +139,30 @@ class TestMoebius:
         with pytest.raises(ValueError):
             MoebiusMap(1.0)
 
-    def test_compose_poly_matches_direct(self):
+    @pytest.mark.parametrize(
+        "size, a, extra",
+        [(4, 0.2 + 0.3j, None), (1, -0.5j, 3), (7, 0.0, 0), (9, 0.6 - 0.5j, 2), (13, -0.85, 0)],
+        ids=["deg3", "deg0-declared3", "deg6-origin", "deg8-declared10", "deg12"],
+    )
+    def test_compose_poly_matches_direct(self, size, a, extra):
         rng = np.random.default_rng(4)
-        p = Poly(rng.normal(size=4) + 1j * rng.normal(size=4))
-        m = MoebiusMap(0.2 + 0.3j)
-        num, den = moebius_compose_poly(m, p)
+        p = Poly(rng.normal(size=size) + 1j * rng.normal(size=size))
+        m = MoebiusMap(a)
+        d = None if extra is None else p.degree + extra
+        num, den = moebius_compose_poly(m, p, d)
         z = (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)) * 0.6
         assert np.max(np.abs(num(z) / den(z) - p(m(z)))) < 1e-10
+        cleared = (1.0 - np.conj(a) * z) ** (p.degree if d is None else d)
+        assert np.max(np.abs(den(z) - cleared)) < 1e-12 * np.max(np.abs(cleared))
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, -0.45 + 0.2j, 0.9j, -0.45 + 0.77j])
+    def test_matrix_is_scaled_involution(self, a):
+        for d in range(13):
+            M = moebius_matrix(a, d)
+            assert M.shape == (d + 1, d + 1)
+            target = (1.0 - abs(a) ** 2) ** d * np.eye(d + 1)
+            tol = 1e-13 * max(1.0, float(np.max(np.abs(M)))) ** 2 * (d + 1)
+            assert np.max(np.abs(M @ M - target)) < tol
 
 
 class TestBlaschke:

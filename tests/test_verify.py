@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from takagi.disk import solve
+from takagi.disk import enforce_weak_interpolation, solve
 from takagi.linalg import hermitian_inertia
 from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import BlaschkeProduct, Poly, poly_reflect
@@ -12,8 +12,10 @@ from takagi.verify import (
     check_unimodular,
     count_zeros_poles,
     lemma_inertia_oracle,
+    node_status,
     pick_matrix_of_function,
     sampled_kernel_inertia,
+    weak_node_status,
 )
 
 
@@ -55,6 +57,20 @@ class TestInterpolationCheck:
             Poly(np.array([0.0, 1.0])), Poly(np.array([1.0])), p
         )
         assert statuses[0] not in ("strict",)
+
+    def test_weak_stage_strict_where_strict_stage_fails(self):
+        # den(0) = 1e-4 is small against the unit coefficient scale: the cleared
+        # residual 1e-8 passes the weak-stage rule, while num/den misses w by
+        # 1e-4 and fails the strict-stage rule.
+        w = 0.5 - 0.25j
+        den = Poly(np.array([1e-4, 1.0, np.conj(w * 1e-4 + 1e-8)]))
+        num = poly_reflect(den, 2)
+        p = DiskProblem(nodes=np.array([0.0]), values=np.array([w]))
+        assert weak_node_status([num(0.0)], [den(0.0)], p.values, 1.0) == ["strict"]
+        assert node_status([num(0.0)], [den(0.0)], p.values, 1.0) == ["fail"]
+        assert check_interpolation(num, den, p) == ["fail"]
+        _, d2, statuses = enforce_weak_interpolation(den, 2, p)
+        assert statuses == ["strict"] and d2 == 2
 
 
 class TestUnimodularCheck:
