@@ -111,9 +111,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_boundary_samples(args) -> int:
+    n = args.n
+    if n < 1:
+        print("n must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
     data = load_json(args.file)
     solution, problem, _ = result_to_solution(data)
-    n = args.n
     if isinstance(problem, DiskProblem):
         num = solution.interpolant.numerator
         den = solution.interpolant.denominator
@@ -129,12 +132,11 @@ def cmd_boundary_samples(args) -> int:
             val = num(z) / den(z)
             print(f"{theta:.12g},{abs(val):.12g},{np.angle(val):.12g},0")
         return EXIT_OK
-    num2 = solution.numerator
-    den2 = solution.denominator
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     z = np.exp(1j * theta)
     Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    qv = den2(Z1, Z2)
+    qv = solution.denominator(Z1, Z2)
+    pv = solution.numerator(Z1, Z2)
     qmax = max(float(np.max(np.abs(qv))), 1e-300)
     print("theta1,theta2,abs_phi,flag")
     for a in range(n):
@@ -142,8 +144,7 @@ def cmd_boundary_samples(args) -> int:
             if abs(qv[a, b]) < 1e-6 * qmax:
                 print(f"{theta[a]:.12g},{theta[b]:.12g},nan,1")
             else:
-                val = num2(z[a], z[b]) / qv[a, b]
-                print(f"{theta[a]:.12g},{theta[b]:.12g},{abs(val):.12g},0")
+                print(f"{theta[a]:.12g},{theta[b]:.12g},{abs(pv[a, b] / qv[a, b]):.12g},0")
     return EXIT_OK
 
 

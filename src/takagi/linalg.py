@@ -1,12 +1,15 @@
 """Dense Hermitian eigen-analysis with tolerance-aware inertia counting.
 
-Also holds the randomized real-combination search that the disk and bidisk
-solvers share (``real_combination``).
+Also holds the kernels that the disk and bidisk solvers share: the randomized
+real-combination search (``real_combination``) and the batched sampling of a
+transfer function, which turns a realization into numerator and denominator
+coefficients (``transfer_coefficients``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -99,3 +102,68 @@ def real_combination(
             return t, rejected
         rejected.append(np.abs(node_vals).tolist())
     return None, rejected
+
+
+def resolvent_stack(D: np.ndarray, blocks: tuple[int, ...], points: np.ndarray) -> np.ndarray:
+    """The matrices ``I - D E_z``, one per row z of ``points``.
+
+    The state space splits into blocks of the sizes in ``blocks``, and ``E_z``
+    scales block r by ``z[r]``; ``points`` has one column per block.  The
+    entries are formed as ``z * D[i, j]``, z on the left, which rounds as the
+    one-variable ``I - z D``.  NumPy's vectorised complex product can round
+    ``D[i, j] * z`` differently in the last bit, and some disk verdicts on
+    nearly singular problems depend on that bit.
+    """
+    e = np.repeat(np.asarray(points, dtype=complex), blocks, axis=1)
+    return np.eye(D.shape[0], dtype=complex) - e[:, None, :] * D
+
+
+def transfer_samples(
+    A: complex, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+    blocks: tuple[int, ...], points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``det(I - D E_z)`` and ``phi(z) = A + B E_z (I - D E_z)^-1 C`` at each row of ``points``.
+
+    One stacked determinant and one stacked solve serve every point.  The sum
+    runs over the blocks as ``z[r] * (B_r @ x_r)``, with x the state.
+    """
+    M = resolvent_stack(D, blocks, points)
+    den = np.linalg.det(M)
+    x = np.linalg.solve(M, C)
+    bounds = np.cumsum((0, *blocks))
+    phi = A + sum(
+        points[:, r] * (x[:, None, lo:hi] @ B[lo:hi, None])[:, 0, 0]
+        for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    )
+    return den, phi
+
+
+def sample_grid(blocks: tuple[int, ...], radii: tuple[float, ...]) -> np.ndarray:
+    """Tensor grid with ``blocks[r] + 1`` equispaced points on the circle of radius ``radii[r]``.
+
+    Rows run over the grid in C order, one column per axis.
+    """
+    axes = [
+        rad * np.exp(2j * np.pi * np.arange(k + 1) / (k + 1)) for k, rad in zip(blocks, radii)
+    ]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(blocks))
+
+
+def transfer_coefficients(
+    A: complex, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+    blocks: tuple[int, ...], radii: tuple[float, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient arrays (num, den) of ``phi = num / den`` with ``den = det(I - D E_z)``.
+
+    Both are polynomials of degree at most ``blocks[r]`` in ``z[r]``, so their
+    values on ``sample_grid(blocks, radii)`` fix them: ``coeffs[k1, ..., kn]``
+    multiplies the monomial ``z1**k1 ... zn**kn``.  The radii should keep the
+    grid away from the zeros of ``den``.
+    """
+    shape = tuple(k + 1 for k in blocks)
+    den, phi = transfer_samples(A, B, C, D, blocks, sample_grid(blocks, radii))
+    num = den * phi
+    # Samples sit at rad * exp(+2 pi i m / M), so coefficients come from the
+    # forward DFT (an inverse one would reconstruct them in reversed order).
+    scale = reduce(np.multiply.outer, [rad ** np.arange(m) for m, rad in zip(shape, radii)])
+    return tuple(np.fft.fftn(v.reshape(shape)) / v.size / scale for v in (num, den))

@@ -1,8 +1,11 @@
 """Transfer-function realizations phi(lam) = A + lam B (I - lam D)^-1 C.
 
-The exact numerator/denominator polynomials come from the Faddeev-LeVerrier
-recurrence, which yields det(I - lam D) and the adjugate of (I - lam D) as
-polynomials in lam without symbolic algebra.
+The numerator/denominator polynomials, den = det(I - lam D) and den * phi,
+come from samples on a circle and a forward DFT (``realization_to_rational``),
+through the batched kernel ``linalg.transfer_coefficients`` that the bidisk
+extraction shares.  The Faddeev-LeVerrier recurrence (``faddeev_leverrier``)
+gives the same polynomials exactly in arithmetic but loses accuracy for widely
+spread eigenvalues of D; it is kept as a reference.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krein import SignatureMatrix, j_unitarity_defect
+from .linalg import transfer_coefficients
 from .polynomials import Poly
 
 
@@ -119,68 +123,25 @@ def _sampling_radius(r: Realization) -> float:
 
 
 def _rational_by_sampling(r: Realization) -> tuple[Poly, Poly]:
-    """num/den coefficients from values on a circle, via the inverse DFT.
+    """num/den coefficients from values on a circle, via the forward DFT.
 
-    Backward-stable alternative when the Faddeev-LeVerrier recurrence loses
-    accuracy for widely spread eigenvalues of D.
+    The samples come from ``linalg.transfer_coefficients``, the batched kernel
+    shared with the bidisk extraction; the circle avoids the roots of the
+    denominator (``_sampling_radius``).
     """
-    k = r.kappa
-    rad = _sampling_radius(r)
-    M = k + 1
-    z = rad * np.exp(2j * np.pi * np.arange(M) / M)
-    den_vals = np.empty(M, dtype=complex)
-    num_vals = np.empty(M, dtype=complex)
-    for m, zm in enumerate(z):
-        Mat = np.eye(k, dtype=complex) - zm * r.D
-        den_vals[m] = np.linalg.det(Mat)
-        num_vals[m] = den_vals[m] * (r.A + zm * (r.B @ np.linalg.solve(Mat, r.C)))
-    # Samples sit at rad * exp(+2 pi i m / M), so coefficients come from the
-    # forward DFT (ifft would reconstruct the samples in reversed order).
-    scale = rad ** np.arange(M)
-    den = Poly(np.fft.fft(den_vals) / M / scale)
-    num = Poly(np.fft.fft(num_vals) / M / scale)
-    return num, den
-
-
-def _extraction_error(r: Realization, num: Poly, den: Poly) -> float:
-    """Relative deviation of num/den from the realization at safe sample points."""
-    rad = _sampling_radius(r) * 1.013
-    z = rad * np.exp(2j * np.pi * (np.arange(7) + 0.29) / 7)
-    worst = 0.0
-    for zm in z:
-        try:
-            direct = eval_realization(r, zm)
-        except ResolventSingularity:
-            continue
-        dv = den(zm)
-        if abs(dv) < 1e-12 * max(den.norm(), 1.0):
-            continue
-        worst = max(worst, abs(num(zm) / dv - direct) / (1.0 + abs(direct)))
-    return worst
+    num, den = transfer_coefficients(r.A, r.B, r.C, r.D, (r.kappa,), (_sampling_radius(r),))
+    return Poly(num), Poly(den)
 
 
 def realization_to_rational(r: Realization) -> tuple[Poly, Poly]:
     """Exact (numerator, denominator) of phi with den = det(I - lam D).
 
-    Uses the Faddeev-LeVerrier polynomials, validated against direct
-    evaluation; falls back to sampling-based extraction when the recurrence
-    is inaccurate.
+    Both are polynomials of degree at most kappa, recovered from kappa + 1
+    samples of den and den * phi on a circle (``_rational_by_sampling``).
     """
     if r.kappa == 0:
         return Poly(np.array([r.A])), Poly.one()
-    pc, Ms = faddeev_leverrier(r.D)
-    den = Poly(pc)
-    qc = np.zeros(r.kappa + 1, dtype=complex)
-    qc[: pc.size] = r.A * pc
-    for m, M in enumerate(Ms):
-        qc[m + 1] += r.B @ M @ r.C
-    num = Poly(qc)
-    if _extraction_error(r, num, den) <= 1e-10:
-        return num, den
-    num_s, den_s = _rational_by_sampling(r)
-    if _extraction_error(r, num_s, den_s) < _extraction_error(r, num, den):
-        return num_s, den_s
-    return num, den
+    return _rational_by_sampling(r)
 
 
 def kernel_gamma(r: Realization, lam: complex, mu: complex) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem
-from .polynomials import BlaschkeProduct, Poly, poly_roots
+from .polynomials import BlaschkeProduct, MoebiusMap, Poly, poly_roots
 
 STRICT_TOL = 1e-7
 UNIMODULAR_TOL = 1e-7
@@ -270,8 +270,6 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     br = solution.weak_solution if solution.weak_solution is not None else solution.birational()
     for _ in range(n_moebius):
         a = (rng.uniform(-0.85, 0.85) + 1j * rng.uniform(-0.85, 0.85)) * 0.7
-        from .polynomials import MoebiusMap
-
         rnum, rden = restrict_balanced(br, MoebiusMap(complex(a)))
         zeros = count_disk_roots(rnum)
         poles = count_disk_roots(rden)

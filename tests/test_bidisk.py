@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import takagi.bidisk as bidisk_module
 from takagi.bidisk import (
     _compose_poly2_with_maps,
     AglerPair,
     BidiskProblem,
     BiRational,
+    BirationalExtractionError,
     PairValidationError,
     Poly2,
     build_bidisk_realization,
@@ -210,6 +212,23 @@ class TestBirationalExtraction:
             except ArithmeticError:
                 continue
             assert abs(br.numerator(z[0], z[1]) / dv - direct) < 1e-6 * (1 + abs(direct))
+
+    def test_wrong_coefficient_is_rejected(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        p = random_bidisk_problem(rng, n_max=3)
+        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=5)
+        r, _ = build_bidisk_realization(p, pair)
+        extract = bidisk_module.transfer_coefficients
+
+        def perturbed(*args):
+            num, den = extract(*args)
+            num = num.copy()
+            num[0, 0] += 1e-5 * np.max(np.abs(num))
+            return num, den
+
+        monkeypatch.setattr(bidisk_module, "transfer_coefficients", perturbed)
+        with pytest.raises(BirationalExtractionError):
+            to_birational(r)
 
     def test_torus_unimodularity_and_toral_report(self):
         rng = np.random.default_rng(6)

@@ -143,6 +143,16 @@ class TestBoundarySamples:
         assert lines[0].startswith("theta1")
         assert len(lines) == 65
 
+    @pytest.mark.parametrize(("problem", "n"), [(BIDISK_PROBLEM, "0"), (DISK_PROBLEM, "-3")])
+    def test_nonpositive_n_is_input_error(self, problem, n, tmp_path, capsys):
+        problem_path, out_path = tmp_path / "problem.json", tmp_path / "result.json"
+        dump_json(problem, str(problem_path))
+        main(["solve", str(problem_path), "--out", str(out_path), "--seed", "0"])
+        capsys.readouterr()
+        assert main(["boundary-samples", str(out_path), "--n", n]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n must be >= 1" in captured.err
+
 
 class TestLemmaCheck:
     def test_passes(self, capsys):

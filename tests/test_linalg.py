@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from takagi.bidisk import BidiskRealization, Poly2, eval_bidisk
+from takagi.krein import SignatureMatrix
 from takagi.linalg import (
     Inertia,
     NotHermitianError,
@@ -11,8 +13,12 @@ from takagi.linalg import (
     hermitize,
     rank_with_tol,
     real_combination,
+    sample_grid,
+    transfer_coefficients,
+    transfer_samples,
 )
 from takagi.pick import DiskProblem, pick_matrix
+from takagi.polynomials import Poly
 
 
 def test_identity_inertia():
@@ -104,3 +110,49 @@ def test_diagonal_inertia_matches_sign_counts(diag):
     cutoff = 1e-9 * max(1.0, float(np.max(np.abs(d))))
     assert inertia.positive == int(np.sum(d > cutoff))
     assert inertia.negative == int(np.sum(d < -cutoff))
+
+
+def random_colligation_blocks(rng, k, scale=0.4):
+    A = complex(rng.normal(), rng.normal())
+    B, C = (rng.normal(size=k) + 1j * rng.normal(size=k) for _ in range(2))
+    D = scale * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) / np.sqrt(max(k, 1))
+    return A, B, C, D
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_transfer_kernel_one_axis_matches_per_sample_loop(k):
+    rng = np.random.default_rng(30 + k)
+    A, B, C, D = random_colligation_blocks(rng, k)
+
+    def loop(z):
+        M = np.eye(k, dtype=complex) - z * D
+        return np.linalg.det(M), np.linalg.det(M) * (A + z * (B @ np.linalg.solve(M, C)))
+
+    z = sample_grid((k,), (0.9,))
+    den, phi = transfer_samples(A, B, C, D, (k,), z)
+    expected = np.array([loop(zm) for zm in z[:, 0]])
+    assert np.array_equal(den, expected[:, 0])
+    assert np.allclose(den * phi, expected[:, 1], rtol=1e-13, atol=0)
+    num_c, den_c = transfer_coefficients(A, B, C, D, (k,), (0.9,))
+    assert num_c.shape == den_c.shape == (k + 1,)
+    for zm in 0.7 * np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5):
+        d, n = loop(zm)
+        assert abs(Poly(den_c)(zm) - d) < 1e-12 * (1 + abs(d))
+        assert abs(Poly(num_c)(zm) - n) < 1e-12 * (1 + abs(n))
+
+
+@pytest.mark.parametrize("blocks", [(2, 3), (3, 0), (0, 2)])
+def test_transfer_kernel_two_axes_matches_bidisk_evaluation(blocks):
+    rng = np.random.default_rng(sum(blocks) + 10 * blocks[0])
+    A, B, C, D = random_colligation_blocks(rng, sum(blocks))
+    r = BidiskRealization(A=A, B=B, C=C, D=D, J1=SignatureMatrix(np.ones(sum(blocks))),
+                          kappa1=blocks[0], kappa2=blocks[1])
+    num_c, den_c = transfer_coefficients(A, B, C, D, blocks, (1.0, 1.0))
+    assert num_c.shape == den_c.shape == (blocks[0] + 1, blocks[1] + 1)
+    num, den = Poly2(num_c), Poly2(den_c)
+    for _ in range(10):
+        z = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.6
+        direct = eval_bidisk(r, z)
+        assert abs(num(*z) / den(*z) - direct) < 1e-10 * (1 + abs(direct))
+        E = np.repeat(z, blocks)
+        assert abs(den(*z) - np.linalg.det(np.eye(sum(blocks)) - D * E)) < 1e-12
