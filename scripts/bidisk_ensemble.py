@@ -19,13 +19,12 @@ import numpy as np
 from takagi.bidisk import (
     AglerPair,
     BidiskProblem,
-    count_disk_roots,
     restrict_balanced,
     solve_bidisk,
 )
 from takagi.linalg import hermitize
 from takagi.pick import DiskProblem, pick_matrix
-from takagi.polynomials import MoebiusMap
+from takagi.polynomials import MoebiusMap, roots_in_disk
 from takagi.verify import check_unimodular
 
 
@@ -92,8 +91,8 @@ def run(cfg: BidiskEnsembleConfig) -> dict:
             num, den = restrict_balanced(sol.weak_solution, MoebiusMap(a))
             good = (
                 check_unimodular(num, den) < 1e-6
-                and count_disk_roots(num) <= zero_bound
-                and count_disk_roots(den) <= pole_bound
+                and roots_in_disk(num).size <= zero_bound
+                and roots_in_disk(den).size <= pole_bound
             )
             bad_maps += 0 if good else 1
         restriction_failures += bad_maps

@@ -4,18 +4,21 @@ from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem, gram_decompose, pick_matrix
 from .polynomials import BlaschkeProduct, MoebiusMap, Poly, moebius_swap
 from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_gram
-from .realization import Realization, eval_realization, kernel_gamma, realization_to_rational
+from .realization import (
+    Realization,
+    eval_realization,
+    kernel_forms,
+    lurking_colligation,
+    realization_to_rational,
+)
 from .disk import RationalInterpolant, TakagiSolution, combine, solve, solve_all_shifts, solve_centered
 from .bidisk import (
     AglerPair,
     BidiskProblem,
-    BidiskRealization,
     BidiskSolution,
     BiRational,
     Poly2,
     build_bidisk_realization,
-    eval_bidisk,
-    gamma_forms,
     one_variable_pair,
     regularize_pair,
     restrict_balanced,
@@ -28,13 +31,10 @@ from .bidisk import (
 __all__ = [
     "AglerPair",
     "BidiskProblem",
-    "BidiskRealization",
     "BidiskSolution",
     "BiRational",
     "Poly2",
     "build_bidisk_realization",
-    "eval_bidisk",
-    "gamma_forms",
     "one_variable_pair",
     "regularize_pair",
     "restrict_balanced",
@@ -58,7 +58,8 @@ __all__ = [
     "Realization",
     "eval_realization",
     "realization_to_rational",
-    "kernel_gamma",
+    "kernel_forms",
+    "lurking_colligation",
     "RationalInterpolant",
     "TakagiSolution",
     "solve",

@@ -5,8 +5,9 @@ Hermitian matrices (Gamma1, Gamma2) satisfying
 
     1 - w_i conj(w_j) = sum_r (1 - lam_i^r conj(lam_j^r)) Gamma^r_ij.
 
-From a Gram split of each term the construction assembles a J-unitary
-colligation whose transfer function in two variables,
+From a Gram split of each term the disk's lurking-isometry construction
+(``realization.lurking_colligation``, here with two state blocks) assembles a
+J-unitary colligation whose transfer function in two variables,
 phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data.
 Per-node Moebius re-centering in both coordinates plus a real combination
@@ -15,15 +16,15 @@ upgrades weak interpolation to strict, as in the one-variable pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_unitarity_defect
+from .krein import SignatureMatrix
 from .linalg import (
     Inertia,
+    check_finite,
     check_hermitian,
-    hermitian_inertia,
     hermitize,
     rank_with_tol,
     real_combination,
@@ -32,20 +33,19 @@ from .linalg import (
     transfer_coefficients,
     transfer_samples,
 )
-from .pick import DiskProblem, pick_matrix
+from .pick import DiskProblem, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
     Poly,
     moebius_matrix,
     pad_coeffs,
-    poly_gcd_numeric,
-    poly_roots,
-    ratio_agreement,
+    reduce_common_roots,
     reflect_coeffs,
     reflective_constant,
     rotate_reflective,
     vacuous_node_factor,
 )
+from .realization import Realization, lurking_colligation
 from .verify import certify_bidisk, node_status, weak_node_status
 
 PAIR_RESIDUAL_TOL = 1e-9
@@ -199,6 +199,7 @@ class BidiskProblem:
             raise ValueError("need at least one node")
         if nodes.shape[0] != values.size:
             raise ValueError("nodes and values must have equal length")
+        check_finite("nodes and values", nodes, values)
         if np.any(np.abs(nodes) >= 1.0):
             raise ValueError("both coordinates of every node must lie strictly inside the disk")
         for i in range(nodes.shape[0]):
@@ -229,6 +230,7 @@ class AglerPair:
     def __post_init__(self):
         g1 = np.asarray(self.gamma1, dtype=complex)
         g2 = np.asarray(self.gamma2, dtype=complex)
+        check_finite("gamma1 and gamma2", g1, g2)
         check_hermitian(g1)
         check_hermitian(g2)
         if g1.shape != g2.shape:
@@ -239,6 +241,7 @@ class AglerPair:
             y = getattr(self, name)
             if y is not None:
                 y = np.asarray(y, dtype=complex)
+                check_finite(name, y)
                 check_hermitian(y)
                 object.__setattr__(self, name, hermitize(y))
 
@@ -308,20 +311,15 @@ def pair_gram(pair: AglerPair, tol: float = 1e-9) -> PairGram:
     """
     us, vs, inertias, deltas = [], [], [], []
     for G, Y in zip(pair.gammas(), pair.regularizers()):
-        inertia, evals, evecs = hermitian_inertia(G, tol)
-        cutoff = tol * max(1.0, float(np.max(np.abs(evals))) if evals.size else 0.0)
-        pos = evals > cutoff
-        neg = evals < -cutoff
-        u = evecs[:, pos] * np.sqrt(evals[pos])
-        v = evecs[:, neg] * np.sqrt(-evals[neg])
+        dec = gram_decompose(G, tol)
         L = _psd_factor(Y)
         if L.shape[0] not in (0, G.shape[0]):
             raise ValueError("regularizer dimension mismatch")
         if L.shape[0] == 0:
             L = np.zeros((G.shape[0], 0), dtype=complex)
-        us.append(np.hstack([u, L]))
-        vs.append(np.hstack([v, L]))
-        inertias.append(inertia)
+        us.append(np.hstack([dec.u, L]))
+        vs.append(np.hstack([dec.v, L]))
+        inertias.append(dec.inertia)
         deltas.append(L.shape[1])
     return PairGram(u=(us[0], us[1]), v=(vs[0], vs[1]), inertias=(inertias[0], inertias[1]),
                     deltas=(deltas[0], deltas[1]))
@@ -358,13 +356,19 @@ class PairValidation:
     case: int  # 1 when the bare rank conditions hold, else 2
 
 
-def validate_pair(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> PairValidation:
-    """Check the decomposition identity and classify the rank geometry."""
+def _checked_residual(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> float:
+    """Residual of the decomposition identity; PairValidationError beyond ``tol``."""
     if pair.size != problem.size:
         raise ValueError("pair dimension does not match the problem size")
     residual = pair_residual(problem, pair)
     if residual > tol * max(1.0, float(np.max(np.abs(problem.values))) ** 2):
         raise PairValidationError(residual)
+    return residual
+
+
+def validate_pair(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> PairValidation:
+    """Check the decomposition identity and classify the rank geometry."""
+    residual = _checked_residual(problem, pair, tol)
     gram = pair_gram(pair)
     ok_a, ok_b = _rank_conditions(problem, gram)
     case = 1 if (ok_a and ok_b and gram.deltas == (0, 0)) else 2
@@ -411,120 +415,28 @@ def regularize_pair(
 # Realization
 
 
-@dataclass(frozen=True)
-class BidiskRealization:
-    """J-unitary colligation with the block-scalar evaluation structure.
-
-    The state space splits as C^{kappa1} (+) C^{kappa2}; E_lam scales the
-    blocks by the two coordinates and phi(lam) = A + B E_lam (I - D E_lam)^{-1} C.
-    """
-
-    A: complex
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    J1: SignatureMatrix
-    kappa1: int
-    kappa2: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=complex).reshape(-1))
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=complex).reshape(-1))
-        object.__setattr__(self, "D", np.asarray(self.D, dtype=complex))
-        if self.kappa1 + self.kappa2 != self.B.size:
-            raise ValueError("block sizes do not sum to the state dimension")
-
-    @property
-    def kappa(self) -> int:
-        return self.kappa1 + self.kappa2
-
-    def colligation(self) -> np.ndarray:
-        V = np.zeros((self.kappa + 1, self.kappa + 1), dtype=complex)
-        V[0, 0] = self.A
-        V[0, 1:] = self.B
-        V[1:, 0] = self.C
-        V[1:, 1:] = self.D
-        return V
-
-    def full_signature(self) -> SignatureMatrix:
-        return SignatureMatrix(np.concatenate([[1.0], self.J1.signs]))
-
-    def defect(self) -> float:
-        return j_unitarity_defect(self.full_signature(), self.colligation())
-
-
 def build_bidisk_realization(
     problem: BidiskProblem, pair: AglerPair, tol: float = 1e-9
-) -> tuple[BidiskRealization, PairGram]:
-    """Extend the prescribed action (1, E_lam x_i) -> (w_i, x_i) to a colligation."""
-    validate_pair(problem, pair)
-    gram = pair_gram(pair, tol)
-    ok_a, ok_b = _rank_conditions(problem, gram)
-    if not (ok_a and ok_b):
-        raise BidiskError("rank conditions fail; regularize the pair first")
-    N = problem.size
-    blocks = []
-    signs = []
-    for r in range(2):
-        blocks.append(gram.u[r].T)
-        blocks.append(gram.v[r].T)
-        signs.append((gram.u[r].shape[1], 1))
-        signs.append((gram.v[r].shape[1], -1))
-    X = np.vstack(blocks) if blocks else np.zeros((0, N), dtype=complex)
-    kappa1 = gram.u[0].shape[1] + gram.v[0].shape[1]
-    kappa2 = gram.u[1].shape[1] + gram.v[1].shape[1]
-    J1 = SignatureMatrix.blocks(*signs)
-    J = SignatureMatrix(np.concatenate([[1.0], J1.signs]))
-    EX = np.empty_like(X)
-    EX[:kappa1, :] = problem.nodes[:, 0][None, :] * X[:kappa1, :]
-    EX[kappa1:, :] = problem.nodes[:, 1][None, :] * X[kappa1:, :]
-    domain = np.vstack([np.ones((1, N)), EX])
-    range_ = np.vstack([problem.values[None, :], X])
-    V1 = extend_j_isometry(PartialJIsometry(J=J, domain=domain, range_=range_), tol=tol)
-    real = BidiskRealization(
-        A=complex(V1[0, 0]), B=V1[0, 1:], C=V1[1:, 0], D=V1[1:, 1:],
-        J1=J1, kappa1=kappa1, kappa2=kappa2,
-    )
-    return real, gram
+) -> tuple[Realization, PairGram]:
+    """The lurking-isometry colligation of the pair, with two state blocks.
 
-
-class BidiskResolventSingularity(ArithmeticError):
-    def __init__(self, lam):
-        self.lam = lam
-        super().__init__(f"I - D E_lam is singular at lam = {lam}")
-
-
-def _resolvent_state(r: BidiskRealization, lam, rtol: float = 1e-12) -> np.ndarray:
-    """(I - D E_lam)^{-1} C."""
-    if r.kappa == 0:
-        return np.zeros(0, dtype=complex)
-    M = resolvent_stack(r.D, (r.kappa1, r.kappa2), [lam])[0]
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= rtol * max(s[0], 1.0):
-        raise BidiskResolventSingularity(tuple(map(complex, lam)))
-    return np.linalg.solve(M, r.C)
-
-
-def eval_bidisk(r: BidiskRealization, lam) -> complex:
-    """phi(lam) = A + B E_lam (I - D E_lam)^{-1} C via a linear solve."""
-    if r.kappa == 0:
-        return complex(r.A)
-    x = _resolvent_state(r, lam)
-    return complex(r.A + np.repeat(lam, (r.kappa1, r.kappa2)) * r.B @ x)
-
-
-def gamma_forms(r: BidiskRealization, lam, mu) -> tuple[complex, complex]:
-    """Block-projected forms splitting 1 - phi(lam) conj(phi(mu)) across coordinates.
-
-    Returns (G1, G2) with
-    1 - phi(lam) conj(phi(mu)) = sum_r (1 - lam^r conj(mu^r)) G^r.
+    Block r holds term r's widened Gram vectors, u^r over v^r with signature
+    (+, -), and E_lam scales it by the coordinate lam^r
+    (``realization.lurking_colligation``).  Raises PairValidationError when the
+    pair misses the decomposition identity, and BidiskError when the rank
+    conditions fail (regularize the pair first).
     """
-    xl = _resolvent_state(r, lam)
-    xm = _resolvent_state(r, mu)
-    s = r.J1.signs
-    g1 = complex(xm[: r.kappa1].conj() @ (s[: r.kappa1] * xl[: r.kappa1]))
-    g2 = complex(xm[r.kappa1 :].conj() @ (s[r.kappa1 :] * xl[r.kappa1 :]))
-    return g1, g2
+    _checked_residual(problem, pair)
+    gram = pair_gram(pair, tol)
+    if not all(_rank_conditions(problem, gram)):
+        raise BidiskError("rank conditions fail; regularize the pair first")
+    rows, signs = [], []
+    for u, v in zip(gram.u, gram.v):
+        rows += [u.T, v.T]
+        signs += [(u.shape[1], 1), (v.shape[1], -1)]
+    J1 = SignatureMatrix.blocks(*signs)
+    real = lurking_colligation(problem.nodes, problem.values, np.vstack(rows), J1, gram.kappas, tol)
+    return real, gram
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +455,10 @@ class BiRational:
         return out if np.ndim(out) else complex(out)
 
 
-def _bidisk_radii(r: BidiskRealization) -> tuple[float, float]:
+def _bidisk_radii(r: Realization) -> tuple[float, float]:
     """Grid radii keeping the sampled determinant away from zero."""
     candidates = [1.0, 0.9, 1.1, 0.8, 1.25, 0.7, 1.45, 0.55]
-    blocks = (r.kappa1, r.kappa2)
+    blocks = r.blocks
     best = (candidates[0], candidates[0])
     best_gap = -np.inf
     for rad1 in candidates:
@@ -571,7 +483,7 @@ CHECK_DRAWS = 200
 CHECK_CHUNK = 32
 
 
-def to_birational(r: BidiskRealization) -> BiRational:
+def to_birational(r: Realization) -> BiRational:
     """Exact numerator/denominator from grid samples and a two-axis forward DFT.
 
     The result is checked against the realization at CHECK_POINTS seeded
@@ -581,7 +493,7 @@ def to_birational(r: BidiskRealization) -> BiRational:
     """
     if r.kappa == 0:
         return BiRational(numerator=Poly2(np.array([[r.A]])), denominator=Poly2.one())
-    blocks = (r.kappa1, r.kappa2)
+    blocks = r.blocks
     num_c, den_c = transfer_coefficients(r.A, r.B, r.C, r.D, blocks, _bidisk_radii(r))
     num, den = Poly2(num_c), Poly2(den_c)
     draws = np.random.default_rng(CHECK_SEED).uniform(
@@ -673,20 +585,7 @@ def restrict_balanced(br: BiRational, m: MoebiusMap) -> tuple[Poly, Poly]:
         raise RestrictionBreakdown("restricted denominator is numerically zero")
     if num.is_zero:
         return num, den
-    for tol in (1e-9, 1e-7):
-        n0, d0, common = poly_gcd_numeric(num, den, tol)
-        if common.degree <= 0:
-            break
-        if not d0.is_zero and ratio_agreement(num, den, n0, d0) <= 1e-7:
-            num, den = n0, d0
-            break
-    return num, den
-
-
-def count_disk_roots(p: Poly) -> int:
-    if p.degree <= 0:
-        return 0
-    return int(np.sum(np.abs(poly_roots(p)) < 1.0 - 1e-9))
+    return reduce_common_roots(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -881,15 +780,7 @@ def solve_bidisk(
     weak_br = to_birational(weak_real)
     family = solve_bidisk_shifts(problem, pair, tol)
     combined = combine_bidisk(family, problem, rng=np.random.default_rng(seed))
-    solution = BidiskSolution(
-        numerator=combined.numerator,
-        denominator=combined.denominator,
-        bidegree=combined.bidegree,
-        inertias=combined.inertias,
-        deltas=combined.deltas,
-        node_status=combined.node_status,
-        weak_solution=weak_br,
-    )
+    solution = replace(combined, weak_solution=weak_br)
     if certify:
         solution.certificates.update(certify_bidisk(solution, problem))
     return solution

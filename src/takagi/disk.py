@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krein import ExtensionError, PartialJIsometry, SignatureMatrix, extend_j_isometry
+from .krein import ExtensionError, SignatureMatrix
 from .linalg import Inertia, real_combination
 from .pick import DiskProblem, GramDecomposition, gram_decompose, pick_matrix
 from .polynomials import (
@@ -24,16 +24,15 @@ from .polynomials import (
     pad_coeffs,
     poly_gcd_numeric,
     poly_reflect,
-    poly_roots,
     ratio_agreement,
     reflective_constant,
+    reduce_common_roots,
+    roots_in_disk,
     rotate_reflective,
     vacuous_node_factor,
 )
-from .realization import Realization, realization_to_rational
+from .realization import Realization, lurking_colligation, realization_to_rational
 from .verify import certify_disk, check_interpolation, weak_node_status
-
-DISK_INTERIOR = 1.0 - 1e-9
 
 
 class SolveError(RuntimeError):
@@ -126,11 +125,7 @@ def solve_centered(problem: DiskProblem, tol: float = 1e-9) -> CenteredSolution:
     kappa = X.shape[0]
     assert kappa == 2 * N - pi - nu
     J1 = SignatureMatrix.blocks((pi + zeta, 1), (nu + zeta, -1))
-    J = SignatureMatrix(np.concatenate([[1.0], J1.signs]))
-    domain = np.vstack([np.ones((1, N)), problem.nodes[None, :] * X])
-    range_ = np.vstack([problem.values[None, :], X])
-    V1 = extend_j_isometry(PartialJIsometry(J=J, domain=domain, range_=range_), tol=tol)
-    real = Realization.from_colligation(V1, J1)
+    real = lurking_colligation(problem.nodes[:, None], problem.values, X, J1, (kappa,), tol)
     num_raw, den_raw = realization_to_rational(real)
     num, den, d = best_reflective_pair(num_raw, den_raw)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
@@ -148,7 +143,6 @@ class ShiftedFamily:
     dens: list[Poly]
     refl_degree: int
     inertia: Inertia
-    realizations: list[Realization]
 
 
 def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
@@ -190,7 +184,6 @@ def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
     N = problem.size
     dens: list[Poly] = []
     degrees: list[int] = []
-    reals: list[Realization] = []
     inertia = None
     errors: list[str] = []
     for j in range(N):
@@ -215,7 +208,6 @@ def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
             continue
         dens.append(den_j)
         degrees.append(d_j)
-        reals.append(sol.realization)
     if not dens:
         raise SolveError("every shifted solve failed: " + "; ".join(errors))
     d = max(degrees)
@@ -224,7 +216,7 @@ def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
         for _ in range(d - degrees[j]):
             dens[j] = dens[j] * pad
         dens[j] = _project_weak(dens[j], d, problem)
-    return ShiftedFamily(dens=dens, refl_degree=d, inertia=inertia, realizations=reals)
+    return ShiftedFamily(dens=dens, refl_degree=d, inertia=inertia)
 
 
 @dataclass(frozen=True)
@@ -255,21 +247,9 @@ class TakagiSolution:
     certificates: dict = field(default_factory=dict)
 
 
-def _reduce_reflective(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Cancel reflection-paired common factors of the combined pair."""
-    for tol in (1e-9, 1e-7):
-        n0, d0, common = poly_gcd_numeric(num, den, tol)
-        if common.degree <= 0:
-            return num, den
-        if ratio_agreement(num, den, n0, d0) <= 1e-7:
-            return n0, d0
-    return num, den
-
-
 def _inner_factor(p: Poly) -> BlaschkeProduct:
     """Blaschke product over the roots of p inside the disk."""
-    roots = poly_roots(p) if p.degree > 0 else np.zeros(0, dtype=complex)
-    return BlaschkeProduct(zeros=tuple(complex(r) for r in roots if abs(r) < DISK_INTERIOR))
+    return BlaschkeProduct(zeros=tuple(complex(r) for r in roots_in_disk(p)))
 
 
 def _strict_solution(
@@ -328,7 +308,7 @@ def combine(
         raise CombinationError(residual_table)
     q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
     num = poly_reflect(q, d)
-    num_r, den_r = _reduce_reflective(num, q)
+    num_r, den_r = reduce_common_roots(num, q)
     c, defect = reflective_constant(num_r, den_r, max(num_r.degree, den_r.degree))
     if defect < 1e-6 and abs(abs(c) - 1.0) < 1e-6:
         den_r = rotate_reflective(den_r, c)
@@ -352,9 +332,7 @@ def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
     if nu:
         raise SolveError("positive-case solve needs a positive semi-definite matrix")
     X = dec.u.T  # pi x N
-    J = SignatureMatrix(np.ones(pi + 1))
     domain = np.vstack([np.ones((1, problem.size)), problem.nodes[None, :] * X])
-    range_ = np.vstack([problem.values[None, :], X])
     # With a singular matrix the domain columns are dependent; a maximal
     # independent subset determines the isometry and the rest follow from the
     # exact Gram identity.
@@ -366,10 +344,10 @@ def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
         if np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(col)):
             keep.append(j)
             basis = np.hstack([basis, (resid / np.linalg.norm(resid))[:, None]])
-    V1 = extend_j_isometry(
-        PartialJIsometry(J=J, domain=domain[:, keep], range_=range_[:, keep]), tol=tol
+    real = lurking_colligation(
+        problem.nodes[keep][:, None], problem.values[keep], X[:, keep],
+        SignatureMatrix(np.ones(pi)), (pi,), tol,
     )
-    real = Realization.from_colligation(V1, SignatureMatrix(np.ones(pi)))
     num, den = realization_to_rational(real)
     num_r, den_r, _ = poly_gcd_numeric(num, den, 1e-9)
     solution = _strict_solution(

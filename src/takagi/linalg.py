@@ -51,6 +51,12 @@ def check_hermitian(M: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
         raise NotHermitianError(asym)
 
 
+def check_finite(what: str, *arrays) -> None:
+    """Raise ValueError naming ``what`` when an entry of the arrays is NaN or infinite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{what} must be finite")
+
+
 def hermitian_inertia(
     M: np.ndarray, tol: float = DEFAULT_ZERO_TOL
 ) -> tuple[Inertia, np.ndarray, np.ndarray]:

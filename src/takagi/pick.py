@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Inertia, hermitian_inertia, hermitize
+from .linalg import Inertia, check_finite, hermitian_inertia, hermitize
 
 MIN_NODE_SEPARATION = 1e-9
 
@@ -25,6 +25,7 @@ class DiskProblem:
             raise ValueError("need at least one node")
         if nodes.size != values.size:
             raise ValueError("nodes and values must have equal length")
+        check_finite("nodes and values", nodes, values)
         if np.any(np.abs(nodes) >= 1.0):
             raise ValueError("all nodes must lie strictly inside the unit disk")
         for i in range(nodes.size):

@@ -10,7 +10,9 @@ here: Moebius composition as a matrix on coefficients (``moebius_matrix``),
 reflection of a coefficient array of any rank (``reflect_coeffs``), the
 reflective constant of a numerator/denominator pair
 (``reflective_constant``), the agreement of two rational functions away from
-their poles (``ratio_agreement``) and the vacuous node factor.
+their poles (``ratio_agreement``), the vacuous node factor, the roots inside
+the disk (``roots_in_disk``) and the cancellation of near-common roots
+(``reduce_common_roots``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRIM_RTOL = 1e-10
+# Roots of modulus below this count as inside the unit disk.
+DISK_INTERIOR = 1.0 - 1e-9
 
 
 def _trim(coeffs: np.ndarray, rtol: float = TRIM_RTOL) -> np.ndarray:
@@ -103,6 +107,12 @@ def poly_roots(p: Poly) -> np.ndarray:
     if p.degree == 0:
         return np.zeros(0, dtype=complex)
     return np.roots(p.coeffs[::-1])
+
+
+def roots_in_disk(p: Poly) -> np.ndarray:
+    """Roots of p of modulus below DISK_INTERIOR; none for a constant."""
+    roots = poly_roots(p) if p.degree > 0 else np.zeros(0, dtype=complex)
+    return roots[np.abs(roots) < DISK_INTERIOR]
 
 
 def pad_coeffs(coeffs: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
@@ -204,6 +214,22 @@ def poly_gcd_numeric(p: Poly, q: Poly, tol: float = 1e-8) -> tuple[Poly, Poly, P
         Poly.from_roots(rq, lead_q),
         Poly.from_roots(common),
     )
+
+
+def reduce_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with near-common roots cancelled, when the reduced ratio still agrees.
+
+    Tries root-matching tolerances 1e-9, then 1e-7; returns the pair unchanged
+    when no root pairs up or the reduced ratio departs from the original by more
+    than 1e-7 at both tolerances.
+    """
+    for tol in (1e-9, 1e-7):
+        n0, d0, common = poly_gcd_numeric(num, den, tol)
+        if common.degree <= 0:
+            break
+        if ratio_agreement(num, den, n0, d0) <= 1e-7:
+            return n0, d0
+    return num, den
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,24 @@
-"""Transfer-function realizations phi(lam) = A + lam B (I - lam D)^-1 C.
+"""Transfer-function realizations with k state blocks, and the lurking-isometry colligation.
 
-The numerator/denominator polynomials, den = det(I - lam D) and den * phi,
-come from samples on a circle and a forward DFT (``realization_to_rational``),
-through the batched kernel ``linalg.transfer_coefficients`` that the bidisk
-extraction shares.  The Faddeev-LeVerrier recurrence (``faddeev_leverrier``)
-gives the same polynomials exactly in arithmetic but loses accuracy for widely
-spread eigenvalues of D; it is kept as a reference.
+A colligation V1 = [[A, B], [C, D]] whose state space splits into k blocks
+has the transfer function
+
+    phi(lam) = A + B E_lam (I - D E_lam)^-1 C,
+
+where E_lam scales block r by the coordinate lam[r].  On the disk k = 1 and
+this is A + lam B (I - lam D)^-1 C; on the bidisk k = 2.  Both solvers build
+V1 the same way (``lurking_colligation``): the lurking isometry
+(1, E_lam_i x_i) -> (w_i, x_i), whose two sides have equal J-Grams by the
+interpolation identity, extended to a J-unitary matrix.  The evaluators
+``state_vector``, ``eval_realization`` and ``kernel_forms`` serve any k.
+
+The one-variable numerator/denominator polynomials, den = det(I - lam D) and
+den * phi, come from samples on a circle and a forward DFT
+(``realization_to_rational``), through the batched kernel
+``linalg.transfer_coefficients`` that the bidisk extraction shares.  The
+Faddeev-LeVerrier recurrence (``faddeev_leverrier``) gives the same
+polynomials exactly in arithmetic but loses accuracy for widely spread
+eigenvalues of D; it is kept as a reference.
 """
 
 from __future__ import annotations
@@ -14,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import SignatureMatrix, j_unitarity_defect
-from .linalg import transfer_coefficients
+from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_unitarity_defect
+from .linalg import resolvent_stack, transfer_coefficients
 from .polynomials import Poly
 
 
 class ResolventSingularity(ArithmeticError):
     def __init__(self, lam):
         self.lam = lam
-        super().__init__(f"I - lam D is singular at lam = {lam}")
+        super().__init__(f"I - D E_lam is singular at lam = {lam}")
 
 
 @dataclass(frozen=True)
@@ -30,7 +43,9 @@ class Realization:
     """Block data of a J-unitary colligation V1 = [[A, B], [C, D]].
 
     A is a scalar, B a row, C a column, D a kappa x kappa matrix; J1 is the
-    signature of the state space, so diag(1, J1) is preserved by V1.
+    signature of the state space, so diag(1, J1) is preserved by V1.  The state
+    space splits into blocks of the sizes in ``blocks``, block r scaled by the
+    coordinate lam[r]; without ``blocks`` it is one block of size kappa.
     """
 
     A: complex
@@ -38,11 +53,16 @@ class Realization:
     C: np.ndarray
     D: np.ndarray
     J1: SignatureMatrix
+    blocks: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "B", np.asarray(self.B, dtype=complex).reshape(-1))
         object.__setattr__(self, "C", np.asarray(self.C, dtype=complex).reshape(-1))
         object.__setattr__(self, "D", np.asarray(self.D, dtype=complex))
+        blocks = (self.B.size,) if self.blocks is None else tuple(int(k) for k in self.blocks)
+        if sum(blocks) != self.B.size:
+            raise ValueError("block sizes do not sum to the state dimension")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def kappa(self) -> int:
@@ -63,30 +83,59 @@ class Realization:
         return j_unitarity_defect(self.full_signature(), self.colligation())
 
     @staticmethod
-    def from_colligation(V: np.ndarray, J1: SignatureMatrix) -> "Realization":
-        return Realization(A=complex(V[0, 0]), B=V[0, 1:], C=V[1:, 0], D=V[1:, 1:], J1=J1)
+    def from_colligation(
+        V: np.ndarray, J1: SignatureMatrix, blocks: tuple[int, ...] | None = None
+    ) -> "Realization":
+        return Realization(A=complex(V[0, 0]), B=V[0, 1:], C=V[1:, 0], D=V[1:, 1:], J1=J1,
+                           blocks=blocks)
 
 
-def eval_realization(r: Realization, lam: complex, rtol: float = 1e-12) -> complex:
-    """phi(lam) via a linear solve; raises ResolventSingularity near sigma(D)^-1."""
-    if r.kappa == 0:
-        return complex(r.A)
-    M = np.eye(r.kappa, dtype=complex) - lam * r.D
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= rtol * max(s[0], 1.0):
-        raise ResolventSingularity(lam)
-    return complex(r.A + lam * (r.B @ np.linalg.solve(M, r.C)))
+def lurking_colligation(
+    nodes: np.ndarray, values: np.ndarray, X: np.ndarray, J1: SignatureMatrix,
+    blocks: tuple[int, ...], tol: float = 1e-9,
+) -> Realization:
+    """J-unitary extension of the lurking isometry (1, E_lam_i x_i) -> (w_i, x_i).
+
+    ``nodes`` is N x k, row i holding the k coordinates of node i; the columns
+    of ``X`` are the state vectors x_i, split into blocks of the sizes in
+    ``blocks``, with state signature ``J1``.  The two sides have equal J-Grams
+    exactly when sum_r (1 - lam_i^r conj(lam_j^r)) <J1 x_i^r, x_j^r> equals
+    1 - w_i conj(w_j); ``krein.extend_j_isometry`` then extends the map.
+    """
+    # Nodes on the left of the product: E * X rounds as the one-variable
+    # lam * x, and disk verdicts on nearly singular problems follow its last bit.
+    E = np.repeat(np.asarray(nodes).T, blocks, axis=0)
+    domain = np.vstack([np.ones((1, values.size)), E * X])
+    range_ = np.vstack([values[None, :], X])
+    J = SignatureMatrix(np.concatenate([[1.0], J1.signs]))
+    V1 = extend_j_isometry(PartialJIsometry(J=J, domain=domain, range_=range_), tol=tol)
+    return Realization.from_colligation(V1, J1, blocks)
 
 
-def state_vector(r: Realization, lam: complex) -> np.ndarray:
-    """x(lam) = (I - lam D)^-1 C."""
+def _point(r: Realization, lam) -> np.ndarray:
+    """lam as one coordinate per block (a scalar is accepted for one block)."""
+    z = np.atleast_1d(np.asarray(lam, dtype=complex))
+    if z.shape != (len(r.blocks),):
+        raise ValueError(f"expected {len(r.blocks)} coordinates, got {z.size}")
+    return z
+
+
+def state_vector(r: Realization, lam) -> np.ndarray:
+    """x(lam) = (I - D E_lam)^-1 C; raises ResolventSingularity near a singular I - D E_lam."""
+    z = _point(r, lam)
     if r.kappa == 0:
         return np.zeros(0, dtype=complex)
-    M = np.eye(r.kappa, dtype=complex) - lam * r.D
-    try:
-        return np.linalg.solve(M, r.C)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventSingularity(lam) from exc
+    M = resolvent_stack(r.D, r.blocks, z[None, :])[0]
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[-1] <= 1e-12 * max(s[0], 1.0):
+        raise ResolventSingularity(lam)
+    return np.linalg.solve(M, r.C)
+
+
+def eval_realization(r: Realization, lam) -> complex:
+    """phi(lam) = A + B E_lam x(lam) via a linear solve."""
+    x = state_vector(r, lam)
+    return complex(r.A + np.repeat(_point(r, lam), r.blocks) * r.B @ x)
 
 
 def faddeev_leverrier(D: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -144,12 +193,13 @@ def realization_to_rational(r: Realization) -> tuple[Poly, Poly]:
     return _rational_by_sampling(r)
 
 
-def kernel_gamma(r: Realization, lam: complex, mu: complex) -> complex:
-    """Value of (1 - phi(lam) conj(phi(mu))) / (1 - lam conj(mu)) from the state space.
+def kernel_forms(r: Realization, lam, mu) -> np.ndarray:
+    """Per-block forms G^r = <J1 x^r(lam), x^r(mu)>, with x^r block r of the state.
 
-    Computed as <J1 x(lam), x(mu)> with x = (I - lam D)^-1 C; agreement with
-    the direct quotient is a certificate of J-unitarity of the colligation.
+    When the colligation is J-unitary they split the kernel of phi:
+    1 - phi(lam) conj(phi(mu)) = sum_r (1 - lam[r] conj(mu[r])) G^r.  With one
+    block, G is (1 - phi(lam) conj(phi(mu))) / (1 - lam conj(mu)).
     """
-    xl = state_vector(r, lam)
-    xm = state_vector(r, mu)
-    return complex(xm.conj() @ (r.J1.signs * xl))
+    terms = state_vector(r, mu).conj() * (r.J1.signs * state_vector(r, lam))
+    bounds = np.cumsum((0, *r.blocks))
+    return np.array([terms[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])

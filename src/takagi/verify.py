@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem
-from .polynomials import BlaschkeProduct, MoebiusMap, Poly, poly_roots
+from .polynomials import BlaschkeProduct, MoebiusMap, Poly, poly_roots, roots_in_disk
 
 STRICT_TOL = 1e-7
 UNIMODULAR_TOL = 1e-7
@@ -90,10 +90,7 @@ def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:
 
 def count_zeros_poles(num: Poly, den: Poly) -> tuple[int, int]:
     """Counts of numerator/denominator roots with modulus < 1 (reduced pair)."""
-    zeros = poly_roots(num) if num.degree > 0 else np.zeros(0, dtype=complex)
-    poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
-    edge = 1.0 - 1e-9
-    return int(np.sum(np.abs(zeros) < edge)), int(np.sum(np.abs(poles) < edge))
+    return roots_in_disk(num).size, roots_in_disk(den).size
 
 
 def pick_matrix_of_function(values, points) -> np.ndarray:
@@ -241,7 +238,7 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     which is what the widened Gram vectors actually produce; the tighter
     declared bound with a single delta^r is reported separately.
     """
-    from .bidisk import count_disk_roots, restrict_balanced, toral_check
+    from .bidisk import restrict_balanced, toral_check
 
     num2 = solution.numerator
     den2 = solution.denominator
@@ -271,8 +268,8 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     for _ in range(n_moebius):
         a = (rng.uniform(-0.85, 0.85) + 1j * rng.uniform(-0.85, 0.85)) * 0.7
         rnum, rden = restrict_balanced(br, MoebiusMap(complex(a)))
-        zeros = count_disk_roots(rnum)
-        poles = count_disk_roots(rden)
+        zeros = roots_in_disk(rnum).size
+        poles = roots_in_disk(rden).size
         restriction_counts.append((zeros, poles))
         if zeros > pi_tot + delta_tot or poles > nu_tot + delta_tot:
             restrictions_ok = False

@@ -14,7 +14,6 @@ from takagi.bidisk import (
     AglerPair,
     BidiskProblem,
     restrict_balanced,
-    count_disk_roots,
     solve_bidisk,
     toral_check,
 )
@@ -27,7 +26,7 @@ from takagi.krein import (
 )
 from takagi.linalg import hermitian_inertia, hermitize
 from takagi.pick import DiskProblem, pick_matrix
-from takagi.polynomials import BlaschkeProduct, MoebiusMap
+from takagi.polynomials import BlaschkeProduct, MoebiusMap, roots_in_disk
 from takagi.verify import (
     augmented_inertia,
     check_unimodular,
@@ -287,8 +286,8 @@ def test_criterion_7_bidisk_end_to_end(bidisk_ensemble):
             num, den = restrict_balanced(br, MoebiusMap(a))
             good = (
                 check_unimodular(num, den) < 1e-6
-                and count_disk_roots(num) <= zero_bound
-                and count_disk_roots(den) <= pole_bound
+                and roots_in_disk(num).size <= zero_bound
+                and roots_in_disk(den).size <= pole_bound
             )
             restriction_failures += 0 if good else 1
     ok = failures == 0 and restriction_failures == 0 and elapsed <= 120.0

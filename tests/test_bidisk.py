@@ -11,9 +11,6 @@ from takagi.bidisk import (
     PairValidationError,
     Poly2,
     build_bidisk_realization,
-    count_disk_roots,
-    eval_bidisk,
-    gamma_forms,
     one_variable_pair,
     pair_residual,
     poly2_reflect,
@@ -25,7 +22,8 @@ from takagi.bidisk import (
     validate_pair,
 )
 from takagi.linalg import hermitize
-from takagi.polynomials import MoebiusMap, Poly
+from takagi.polynomials import MoebiusMap, Poly, roots_in_disk
+from takagi.realization import eval_realization, kernel_forms
 from takagi.verify import check_unimodular, torus_unimodularity
 
 
@@ -119,6 +117,21 @@ class TestProblemAndPair:
                 nodes=np.array([[0.1, 0.2], [0.1, 0.2]]), values=np.array([0.0, 1.0])
             )
 
+    @pytest.mark.parametrize(
+        "nodes, values",
+        [([[0.1, np.nan]], [0.5]), ([[0.1, 0.2]], [np.inf]), ([[0.1, 0.2], [0.3, -0.2]], [0.5, np.nan])],
+    )
+    def test_non_finite_problem_rejected(self, nodes, values):
+        with pytest.raises(ValueError, match="finite"):
+            BidiskProblem(nodes=np.array(nodes), values=np.array(values))
+
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "y1", "y2"])
+    def test_non_finite_pair_rejected(self, field):
+        matrices = {"gamma1": np.eye(2), "gamma2": np.zeros((2, 2)), "y1": None, "y2": None}
+        matrices[field] = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            AglerPair(**matrices)
+
     def test_one_variable_pair_residual_zero(self):
         rng = np.random.default_rng(2)
         p = random_bidisk_problem(rng)
@@ -165,7 +178,7 @@ class TestRealization:
         for _ in range(20):
             z = (np.exp(2j * np.pi * rng.uniform()), np.exp(2j * np.pi * rng.uniform()))
             try:
-                val = eval_bidisk(r, z)
+                val = eval_realization(r, z)
             except ArithmeticError:
                 continue
             hits += 1
@@ -176,19 +189,19 @@ class TestRealization:
         p, pair, r = self._build(2)
         for lam, w in zip(p.nodes, p.values):
             try:
-                val = eval_bidisk(r, lam)
+                val = eval_realization(r, lam)
             except ArithmeticError:
                 continue
             assert abs(val - w) < 1e-7 * (1 + abs(w))
 
-    def test_gamma_forms_match_kernel(self):
+    def test_kernel_forms_match_kernel(self):
         p, pair, r = self._build(3)
         rng = np.random.default_rng(11)
         lam = (rng.uniform(-0.5, 0.5) + 0.2j, rng.uniform(-0.5, 0.5))
         mu = (0.1 - 0.2j, -0.3 + 0.1j)
-        g1, g2 = gamma_forms(r, lam, mu)
-        phi_l = eval_bidisk(r, lam)
-        phi_m = eval_bidisk(r, mu)
+        g1, g2 = kernel_forms(r, lam, mu)
+        phi_l = eval_realization(r, lam)
+        phi_m = eval_realization(r, mu)
         lhs = 1.0 - phi_l * np.conj(phi_m)
         rhs = (1.0 - lam[0] * np.conj(mu[0])) * g1 + (1.0 - lam[1] * np.conj(mu[1])) * g2
         assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
@@ -208,7 +221,7 @@ class TestBirationalExtraction:
             if abs(dv) < 1e-8 * br.denominator.norm():
                 continue
             try:
-                direct = eval_bidisk(r, z)
+                direct = eval_realization(r, z)
             except ArithmeticError:
                 continue
             assert abs(br.numerator(z[0], z[1]) / dv - direct) < 1e-6 * (1 + abs(direct))
@@ -254,8 +267,8 @@ class TestBalancedRestrictions:
             a = 0.5 * np.exp(2j * np.pi * k / 3)
             num, den = restrict_balanced(br, MoebiusMap(a))
             assert check_unimodular(num, den) < 1e-6
-            assert count_disk_roots(num) <= i1.positive + i2.positive + d1 + d2
-            assert count_disk_roots(den) <= i1.negative + i2.negative + d1 + d2
+            assert roots_in_disk(num).size <= i1.positive + i2.positive + d1 + d2
+            assert roots_in_disk(den).size <= i1.negative + i2.negative + d1 + d2
 
 
     @pytest.mark.parametrize("a", [0.0, 0.5, -0.3 + 0.6j, 0.9j])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ class TestInertia:
         assert main(["inertia", "problems/bidisk_pair.json"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "gamma1" in out and "gamma2" in out
+
+
+class TestNonFiniteInput:
+    # json reads NaN and Infinity; the problem constructors must reject them.
+    @pytest.mark.parametrize("command", ["solve", "inertia"])
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {**DISK_PROBLEM, "values": [[1.8, 0.0], [math.inf, -0.2], [0.0, -0.9]]},
+            {
+                **BIDISK_PROBLEM,
+                "nodes": [[[0.1, 0.0], [math.nan, 0.0]], [[0.0, 0.3], [-0.1, 0.0]]],
+                "gamma1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "gamma2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            },
+        ],
+        ids=["disk-infinite-value", "bidisk-nan-node"],
+    )
+    def test_is_input_error(self, command, problem, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
 
 
 class TestSolve:

@@ -1,17 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import takagi.disk as disk_module
 from takagi.disk import (
+    CombinationError,
     RationalInterpolant,
+    ShiftedFamily,
+    SolveError,
     best_reflective_pair,
     combine,
+    enforce_weak_interpolation,
     reflective_constant,
     solve,
     solve_all_shifts,
     solve_centered,
 )
+from takagi.linalg import Inertia
 from takagi.pick import DiskProblem, pick_matrix
-from takagi.polynomials import Poly, poly_reflect
+from takagi.polynomials import Poly, poly_reflect, vacuous_node_factor
+
+# Nodes and targets of problems/disk_basic.json; every shift solves.
+BASIC = DiskProblem(
+    nodes=np.array([0.2 + 0.1j, -0.4, 0.3j]), values=np.array([1.8, 0.4 - 0.2j, -0.9j])
+)
 
 
 def random_problem(rng, n_max=6):
@@ -86,6 +99,17 @@ class TestCenteredSolve:
         with pytest.raises(ValueError):
             solve_centered(p)
 
+    def test_vacuous_factor_at_node_missing_weak_identity(self):
+        # phi = 1/1 matches w at the origin only; the node 0.5 gets a factor vanishing there.
+        p = DiskProblem(nodes=np.array([0.0, 0.5]), values=np.array([1.0, 2.0]))
+        den, d, statuses = enforce_weak_interpolation(Poly.one(), 0, p)
+        assert statuses == ["strict", "forced-weak"]
+        assert d == 2
+        assert abs(den(0.5)) < 1e-15
+        num = poly_reflect(den, d)
+        for lam, w in zip(p.nodes, p.values):
+            assert abs(num(lam) - w * den(lam)) < 1e-12
+
 
 class TestShiftedFamily:
     def test_family_size_and_degree(self):
@@ -95,6 +119,56 @@ class TestShiftedFamily:
         assert len(fam.dens) == p.size
         for den in fam.dens:
             assert den.degree <= fam.refl_degree
+
+    def test_every_shift_failing_is_a_solve_error(self, monkeypatch):
+        def failing(problem, tol=1e-9):
+            raise SolveError("lost strict interpolation at the centered node")
+
+        monkeypatch.setattr(disk_module, "solve_centered", failing)
+        with pytest.raises(SolveError, match="every shifted solve failed"):
+            solve_all_shifts(BASIC)
+
+    def test_lower_degree_shifts_padded_to_common_degree(self, monkeypatch):
+        # The first shift gains a vacuous factor (two degrees); the others must
+        # be padded up to its degree and keep the weak identity there.
+        centered = disk_module.solve_centered
+        degrees = []
+
+        def first_raised(problem, tol=1e-9):
+            sol = centered(problem, tol)
+            if not degrees:
+                sol = replace(sol, den=sol.den * vacuous_node_factor(problem.nodes[1]),
+                              refl_degree=sol.refl_degree + 2)
+            degrees.append(sol.refl_degree)
+            return sol
+
+        monkeypatch.setattr(disk_module, "solve_centered", first_raised)
+        fam = solve_all_shifts(BASIC)
+        assert len(fam.dens) == BASIC.size
+        assert fam.refl_degree == degrees[0] > max(degrees[1:])
+        for den in fam.dens:
+            num = poly_reflect(den, fam.refl_degree)
+            scale = max(den.norm(), num.norm())
+            for lam, w in zip(BASIC.nodes, BASIC.values):
+                assert abs(num(lam) - w * den(lam)) <= 1e-7 * scale * (1 + abs(w))
+
+
+class TestCombine:
+    def test_no_combination_avoiding_a_node(self):
+        # Every candidate vanishes at the node 0.3.
+        fam = ShiftedFamily(dens=[Poly(np.array([-0.3, 1.0]))], refl_degree=1,
+                            inertia=Inertia(1, 0, 0))
+        p = DiskProblem(nodes=np.array([0.3, -0.2]), values=np.array([0.5, 0.5]))
+        with pytest.raises(CombinationError) as info:
+            combine(fam, p, retries=8)
+        assert len(info.value.residuals) == 8
+
+    def test_combination_missing_a_target_is_not_strict(self):
+        # The constant 1 avoids every node but interpolates neither target.
+        fam = ShiftedFamily(dens=[Poly.one()], refl_degree=0, inertia=Inertia(1, 0, 0))
+        p = DiskProblem(nodes=np.array([0.3, -0.2]), values=np.array([2.0, 0.5]))
+        with pytest.raises(SolveError, match="combination is not strict at all nodes"):
+            combine(fam, p)
 
 
 class TestSolve:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takagi.bidisk import BidiskRealization, Poly2, eval_bidisk
+from takagi.bidisk import Poly2
 from takagi.krein import SignatureMatrix
 from takagi.linalg import (
     Inertia,
@@ -19,6 +19,7 @@ from takagi.linalg import (
 )
 from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import Poly
+from takagi.realization import Realization, eval_realization
 
 
 def test_identity_inertia():
@@ -145,14 +146,13 @@ def test_transfer_kernel_one_axis_matches_per_sample_loop(k):
 def test_transfer_kernel_two_axes_matches_bidisk_evaluation(blocks):
     rng = np.random.default_rng(sum(blocks) + 10 * blocks[0])
     A, B, C, D = random_colligation_blocks(rng, sum(blocks))
-    r = BidiskRealization(A=A, B=B, C=C, D=D, J1=SignatureMatrix(np.ones(sum(blocks))),
-                          kappa1=blocks[0], kappa2=blocks[1])
+    r = Realization(A=A, B=B, C=C, D=D, J1=SignatureMatrix(np.ones(sum(blocks))), blocks=blocks)
     num_c, den_c = transfer_coefficients(A, B, C, D, blocks, (1.0, 1.0))
     assert num_c.shape == den_c.shape == (blocks[0] + 1, blocks[1] + 1)
     num, den = Poly2(num_c), Poly2(den_c)
     for _ in range(10):
         z = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.6
-        direct = eval_bidisk(r, z)
+        direct = eval_realization(r, z)
         assert abs(num(*z) / den(*z) - direct) < 1e-10 * (1 + abs(direct))
         E = np.repeat(z, blocks)
         assert abs(den(*z) - np.linalg.det(np.eye(sum(blocks)) - D * E)) < 1e-12

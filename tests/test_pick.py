@@ -22,6 +22,14 @@ class TestDiskProblem:
         with pytest.raises(ValueError):
             DiskProblem(nodes=np.array([0.1]), values=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "nodes, values",
+        [([0.1, np.nan], [0.0, 1.0]), ([0.1, 0.2j], [np.inf, 1.0]), ([0.1], [complex(0, -np.inf)])],
+    )
+    def test_non_finite_rejected(self, nodes, values):
+        with pytest.raises(ValueError, match="finite"):
+            DiskProblem(nodes=np.array(nodes), values=np.array(values))
+
 
 class TestPickMatrix:
     def test_single_node_zero_value(self):

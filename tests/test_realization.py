@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from takagi.bidisk import AglerPair, BidiskProblem, pair_gram, regularize_pair
 from takagi.krein import SignatureMatrix
-from takagi.linalg import hermitian_inertia
+from takagi.linalg import hermitian_inertia, hermitize
+from takagi.pick import DiskProblem, gram_decompose, pick_matrix
 from takagi.polynomials import Poly
 from takagi.realization import (
     Realization,
     ResolventSingularity,
     eval_realization,
     faddeev_leverrier,
-    kernel_gamma,
+    kernel_forms,
+    lurking_colligation,
     realization_to_rational,
     state_vector,
 )
@@ -118,20 +121,20 @@ class TestKernel:
     def test_origin_identity(self):
         rng = np.random.default_rng(6)
         r = random_j_unitary_colligation(3, 2, rng)
-        lhs = kernel_gamma(r, 0.0, 0.0)
+        lhs = kernel_forms(r, 0.0, 0.0)[0]
         assert lhs == pytest.approx(1.0 - abs(r.A) ** 2, abs=1e-10)
 
     def test_diagonal_real(self):
         rng = np.random.default_rng(7)
         r = random_j_unitary_colligation(2, 3, rng)
-        val = kernel_gamma(r, 0.3 + 0.1j, 0.3 + 0.1j)
+        val = kernel_forms(r, 0.3 + 0.1j, 0.3 + 0.1j)[0]
         assert abs(val.imag) < 1e-10 * (1.0 + abs(val))
 
     def test_matches_quotient(self):
         rng = np.random.default_rng(8)
         r = random_j_unitary_colligation(3, 2, rng)
         lam, mu = 0.4 - 0.2j, -0.1 + 0.3j
-        lhs = kernel_gamma(r, lam, mu)
+        lhs = kernel_forms(r, lam, mu)[0]
         quotient = (1.0 - eval_realization(r, lam) * np.conj(eval_realization(r, mu))) / (
             1.0 - lam * np.conj(mu)
         )
@@ -142,7 +145,7 @@ class TestKernel:
         n_pos, n_neg = 3, 2  # state signature (2, 2) plus scalar channel
         r = random_j_unitary_colligation(n_pos, n_neg, rng)
         pts = (rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)) * 0.6
-        K = np.array([[kernel_gamma(r, li, lj) for li in pts] for lj in pts])
+        K = np.array([[kernel_forms(r, li, lj)[0] for li in pts] for lj in pts])
         inertia, _, _ = hermitian_inertia(0.5 * (K + K.conj().T), 1e-8)
         assert inertia.positive <= n_pos - 1 + 1  # at most state positives
         assert inertia.negative <= n_neg
@@ -155,3 +158,45 @@ class TestStateVector:
         lam = 0.2 + 0.1j
         x = state_vector(r, lam)
         assert np.allclose((np.eye(r.kappa) - lam * r.D) @ x, r.C)
+
+
+def one_block_data(rng, N=4):
+    """Disk nodes, targets, Gram vectors and signature of a nonsingular Pick matrix."""
+    nodes = (rng.uniform(-1, 1, N) + 1j * rng.uniform(-1, 1, N)) * 0.6
+    values = rng.uniform(0.2, 3.0, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+    dec = gram_decompose(pick_matrix(DiskProblem(nodes=nodes, values=values)))
+    assert dec.inertia.zero == 0
+    X = np.vstack([dec.u.T, dec.v.T])
+    J1 = SignatureMatrix.blocks((dec.inertia.positive, 1), (dec.inertia.negative, -1))
+    return nodes[:, None], values, X, J1, (N,)
+
+
+def two_block_data(rng, N=3):
+    """Bidisk nodes, targets, widened Gram vectors and signature of a generic pair."""
+    nodes = (rng.uniform(-1, 1, (N, 2)) + 1j * rng.uniform(-1, 1, (N, 2))) * 0.5
+    values = rng.uniform(0.3, 2.5, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+    problem = BidiskProblem(nodes=nodes, values=values)
+    g1 = hermitize(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    g2 = (1.0 - np.outer(values, values.conj())
+          - (1.0 - np.outer(nodes[:, 0], nodes[:, 0].conj())) * g1) / (
+        1.0 - np.outer(nodes[:, 1], nodes[:, 1].conj()))
+    pair = regularize_pair(problem, AglerPair(gamma1=g1, gamma2=hermitize(g2)))
+    gram = pair_gram(pair)
+    X = np.vstack([gram.u[0].T, gram.v[0].T, gram.u[1].T, gram.v[1].T])
+    J1 = SignatureMatrix.blocks(*[(w.shape[1], s) for r in range(2)
+                                  for w, s in ((gram.u[r], 1), (gram.v[r], -1))])
+    return nodes, values, X, J1, gram.kappas
+
+
+class TestLurkingColligation:
+    @pytest.mark.parametrize("data", [one_block_data, two_block_data], ids=["one-block", "two-blocks"])
+    def test_maps_lurking_pairs_and_is_j_unitary(self, data):
+        nodes, values, X, J1, blocks = data(np.random.default_rng(12))
+        r = lurking_colligation(nodes, values, X, J1, blocks)
+        assert r.blocks == tuple(blocks) and r.kappa == X.shape[0]
+        assert r.defect() < 1e-8
+        V = r.colligation()
+        for i in range(values.size):
+            image = V @ np.concatenate([[1.0], np.repeat(nodes[i], blocks) * X[:, i]])
+            expected = np.concatenate([[values[i]], X[:, i]])
+            assert np.allclose(image, expected, rtol=0, atol=1e-9 * (1 + np.abs(X).max()))
