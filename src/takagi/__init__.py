@@ -17,7 +17,6 @@ from .bidisk import (
     BidiskProblem,
     BidiskSolution,
     BiRational,
-    Poly2,
     build_bidisk_realization,
     one_variable_pair,
     regularize_pair,
@@ -33,7 +32,6 @@ __all__ = [
     "BidiskProblem",
     "BidiskSolution",
     "BiRational",
-    "Poly2",
     "build_bidisk_realization",
     "one_variable_pair",
     "regularize_pair",

@@ -11,7 +11,10 @@ J-unitary colligation whose transfer function in two variables,
 phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data.
 Per-node Moebius re-centering in both coordinates plus a real combination
-upgrades weak interpolation to strict, as in the one-variable pipeline.
+upgrades weak interpolation to strict, as in the one-variable pipeline.  The
+polynomials are two-variable ``polynomials.Poly``s, and the vacuous node
+factors and the padding to a common bidegree are the disk's own steps
+(``disk.enforce_weak_interpolation``, ``polynomials.pad_to_degree``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .disk import enforce_weak_interpolation
 from .krein import SignatureMatrix
 from .linalg import (
     Inertia,
@@ -39,14 +43,14 @@ from .polynomials import (
     Poly,
     moebius_matrix,
     pad_coeffs,
+    pad_to_degree,
+    poly_reflect,
     reduce_common_roots,
-    reflect_coeffs,
     reflective_constant,
     rotate_reflective,
-    vacuous_node_factor,
 )
 from .realization import Realization, lurking_colligation
-from .verify import certify_bidisk, node_status, weak_node_status
+from .verify import certify_bidisk, node_status
 
 PAIR_RESIDUAL_TOL = 1e-9
 
@@ -71,110 +75,6 @@ class BirationalExtractionError(BidiskError):
 
 class RestrictionBreakdown(BidiskError):
     """Restricted denominator identically zero (theoretically excluded)."""
-
-
-# ---------------------------------------------------------------------------
-# Two-variable polynomials
-
-
-def _trim2(coeffs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-    if coeffs.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return np.zeros((0, 0), dtype=complex)
-    keep = np.abs(coeffs) > rtol * scale
-    rows = np.nonzero(keep.any(axis=1))[0]
-    cols = np.nonzero(keep.any(axis=0))[0]
-    if rows.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return coeffs[: rows[-1] + 1, : cols[-1] + 1].copy()
-
-
-@dataclass(frozen=True)
-class Poly2:
-    """Two-variable complex polynomial; ``coeffs[k1, k2]`` multiplies z1**k1 z2**k2."""
-
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim2(self.coeffs))
-        self.coeffs.setflags(write=False)
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 0
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def __call__(self, z1, z2):
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        if self.coeffs.size == 0:
-            out = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-            return out if out.ndim else complex(out)
-        d1, d2 = self.coeffs.shape
-        out = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-        for k1 in range(d1 - 1, -1, -1):
-            row = np.full(np.shape(z2) or (), self.coeffs[k1, d2 - 1], dtype=complex)
-            for c in self.coeffs[k1, : d2 - 1][::-1]:
-                row = row * z2 + c
-            out = out * z1 + row
-        return out if out.ndim else complex(out)
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        r = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        c = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        a = np.zeros((r, c), dtype=complex)
-        a[: self.coeffs.shape[0], : self.coeffs.shape[1]] += self.coeffs
-        a[: other.coeffs.shape[0], : other.coeffs.shape[1]] += other.coeffs
-        return Poly2(a)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (other * (-1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Poly2):
-            if self.is_zero or other.is_zero:
-                return Poly2()
-            r1, c1 = self.coeffs.shape
-            r2, c2 = other.coeffs.shape
-            out = np.zeros((r1 + r2 - 1, c1 + c2 - 1), dtype=complex)
-            for i in range(r1):
-                for j in range(c1):
-                    out[i : i + r2, j : j + c2] += self.coeffs[i, j] * other.coeffs
-            return Poly2(out)
-        return Poly2(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def one() -> "Poly2":
-        return Poly2(np.ones((1, 1), dtype=complex))
-
-    @staticmethod
-    def from_one_variable(p: Poly, variable: int) -> "Poly2":
-        if p.is_zero:
-            return Poly2()
-        c = p.coeffs.reshape(-1, 1) if variable == 0 else p.coeffs.reshape(1, -1)
-        return Poly2(c)
-
-
-def poly2_reflect(p: Poly2, d: tuple[int, int]) -> Poly2:
-    """Reflection at declared bidegree: coeff (k1,k2) -> conj(coeff (d1-k1, d2-k2)).
-
-    Equals ``z1**d1 z2**d2 * conj(p(1/conj(z1), 1/conj(z2)))``; on the torus the
-    reflection has the same modulus as p.
-    """
-    if d[0] < p.bidegree[0] or d[1] < p.bidegree[1]:
-        raise ValueError(f"declared bidegree {d} below actual {p.bidegree}")
-    return Poly2(reflect_coeffs(p.coeffs, d))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +202,7 @@ class PairGram:
         return (self.u[0].shape[1] + self.v[0].shape[1], self.u[1].shape[1] + self.v[1].shape[1])
 
 
-def pair_gram(pair: AglerPair, tol: float = 1e-9) -> PairGram:
+def pair_gram(pair: AglerPair) -> PairGram:
     """Eigen-based split of each term, widened by the regularizer factors.
 
     Appending the same columns to the positive and negative sides leaves the
@@ -311,7 +211,7 @@ def pair_gram(pair: AglerPair, tol: float = 1e-9) -> PairGram:
     """
     us, vs, inertias, deltas = [], [], [], []
     for G, Y in zip(pair.gammas(), pair.regularizers()):
-        dec = gram_decompose(G, tol)
+        dec = gram_decompose(G)
         L = _psd_factor(Y)
         if L.shape[0] not in (0, G.shape[0]):
             raise ValueError("regularizer dimension mismatch")
@@ -348,15 +248,7 @@ def _rank_conditions(problem: BidiskProblem, gram: PairGram, tol: float = 1e-8) 
     return ra == N, rb == N
 
 
-@dataclass(frozen=True)
-class PairValidation:
-    residual: float
-    inertias: tuple[Inertia, Inertia]
-    deltas: tuple[int, int]
-    case: int  # 1 when the bare rank conditions hold, else 2
-
-
-def _checked_residual(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> float:
+def validate_pair(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> float:
     """Residual of the decomposition identity; PairValidationError beyond ``tol``."""
     if pair.size != problem.size:
         raise ValueError("pair dimension does not match the problem size")
@@ -366,27 +258,20 @@ def _checked_residual(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR
     return residual
 
 
-def validate_pair(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> PairValidation:
-    """Check the decomposition identity and classify the rank geometry."""
-    residual = _checked_residual(problem, pair, tol)
-    gram = pair_gram(pair)
-    ok_a, ok_b = _rank_conditions(problem, gram)
-    case = 1 if (ok_a and ok_b and gram.deltas == (0, 0)) else 2
-    return PairValidation(residual=residual, inertias=gram.inertias, deltas=gram.deltas, case=case)
-
-
 def regularize_pair(
     problem: BidiskProblem, pair: AglerPair, seed: int = 7, tol: float = 1e-8
-) -> AglerPair:
+) -> tuple[AglerPair, PairGram]:
     """Populate positive semi-definite regularizers until the rank conditions hold.
 
+    Returns the pair (the given one when its rank conditions already hold)
+    together with its ``PairGram``, the input of ``build_bidisk_realization``.
     Searches rank budgets in increasing total order; each candidate is a seeded
     random Gram factor scaled well below the decomposition matrices so the
     identity (which the regularizers never enter) keeps its meaning.
     """
     gram = pair_gram(pair)
     if all(_rank_conditions(problem, gram, tol)):
-        return pair
+        return pair, gram
     N = problem.size
     rho = 1e-2 * max(1.0, float(np.linalg.norm(pair.gamma1) + np.linalg.norm(pair.gamma2)))
     rng = np.random.default_rng(seed)
@@ -406,8 +291,9 @@ def regularize_pair(
                     G = rng.normal(size=(N, d)) + 1j * rng.normal(size=(N, d))
                     ys.append(rho * (G @ G.conj().T))
             candidate = AglerPair(gamma1=pair.gamma1, gamma2=pair.gamma2, y1=ys[0], y2=ys[1])
-            if all(_rank_conditions(problem, pair_gram(candidate), tol)):
-                return candidate
+            gram = pair_gram(candidate)
+            if all(_rank_conditions(problem, gram, tol)):
+                return candidate, gram
     raise RegularizationError("no regularizer up to full rank restored the rank conditions")
 
 
@@ -416,27 +302,23 @@ def regularize_pair(
 
 
 def build_bidisk_realization(
-    problem: BidiskProblem, pair: AglerPair, tol: float = 1e-9
-) -> tuple[Realization, PairGram]:
+    problem: BidiskProblem, pair: AglerPair, gram: PairGram
+) -> Realization:
     """The lurking-isometry colligation of the pair, with two state blocks.
 
-    Block r holds term r's widened Gram vectors, u^r over v^r with signature
-    (+, -), and E_lam scales it by the coordinate lam^r
-    (``realization.lurking_colligation``).  Raises PairValidationError when the
-    pair misses the decomposition identity, and BidiskError when the rank
-    conditions fail (regularize the pair first).
+    ``gram`` is the pair's ``PairGram`` as ``regularize_pair`` returns it,
+    with the rank conditions already decided.  Block r holds term r's widened
+    Gram vectors, u^r over v^r with signature (+, -), and E_lam scales it by
+    the coordinate lam^r (``realization.lurking_colligation``).  Raises
+    PairValidationError when the pair misses the decomposition identity.
     """
-    _checked_residual(problem, pair)
-    gram = pair_gram(pair, tol)
-    if not all(_rank_conditions(problem, gram)):
-        raise BidiskError("rank conditions fail; regularize the pair first")
+    validate_pair(problem, pair)
     rows, signs = [], []
     for u, v in zip(gram.u, gram.v):
         rows += [u.T, v.T]
         signs += [(u.shape[1], 1), (v.shape[1], -1)]
     J1 = SignatureMatrix.blocks(*signs)
-    real = lurking_colligation(problem.nodes, problem.values, np.vstack(rows), J1, gram.kappas, tol)
-    return real, gram
+    return lurking_colligation(problem.nodes, problem.values, np.vstack(rows), J1, gram.kappas)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +329,8 @@ def build_bidisk_realization(
 class BiRational:
     """phi = numerator / denominator with denominator = det(I - D E_lam)."""
 
-    numerator: Poly2
-    denominator: Poly2
+    numerator: Poly
+    denominator: Poly
 
     def __call__(self, z1, z2):
         out = self.numerator(z1, z2) / self.denominator(z1, z2)
@@ -492,10 +374,10 @@ def to_birational(r: Realization) -> BiRational:
     beyond 1e-7.
     """
     if r.kappa == 0:
-        return BiRational(numerator=Poly2(np.array([[r.A]])), denominator=Poly2.one())
+        return BiRational(numerator=Poly(np.array([[r.A]])), denominator=Poly.one(2))
     blocks = r.blocks
     num_c, den_c = transfer_coefficients(r.A, r.B, r.C, r.D, blocks, _bidisk_radii(r))
-    num, den = Poly2(num_c), Poly2(den_c)
+    num, den = Poly(num_c), Poly(den_c)
     draws = np.random.default_rng(CHECK_SEED).uniform(
         [0.2, 0.0, 0.2, 0.0], [1.2, 1.0, 1.2, 1.0], size=(CHECK_DRAWS, 4)
     )
@@ -568,10 +450,10 @@ def restrict_balanced(br: BiRational, m: MoebiusMap) -> tuple[Poly, Poly]:
     Clears the Moebius denominator at the common second-variable degree, which
     cancels in the ratio, then divides out near-common roots.
     """
-    d2 = max(br.numerator.bidegree[1], br.denominator.bidegree[1], 0)
+    d2 = max(br.numerator.degrees[1], br.denominator.degrees[1], 0)
     M2 = moebius_matrix(m.a, d2)
 
-    def compose(p: Poly2) -> Poly:
+    def compose(p: Poly) -> Poly:
         # Row k1 of C @ M2.T holds the cleared composition of z1**k1's slice;
         # after z1 = z, coefficient n of the result sums the antidiagonal k1 + j = n.
         B = pad_coeffs(p.coeffs, (p.coeffs.shape[0] - 1, d2)) @ M2.T
@@ -615,10 +497,10 @@ def _transport_pair(problem: BidiskProblem, pair: AglerPair, j: int) -> tuple[Bi
     return shifted_problem, AglerPair(gamma1=g1, gamma2=g2, y1=y1, y2=y2), maps
 
 
-def _compose_poly2_with_maps(p: Poly2, maps: tuple[MoebiusMap, MoebiusMap], d: tuple[int, int]) -> Poly2:
+def _compose_with_maps(p: Poly, maps: tuple[MoebiusMap, MoebiusMap], d: tuple[int, int]) -> Poly:
     """Cleared composition prod_r (1 - conj(a_r) z_r)^{d_r} * p(m1(z1), m2(z2))."""
     M1, M2 = (moebius_matrix(m.a, k) for m, k in zip(maps, d))
-    return Poly2(M1 @ pad_coeffs(p.coeffs, d) @ M2.T)
+    return Poly(M1 @ pad_coeffs(p.coeffs, d) @ M2.T)
 
 
 class BidiskSolveError(BidiskError):
@@ -627,7 +509,7 @@ class BidiskSolveError(BidiskError):
 
 @dataclass(frozen=True)
 class ShiftedBidiskFamily:
-    dens: list[Poly2]
+    dens: list[Poly]
     bidegree: tuple[int, int]
     inertias: tuple[Inertia, Inertia]
     deltas: tuple[int, int]
@@ -635,57 +517,42 @@ class ShiftedBidiskFamily:
 
 
 def _shifted_denominator(
-    problem: BidiskProblem, pair: AglerPair, j: int, tol: float = 1e-9
-) -> tuple[Poly2, tuple[int, int], tuple[Inertia, Inertia], tuple[int, int], list[str]]:
+    problem: BidiskProblem, pair: AglerPair, j: int
+) -> tuple[Poly, tuple[int, int], tuple[Inertia, Inertia], tuple[int, int], list[str]]:
     """Centered solve at node j pulled back to the original coordinates."""
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
     # The diagonal congruence can cost the shifted pair its rank conditions;
     # top up the regularizers for this shift when that happens.
-    shifted_pair = regularize_pair(shifted, shifted_pair, seed=1234 + j)
-    real, gram = build_bidisk_realization(shifted, shifted_pair, tol)
-    br = to_birational(real)
-    d = (
-        max(br.numerator.bidegree[0], br.denominator.bidegree[0], 0),
-        max(br.numerator.bidegree[1], br.denominator.bidegree[1], 0),
-    )
+    shifted_pair, gram = regularize_pair(shifted, shifted_pair, seed=1234 + j)
+    br = to_birational(build_bidisk_realization(shifted, shifted_pair, gram))
+    d = tuple(max(a, b, 0) for a, b in zip(br.numerator.degrees, br.denominator.degrees))
     c, defect = reflective_constant(br.numerator, br.denominator, d)
     if defect > 1e-7 or abs(abs(c) - 1.0) > 1e-6:
         raise BidiskSolveError(
             f"numerator is not a unimodular reflection of the denominator (defect {defect:.3e})"
         )
-    den = _compose_poly2_with_maps(rotate_reflective(br.denominator, c), maps, d)
-    num = poly2_reflect(den, d)
+    den = _compose_with_maps(rotate_reflective(br.denominator, c), maps, d)
     c2, defect2 = reflective_constant(
-        _compose_poly2_with_maps(rotate_reflective(br.numerator, c), maps, d), den, d
+        _compose_with_maps(rotate_reflective(br.numerator, c), maps, d), den, d
     )
     # Composition may flip the reflection constant per odd degree; re-rotate.
     if defect2 <= 1e-6 and abs(abs(c2) - 1.0) <= 1e-6:
         den = rotate_reflective(den, c2)
-        num = poly2_reflect(den, d)
-    lam = problem.nodes
-    statuses = weak_node_status(
-        num(lam[:, 0], lam[:, 1]), den(lam[:, 0], lam[:, 1]), problem.values,
-        max(den.norm(), num.norm(), 1e-300),
-    )
-    for lam1, status in zip(lam[:, 0], statuses):
-        if status == "forced-weak":
-            den = den * Poly2.from_one_variable(vacuous_node_factor(complex(lam1)), 0)
-            d = (d[0] + 2, d[1])
+    den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[j] != "strict":
         raise BidiskSolveError(f"lost strict interpolation at the re-centered node {j}")
-    inertias = (gram.inertias[0], gram.inertias[1])
-    return den, d, inertias, gram.deltas, statuses
+    return den, d, gram.inertias, gram.deltas, statuses
 
 
-def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair, tol: float = 1e-9) -> ShiftedBidiskFamily:
+def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair) -> ShiftedBidiskFamily:
     """One re-centered solve per node, padded to a common bidegree."""
-    dens: list[Poly2] = []
+    dens: list[Poly] = []
     degrees: list[tuple[int, int]] = []
     statuses: list[list[str]] = []
     inertias = None
     deltas = None
     for j in range(problem.size):
-        den, d, inert, delt, st = _shifted_denominator(problem, pair, j, tol)
+        den, d, inert, delt, st = _shifted_denominator(problem, pair, j)
         if abs(den(problem.nodes[j, 0], problem.nodes[j, 1])) <= 1e-10 * max(den.norm(), 1e-300):
             raise BidiskSolveError(f"shifted denominator vanishes at its own node {j}")
         dens.append(den)
@@ -693,25 +560,17 @@ def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair, tol: float = 1e
         statuses.append(st)
         inertias = inert
         deltas = delt if deltas is None else (max(deltas[0], delt[0]), max(deltas[1], delt[1]))
-    d1 = max(dd[0] for dd in degrees)
-    d2 = max(dd[1] for dd in degrees)
-    pad1 = Poly2(np.array([[1.0], [1.0]]))  # 1 + z1
-    pad2 = Poly2(np.array([[1.0, 1.0]]))  # 1 + z2
-    for j in range(problem.size):
-        a, b = degrees[j]
-        for _ in range(d1 - a):
-            dens[j] = dens[j] * pad1
-        for _ in range(d2 - b):
-            dens[j] = dens[j] * pad2
+    bidegree = (max(d[0] for d in degrees), max(d[1] for d in degrees))
     return ShiftedBidiskFamily(
-        dens=dens, bidegree=(d1, d2), inertias=inertias, deltas=deltas, node_status=statuses
+        dens=[pad_to_degree(den, d, bidegree) for den, d in zip(dens, degrees)],
+        bidegree=bidegree, inertias=inertias, deltas=deltas, node_status=statuses,
     )
 
 
 @dataclass(frozen=True)
 class BidiskSolution:
-    numerator: Poly2
-    denominator: Poly2
+    numerator: Poly
+    denominator: Poly
     bidegree: tuple[int, int]
     inertias: tuple[Inertia, Inertia]
     deltas: tuple[int, int]
@@ -742,8 +601,8 @@ def combine_bidisk(
     t, _ = real_combination(vals, max(p.norm() for p in family.dens), rng, retries)
     if t is None:
         raise BidiskSolveError("could not find a real combination avoiding all nodes")
-    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly2())
-    p = poly2_reflect(q, d)
+    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
+    p = poly_reflect(q, d)
     statuses = node_status(
         p(lam[:, 0], lam[:, 1]), q(lam[:, 0], lam[:, 1]), problem.values,
         max(p.norm(), q.norm(), 1e-300),
@@ -763,7 +622,6 @@ def combine_bidisk(
 def solve_bidisk(
     problem: BidiskProblem,
     pair: AglerPair | None = None,
-    tol: float = 1e-9,
     seed: int = 0,
     certify: bool = True,
 ) -> BidiskSolution:
@@ -775,10 +633,9 @@ def solve_bidisk(
     if pair is None:
         pair = one_variable_pair(problem, 0)
     validate_pair(problem, pair)
-    pair = regularize_pair(problem, pair, seed=seed + 7)
-    weak_real, _ = build_bidisk_realization(problem, pair, tol)
-    weak_br = to_birational(weak_real)
-    family = solve_bidisk_shifts(problem, pair, tol)
+    pair, gram = regularize_pair(problem, pair, seed=seed + 7)
+    weak_br = to_birational(build_bidisk_realization(problem, pair, gram))
+    family = solve_bidisk_shifts(problem, pair)
     combined = combine_bidisk(family, problem, rng=np.random.default_rng(seed))
     solution = replace(combined, weak_solution=weak_br)
     if certify:

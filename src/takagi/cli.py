@@ -42,7 +42,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ProblemFileError(f"TAKAGI_SEED must be an integer, got {raw!r}") from None
 
 
 def _fmt_complex(z: complex) -> str:

@@ -22,6 +22,7 @@ from .polynomials import (
     Poly,
     moebius_compose_poly,
     pad_coeffs,
+    pad_to_degree,
     poly_gcd_numeric,
     poly_reflect,
     ratio_agreement,
@@ -79,23 +80,25 @@ def best_reflective_pair(num: Poly, den: Poly, defect_tol: float = 1e-8) -> tupl
 
 
 def enforce_weak_interpolation(
-    den: Poly, d: int, problem: DiskProblem, tol: float = 1e-7
-) -> tuple[Poly, int, list[str]]:
+    den: Poly, d: int | tuple[int, ...], problem, tol: float = 1e-7
+) -> tuple[Poly, int | tuple[int, ...], list[str]]:
     """Adjoin vacuous self-reflective factors at nodes where the weak identity fails.
 
     The pair is (reflect(den, d), den); a node where the numerator does not
     match w * denominator gets a factor vanishing there, which makes the weak
-    condition hold trivially.  Returns the adjusted (den, d) and per-node
-    status before adjustment.
+    condition hold trivially.  On the bidisk (``d`` a bidegree, ``problem`` a
+    ``BidiskProblem``) the factor is taken in the first variable.  Returns the
+    adjusted (den, d) and per-node status before adjustment.
     """
     num = poly_reflect(den, d)
+    coords = problem.nodes.reshape(problem.size, -1).T
     scale = max(den.norm(), num.norm())
-    statuses = weak_node_status(num(problem.nodes), den(problem.nodes), problem.values, scale, tol)
-    for lam, status in zip(problem.nodes, statuses):
+    statuses = weak_node_status(num(*coords), den(*coords), problem.values, scale, tol)
+    for lam, status in zip(coords[0], statuses):
         if status == "forced-weak":
             den = den * vacuous_node_factor(lam)
-            d += 2
-    return den, d, statuses
+    added = 2 * statuses.count("forced-weak")
+    return den, (d + added if np.ndim(d) == 0 else (d[0] + added, *d[1:])), statuses
 
 
 @dataclass(frozen=True)
@@ -112,20 +115,20 @@ class CenteredSolution:
         return poly_reflect(self.den, self.refl_degree)
 
 
-def solve_centered(problem: DiskProblem, tol: float = 1e-9) -> CenteredSolution:
+def solve_centered(problem: DiskProblem) -> CenteredSolution:
     """Step-1 solve for a problem whose first node is the origin."""
     if abs(problem.nodes[0]) > 1e-14:
         raise ValueError("solve_centered requires the first node at the origin")
     N = problem.size
     G = pick_matrix(problem)
-    dec: GramDecomposition = gram_decompose(G, tol)
+    dec: GramDecomposition = gram_decompose(G)
     pi, nu, zeta = dec.inertia.as_tuple()
     # State vectors stack (u_i + y_i) over (v_i + y_i); dimension N + zeta.
     X = np.vstack([dec.u.T, dec.y.T, dec.v.T, dec.y.T])
     kappa = X.shape[0]
     assert kappa == 2 * N - pi - nu
     J1 = SignatureMatrix.blocks((pi + zeta, 1), (nu + zeta, -1))
-    real = lurking_colligation(problem.nodes[:, None], problem.values, X, J1, (kappa,), tol)
+    real = lurking_colligation(problem.nodes[:, None], problem.values, X, J1, (kappa,))
     num_raw, den_raw = realization_to_rational(real)
     num, den, d = best_reflective_pair(num_raw, den_raw)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
@@ -175,7 +178,7 @@ def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
     return Poly(c2) if np.linalg.norm(r2) < np.linalg.norm(r) else den
 
 
-def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
+def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
     """One centered solve per node, pulled back and padded to equal degree.
 
     A shift whose centered solve breaks down numerically is dropped; the
@@ -191,7 +194,7 @@ def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
         order = [j] + [i for i in range(N) if i != j]
         shifted = DiskProblem(nodes=m(problem.nodes[order]), values=problem.values[order])
         try:
-            sol = solve_centered(shifted, tol)
+            sol = solve_centered(shifted)
         except (SolveError, ExtensionError) as exc:
             errors.append(f"node {j}: {exc}")
             continue
@@ -211,11 +214,9 @@ def solve_all_shifts(problem: DiskProblem, tol: float = 1e-9) -> ShiftedFamily:
     if not dens:
         raise SolveError("every shifted solve failed: " + "; ".join(errors))
     d = max(degrees)
-    pad = Poly(np.array([1.0, 1.0]))  # (1 + z), self-reflective, zero-free on the disk
-    for j in range(len(dens)):
-        for _ in range(d - degrees[j]):
-            dens[j] = dens[j] * pad
-        dens[j] = _project_weak(dens[j], d, problem)
+    dens = [
+        _project_weak(pad_to_degree(den, d_j, d), d, problem) for den, d_j in zip(dens, degrees)
+    ]
     return ShiftedFamily(dens=dens, refl_degree=d, inertia=inertia)
 
 
@@ -318,7 +319,7 @@ def combine(
     )
 
 
-def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
+def solve_positive(problem: DiskProblem) -> TakagiSolution:
     """Classical positive-case solve: pole-free Blaschke of degree rank(Gamma).
 
     Builds the unitary colligation from the positive Gram factor alone, so the
@@ -327,7 +328,7 @@ def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
     the reduced function misses a node.
     """
     G = pick_matrix(problem)
-    dec = gram_decompose(G, tol)
+    dec = gram_decompose(G)
     pi, nu, zeta = dec.inertia.as_tuple()
     if nu:
         raise SolveError("positive-case solve needs a positive semi-definite matrix")
@@ -346,7 +347,7 @@ def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
             basis = np.hstack([basis, (resid / np.linalg.norm(resid))[:, None]])
     real = lurking_colligation(
         problem.nodes[keep][:, None], problem.values[keep], X[:, keep],
-        SignatureMatrix(np.ones(pi)), (pi,), tol,
+        SignatureMatrix(np.ones(pi)), (pi,),
     )
     num, den = realization_to_rational(real)
     num_r, den_r, _ = poly_gcd_numeric(num, den, 1e-9)
@@ -361,7 +362,6 @@ def solve_positive(problem: DiskProblem, tol: float = 1e-9) -> TakagiSolution:
 
 def solve(
     problem: DiskProblem,
-    tol: float = 1e-9,
     seed: int = 0,
     certify: bool = True,
 ) -> TakagiSolution:
@@ -374,11 +374,11 @@ def solve(
     G = pick_matrix(problem)
     if float(np.min(np.linalg.eigvalsh(G))) > -1e-9 * max(1.0, float(np.linalg.norm(G))):
         try:
-            solution = solve_positive(problem, tol)
+            solution = solve_positive(problem)
         except (SolveError, ExtensionError):
             solution = None
     if solution is None:
-        family = solve_all_shifts(problem, tol)
+        family = solve_all_shifts(problem)
         solution = combine(family, problem, rng=np.random.default_rng(seed))
     if certify:
         solution.certificates.update(certify_disk(solution, problem))

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .bidisk import AglerPair, BidiskProblem, BidiskSolution, BiRational, Poly2
+from .bidisk import AglerPair, BidiskProblem, BidiskSolution, BiRational
 from .disk import RationalInterpolant, TakagiSolution
 from .linalg import Inertia
 from .pick import DiskProblem
@@ -139,6 +139,16 @@ def problem_from_dict(data: dict) -> tuple[Any, AglerPair | None]:
     raise ProblemFileError(f"unknown problem kind {kind!r} (expected disk or bidisk)")
 
 
+def _decode_ints(v: Any, count: int, where: str) -> list[int]:
+    """A list of exactly ``count`` integers."""
+    if not (
+        isinstance(v, list) and len(v) == count
+        and all(isinstance(k, int) and not isinstance(k, bool) for k in v)
+    ):
+        raise ProblemFileError(f"{where}: expected {count} integers, got {v!r}")
+    return v
+
+
 def _bad_bidisk_node(k: int):
     raise ProblemFileError(f"nodes[{k}]: bidisk nodes must be pairs of [re, im] pairs")
 
@@ -223,9 +233,13 @@ def result_to_solution(data: dict):
         den = Poly(decode_vector(_require(data, "denominator"), "denominator"))
         bl = _require(data, "blaschke")
         constant = decode_complex(_require(bl, "constant"), "blaschke.constant")
-        f = BlaschkeProduct(zeros=tuple(decode_vector(bl.get("f_zeros", []), "blaschke.f_zeros")))
-        g = BlaschkeProduct(zeros=tuple(decode_vector(bl.get("g_zeros", []), "blaschke.g_zeros")))
-        inertia = Inertia(*[int(k) for k in _require(data, "inertia")])
+        f_zeros = tuple(decode_vector(bl.get("f_zeros", []), "blaschke.f_zeros"))
+        g_zeros = tuple(decode_vector(bl.get("g_zeros", []), "blaschke.g_zeros"))
+        try:
+            f, g = BlaschkeProduct(zeros=f_zeros), BlaschkeProduct(zeros=g_zeros)
+        except ValueError as exc:
+            raise ProblemFileError(f"blaschke: {exc}") from exc
+        inertia = Inertia(*_decode_ints(_require(data, "inertia"), 3, "inertia"))
         interp = RationalInterpolant(
             numerator=num,
             denominator=den,
@@ -239,22 +253,25 @@ def result_to_solution(data: dict):
         )
         return solution, problem, pair
     if kind == "bidisk":
-        num = Poly2(decode_matrix(_require(data, "numerator"), "numerator"))
-        den = Poly2(decode_matrix(_require(data, "denominator"), "denominator"))
-        inert = [Inertia(*[int(k) for k in row]) for row in _require(data, "inertias")]
-        deltas = tuple(int(k) for k in _require(data, "deltas"))
+        num = Poly(decode_matrix(_require(data, "numerator"), "numerator"))
+        den = Poly(decode_matrix(_require(data, "denominator"), "denominator"))
+        rows = _require(data, "inertias")
+        if not (isinstance(rows, list) and len(rows) == 2):
+            raise ProblemFileError(f"inertias: expected two inertias, got {rows!r}")
+        inertias = [Inertia(*_decode_ints(v, 3, f"inertias[{r}]")) for r, v in enumerate(rows)]
+        deltas = _decode_ints(_require(data, "deltas"), 2, "deltas")
         weak = None
         if "weak_numerator" in data and "weak_denominator" in data:
             weak = BiRational(
-                numerator=Poly2(decode_matrix(data["weak_numerator"], "weak_numerator")),
-                denominator=Poly2(decode_matrix(data["weak_denominator"], "weak_denominator")),
+                numerator=Poly(decode_matrix(data["weak_numerator"], "weak_numerator")),
+                denominator=Poly(decode_matrix(data["weak_denominator"], "weak_denominator")),
             )
         solution = BidiskSolution(
             numerator=num,
             denominator=den,
-            bidegree=(den.bidegree[0], den.bidegree[1]),
-            inertias=(inert[0], inert[1]),
-            deltas=(deltas[0], deltas[1]),
+            bidegree=den.degrees,
+            inertias=tuple(inertias),
+            deltas=tuple(deltas),
             node_status=list(data.get("node_status", [])),
             weak_solution=weak,
         )

@@ -203,10 +203,10 @@ def extend_j_isometry(partial: PartialJIsometry, tol: float = 1e-9) -> np.ndarra
     Br = _polish_to_gram(Br, signs, S, Sinv)
     V1 = Br @ Sinv @ (Bd.conj().T * signs[None, :])
     alt = np.linalg.solve(Bd.conj().T, Br.conj().T).conj().T
-    alt = _newton_j_unitary(alt, signs)
-    if _defect(alt, signs) < _defect(V1, signs):
+    alt = _newton_j_unitary(alt, J)
+    if j_unitarity_defect(J, alt) < j_unitarity_defect(J, V1):
         V1 = alt
-    defect = np.linalg.norm(V1.conj().T @ (signs[:, None] * V1) - J.matrix())
+    defect = j_unitarity_defect(J, V1)
     if defect > 1e-8 * n * scale:
         raise ExtensionError(f"extension failed J-unitarity check (defect {defect:.3e})")
     return V1
@@ -228,29 +228,26 @@ def _polish_to_gram(
     return best
 
 
-def _defect(V: np.ndarray, signs: np.ndarray) -> float:
-    return float(np.linalg.norm(V.conj().T @ (signs[:, None] * V) - np.diag(signs)))
-
-
-def _newton_j_unitary(V: np.ndarray, signs: np.ndarray, iterations: int = 12) -> np.ndarray:
+def _newton_j_unitary(V: np.ndarray, J: SignatureMatrix, iterations: int = 12) -> np.ndarray:
     """Polish toward J-unitarity: V <- (V + J V^-* J)/2, kept only while it helps.
 
     The action on the prescribed span moves only by the size of the starting
     defect, so the interpolation data are preserved to that accuracy.
     """
-    J = np.diag(signs).astype(complex)
+    Jm = J.matrix()
     best = V
     for _ in range(iterations):
         try:
-            correction = J @ np.linalg.inv(best).conj().T @ J
+            correction = Jm @ np.linalg.inv(best).conj().T @ Jm
         except np.linalg.LinAlgError:
             break
         cand = 0.5 * (best + correction)
-        if _defect(cand, signs) >= _defect(best, signs):
+        if j_unitarity_defect(J, cand) >= j_unitarity_defect(J, best):
             break
         best = cand
     return best
 
 
 def j_unitarity_defect(J: SignatureMatrix, V: np.ndarray) -> float:
-    return float(np.linalg.norm(V.conj().T @ (J.signs[:, None] * V) - J.matrix()))
+    """Frobenius norm of V* J V - J."""
+    return float(np.linalg.norm(V.conj().T @ (J.signs[:, None] * V) - np.diag(J.signs)))

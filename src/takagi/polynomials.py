@@ -1,22 +1,28 @@
-"""One-variable complex polynomials, Moebius maps and Blaschke products.
+"""Complex polynomials in one or more variables, Moebius maps and Blaschke products.
 
-Coefficients are stored in ascending degree order.  The zero polynomial has
-degree -1.  Root finding goes through the companion matrix (numpy.roots);
-the numeric GCD pairs roots of the two polynomials rather than running a
-Euclidean remainder sequence, which is unstable in floating point.
+A ``Poly`` in k variables stores its coefficients in an array of rank k,
+ascending in each axis: ``coeffs[k1, ..., kk]`` multiplies
+z1**k1 ... zk**kk.  The disk uses k = 1 and the bidisk k = 2; every
+operation below (trim, evaluate, add, multiply, reflect, pad) is written once
+for any k.  The zero polynomial has shape (0, ..., 0) and degree -1 in each
+variable.  Root finding (one variable) goes through the companion matrix
+(numpy.roots); the numeric GCD pairs roots of the two polynomials rather than
+running a Euclidean remainder sequence, which is unstable in floating point.
 
 The coefficient-space kernels shared by the disk and bidisk solvers live
 here: Moebius composition as a matrix on coefficients (``moebius_matrix``),
-reflection of a coefficient array of any rank (``reflect_coeffs``), the
+reflection at a declared degree per variable (``poly_reflect``), the
 reflective constant of a numerator/denominator pair
-(``reflective_constant``), the agreement of two rational functions away from
-their poles (``ratio_agreement``), the vacuous node factor, the roots inside
-the disk (``roots_in_disk``) and the cancellation of near-common roots
+(``reflective_constant``), padding to a common declared degree
+(``pad_to_degree``), the agreement of two rational functions away from their
+poles (``ratio_agreement``), the vacuous node factor, the roots inside the
+disk (``roots_in_disk``) and the cancellation of near-common roots
 (``reduce_common_roots``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,21 +33,40 @@ DISK_INTERIOR = 1.0 - 1e-9
 
 
 def _trim(coeffs: np.ndarray, rtol: float = TRIM_RTOL) -> np.ndarray:
+    """Coefficients cut after the last entry above ``rtol`` times the largest, per axis."""
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if coeffs.size == 0:
-        return np.zeros(0, dtype=complex)
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return np.zeros(0, dtype=complex)
-    keep = np.nonzero(np.abs(coeffs) > rtol * scale)[0]
-    if keep.size == 0:
-        return np.zeros(0, dtype=complex)
-    return coeffs[: keep[-1] + 1].copy()
+    mags = np.abs(coeffs)
+    kept = np.nonzero(mags > rtol * float(mags.max(initial=0.0)))
+    if kept[0].size == 0:
+        return np.zeros((0,) * coeffs.ndim, dtype=complex)
+    return coeffs[tuple(slice(0, k.max() + 1) for k in kept)].copy()
+
+
+def _lift(coeffs: np.ndarray, rank: int) -> np.ndarray:
+    """Coefficients viewed in ``rank`` variables: a polynomial in the first ones."""
+    if coeffs.ndim == rank:
+        return coeffs
+    return coeffs.reshape(coeffs.shape + (1,) * (rank - coeffs.ndim))
+
+
+def _horner(coeffs: np.ndarray, z: list[np.ndarray]) -> np.ndarray:
+    """Nested Horner evaluation, the last variable innermost."""
+    x = z[0]
+    if coeffs.ndim == 1:
+        out = np.full(x.shape, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            out = out * x + c
+        return out
+    out = 0.0j
+    for row in coeffs[::-1]:
+        inner = _horner(row, z[1:])
+        out = out * x + inner
+    return out
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Complex polynomial; ``coeffs[k]`` multiplies z**k."""
+    """Complex polynomial in ``coeffs.ndim`` variables; see the module docstring."""
 
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
@@ -51,7 +76,13 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        """Degree in the first variable (the degree of a one-variable polynomial)."""
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Degree in each variable."""
+        return tuple(n - 1 for n in self.coeffs.shape)
 
     @property
     def is_zero(self) -> bool:
@@ -60,37 +91,49 @@ class Poly:
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
-    def __call__(self, z):
+    def __call__(self, *z):
+        """p(z) in one variable, p(z1, z2) in two; arguments broadcast."""
+        if len(z) != self.coeffs.ndim:
+            raise TypeError(f"expected {self.coeffs.ndim} coordinates, got {len(z)}")
+        z = [np.asarray(x, dtype=complex) for x in z]
         if self.coeffs.size == 0:
-            return np.zeros_like(np.asarray(z, dtype=complex))
-        z = np.asarray(z, dtype=complex)
-        out = np.full_like(z, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            out = out * z + c
+            out = np.zeros(np.broadcast_shapes(*(x.shape for x in z)), dtype=complex)
+        else:
+            out = _horner(self.coeffs, z)
         return out if out.ndim else complex(out)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n, dtype=complex)
-        a[: self.coeffs.size] += self.coeffs
-        a[: other.coeffs.size] += other.coeffs
-        return Poly(a)
+        rank = max(self.coeffs.ndim, other.coeffs.ndim)
+        a, b = _lift(self.coeffs, rank), _lift(other.coeffs, rank)
+        out = np.zeros(tuple(map(max, a.shape, b.shape)), dtype=complex)
+        out[tuple(map(slice, a.shape))] += a
+        out[tuple(map(slice, b.shape))] += b
+        return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (other * (-1.0))
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            return Poly(np.convolve(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * complex(other))
+        if not isinstance(other, Poly):
+            return Poly(self.coeffs * complex(other))
+        rank = max(self.coeffs.ndim, other.coeffs.ndim)
+        if self.is_zero or other.is_zero:
+            return Poly(np.zeros((0,) * rank, dtype=complex))
+        a, b = _lift(self.coeffs, rank), _lift(other.coeffs, rank)
+        if rank == 1:
+            return Poly(np.convolve(a, b))
+        # Kronecker substitution: with every axis but the first padded to the
+        # product's width, the raveled product is one np.convolve, as on one
+        # variable.
+        shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
+        a, b = (pad_coeffs(c, (c.shape[0] - 1, *(n - 1 for n in shape[1:]))) for c in (a, b))
+        return Poly(np.convolve(a.ravel(), b.ravel())[: math.prod(shape)].reshape(shape))
 
     __rmul__ = __mul__
 
     @staticmethod
-    def one() -> "Poly":
-        return Poly(np.array([1.0 + 0.0j]))
+    def one(variables: int = 1) -> "Poly":
+        return Poly(np.ones((1,) * variables, dtype=complex))
 
     @staticmethod
     def from_roots(roots, lead: complex = 1.0) -> "Poly":
@@ -127,24 +170,45 @@ def reflect_coeffs(coeffs: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     return np.conj(np.flip(pad_coeffs(coeffs, degrees)))
 
 
-def poly_reflect(p: Poly, d: int) -> Poly:
-    """Reflection at declared degree d: coefficient k becomes conj(coeff[d-k]).
+def _degrees(d) -> tuple[int, ...]:
+    """A declared degree as one entry per variable (an int on one variable)."""
+    return tuple(d) if np.ndim(d) else (d,)
 
-    Equals ``z**d * conj(p(1/conj(z)))``; on the unit circle the reflection has
-    the same modulus as p.
+
+def poly_reflect(p: Poly, d) -> Poly:
+    """Reflection at the declared degree d (one degree per variable, or an int).
+
+    Coefficient (k1, ..., kk) becomes conj(coeff[d1 - k1, ..., dk - kk]); this
+    equals ``z1**d1 ... zk**dk * conj(p(1/conj(z1), ..., 1/conj(zk)))``, so on
+    the circle (torus) the reflection has the same modulus as p.
     """
-    if d < p.degree:
-        raise ValueError(f"declared degree {d} below actual degree {p.degree}")
-    return Poly(reflect_coeffs(p.coeffs, (d,)))
+    d = _degrees(d)
+    if any(k < a for k, a in zip(d, p.degrees)):
+        raise ValueError(f"declared degree {d} below actual degree {p.degrees}")
+    return Poly(reflect_coeffs(p.coeffs, d))
 
 
-def reflective_constant(num, den, d) -> tuple[complex, float]:
+def pad_to_degree(p: Poly, d, target) -> Poly:
+    """p times (1 + z_r) per missing degree, raising its declared degree d to target.
+
+    Each factor 1 + z_r is self-reflective and has no zero inside the disk,
+    so a weak solution reflect(p, d)/p stays one at the target degree.
+    """
+    d, target = _degrees(d), _degrees(target)
+    for axis, (k, t) in enumerate(zip(d, target)):
+        if t > k:
+            factor = Poly(np.ones((1,) * axis + (2,) + (1,) * (len(d) - axis - 1)))
+            for _ in range(t - k):
+                p = p * factor
+    return p
+
+
+def reflective_constant(num: Poly, den: Poly, d) -> tuple[complex, float]:
     """Estimate c with num = c * reflect(den, d); return (c, relative defect).
 
-    ``num`` and ``den`` are polynomials in one or two variables (``Poly`` or
-    ``bidisk.Poly2``) and ``d`` is their declared degree or bidegree.
+    ``d`` is the declared degree, one per variable (or an int on one variable).
     """
-    degrees = tuple(np.atleast_1d(d))
+    degrees = _degrees(d)
     rc = reflect_coeffs(den.coeffs, degrees)
     nc = pad_coeffs(num.coeffs, degrees)
     big = np.abs(rc) > 1e-6 * max(float(np.max(np.abs(rc))), 1e-300)
@@ -156,11 +220,8 @@ def reflective_constant(num, den, d) -> tuple[complex, float]:
     return c, defect
 
 
-def rotate_reflective(den, c: complex):
-    """Rotate den by gamma with conj(gamma)/gamma = c, absorbing the constant.
-
-    Works for ``Poly`` and ``bidisk.Poly2`` alike.
-    """
+def rotate_reflective(den: Poly, c: complex) -> Poly:
+    """Rotate den by gamma with conj(gamma)/gamma = c, absorbing the constant."""
     return np.exp(-0.5j * np.angle(c)) * den
 
 

@@ -92,7 +92,7 @@ class Realization:
 
 def lurking_colligation(
     nodes: np.ndarray, values: np.ndarray, X: np.ndarray, J1: SignatureMatrix,
-    blocks: tuple[int, ...], tol: float = 1e-9,
+    blocks: tuple[int, ...],
 ) -> Realization:
     """J-unitary extension of the lurking isometry (1, E_lam_i x_i) -> (w_i, x_i).
 
@@ -108,7 +108,7 @@ def lurking_colligation(
     domain = np.vstack([np.ones((1, values.size)), E * X])
     range_ = np.vstack([values[None, :], X])
     J = SignatureMatrix(np.concatenate([[1.0], J1.signs]))
-    V1 = extend_j_isometry(PartialJIsometry(J=J, domain=domain, range_=range_), tol=tol)
+    V1 = extend_j_isometry(PartialJIsometry(J=J, domain=domain, range_=range_))
     return Realization.from_colligation(V1, J1, blocks)
 
 

@@ -257,7 +257,7 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     d1, d2 = solution.deltas
     bound_constructive = (pi1 + nu1 + 2 * d1, pi2 + nu2 + 2 * d2)
     bound_declared = (pi1 + nu1 + d1, pi2 + nu2 + d2)
-    bidegree = (den2.bidegree[0], den2.bidegree[1])
+    bidegree = den2.degrees
     pi_tot, nu_tot, delta_tot = pi1 + pi2, nu1 + nu2, d1 + d2
     rng = np.random.default_rng(seed)
     restriction_counts = []

@@ -2,27 +2,28 @@ import numpy as np
 import pytest
 
 import takagi.bidisk as bidisk_module
+import takagi.disk as disk_module
 from takagi.bidisk import (
-    _compose_poly2_with_maps,
+    _compose_with_maps,
+    _shifted_denominator,
     AglerPair,
     BidiskProblem,
     BiRational,
     BirationalExtractionError,
     PairValidationError,
-    Poly2,
     build_bidisk_realization,
     one_variable_pair,
     pair_residual,
-    poly2_reflect,
     regularize_pair,
     restrict_balanced,
     solve_bidisk,
+    solve_bidisk_shifts,
     to_birational,
     toral_check,
     validate_pair,
 )
 from takagi.linalg import hermitize
-from takagi.polynomials import MoebiusMap, Poly, roots_in_disk
+from takagi.polynomials import MoebiusMap, Poly, poly_reflect, roots_in_disk, vacuous_node_factor
 from takagi.realization import eval_realization, kernel_forms
 from takagi.verify import check_unimodular, torus_unimodularity
 
@@ -54,52 +55,14 @@ def random_two_variable_pair(problem, rng):
     return AglerPair(gamma1=g1, gamma2=hermitize(g2))
 
 
-class TestPoly2:
-    def test_eval_and_bidegree(self):
-        # 1 + z1 z2 + z2^2
-        p = Poly2(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-        assert p.bidegree == (1, 2)
-        assert p(0.5, 2.0) == pytest.approx(1.0 + 0.5 * 2.0 + 4.0)
-
-    def test_arithmetic(self):
-        p = Poly2(np.array([[1.0], [1.0]]))  # 1 + z1
-        q = Poly2(np.array([[1.0, 1.0]]))  # 1 + z2
-        prod = p * q
-        assert prod(0.3, 0.4) == pytest.approx(1.3 * 1.4)
-        assert (p + q)(0.3, 0.4) == pytest.approx(2.0 + 0.3 + 0.4)
-
-    def test_from_one_variable(self):
-        one = Poly(np.array([1.0, 2.0]))
-        p1 = Poly2.from_one_variable(one, 0)
-        p2 = Poly2.from_one_variable(one, 1)
-        assert p1(0.5, 9.0) == pytest.approx(2.0)
-        assert p2(9.0, 0.5) == pytest.approx(2.0)
-
-    def test_reflection_involution(self):
-        rng = np.random.default_rng(0)
-        C = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        p = Poly2(C)
-        d = (2, 3)
-        back = poly2_reflect(poly2_reflect(p, d), d)
-        assert np.allclose(back.coeffs, p.coeffs)
-
-    def test_reflection_torus_modulus(self):
-        rng = np.random.default_rng(1)
-        p = Poly2(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        ref = poly2_reflect(p, p.bidegree)
-        for _ in range(32):
-            z1 = np.exp(2j * np.pi * rng.uniform())
-            z2 = np.exp(2j * np.pi * rng.uniform())
-            assert abs(abs(ref(z1, z2)) - abs(p(z1, z2))) < 1e-10 * p.norm()
-
-
+class TestComposeWithMaps:
     @pytest.mark.parametrize("a1, a2", [(0.0, 0.0), (0.3 - 0.2j, 0.0), (-0.5j, 0.7), (0.85, -0.6 + 0.4j)])
     def test_moebius_composition_matches_direct(self, a1, a2):
         rng = np.random.default_rng(14)
-        p = Poly2(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+        p = Poly(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
         d = (4, 5)
         m1, m2 = MoebiusMap(a1), MoebiusMap(a2)
-        composed = _compose_poly2_with_maps(p, (m1, m2), d)
+        composed = _compose_with_maps(p, (m1, m2), d)
         for _ in range(20):
             z1, z2 = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.6
             cleared = (1.0 - np.conj(a1) * z1) ** d[0] * (1.0 - np.conj(a2) * z2) ** d[1]
@@ -163,8 +126,8 @@ class TestRealization:
         rng = np.random.default_rng(seed)
         p = random_bidisk_problem(rng, n_max=n_max)
         pair = random_two_variable_pair(p, rng)
-        pair = regularize_pair(p, pair, seed=seed)
-        r, gram = build_bidisk_realization(p, pair)
+        pair, gram = regularize_pair(p, pair, seed=seed)
+        r = build_bidisk_realization(p, pair, gram)
         return p, pair, r
 
     def test_colligation_j_unitary(self):
@@ -211,8 +174,8 @@ class TestBirationalExtraction:
     def test_matches_realization(self):
         rng = np.random.default_rng(5)
         p = random_bidisk_problem(rng, n_max=3)
-        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=5)
-        r, _ = build_bidisk_realization(p, pair)
+        pair, gram = regularize_pair(p, random_two_variable_pair(p, rng), seed=5)
+        r = build_bidisk_realization(p, pair, gram)
         br = to_birational(r)
         for _ in range(30):
             z = ((rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.5,
@@ -229,8 +192,8 @@ class TestBirationalExtraction:
     def test_wrong_coefficient_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(5)
         p = random_bidisk_problem(rng, n_max=3)
-        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=5)
-        r, _ = build_bidisk_realization(p, pair)
+        pair, gram = regularize_pair(p, random_two_variable_pair(p, rng), seed=5)
+        r = build_bidisk_realization(p, pair, gram)
         extract = bidisk_module.transfer_coefficients
 
         def perturbed(*args):
@@ -246,8 +209,8 @@ class TestBirationalExtraction:
     def test_torus_unimodularity_and_toral_report(self):
         rng = np.random.default_rng(6)
         p = random_bidisk_problem(rng, n_max=3)
-        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=6)
-        r, _ = build_bidisk_realization(p, pair)
+        pair, gram = regularize_pair(p, random_two_variable_pair(p, rng), seed=6)
+        r = build_bidisk_realization(p, pair, gram)
         br = to_birational(r)
         assert torus_unimodularity(br.numerator, br.denominator) < 1e-7
         report = toral_check(br, grid=128)
@@ -258,8 +221,8 @@ class TestBalancedRestrictions:
     def test_unimodular_with_bounded_roots(self):
         rng = np.random.default_rng(7)
         p = random_bidisk_problem(rng, n_max=3)
-        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=7)
-        r, gram = build_bidisk_realization(p, pair)
+        pair, gram = regularize_pair(p, random_two_variable_pair(p, rng), seed=7)
+        r = build_bidisk_realization(p, pair, gram)
         br = to_birational(r)
         (i1, i2) = gram.inertias
         (d1, d2) = gram.deltas
@@ -275,8 +238,8 @@ class TestBalancedRestrictions:
     def test_restriction_matches_direct(self, a):
         rng = np.random.default_rng(15)
         p = random_bidisk_problem(rng, n_max=3)
-        pair = regularize_pair(p, random_two_variable_pair(p, rng), seed=15)
-        br = to_birational(build_bidisk_realization(p, pair)[0])
+        pair, gram = regularize_pair(p, random_two_variable_pair(p, rng), seed=15)
+        br = to_birational(build_bidisk_realization(p, pair, gram))
         m = MoebiusMap(a)
         num, den = restrict_balanced(br, m)
         checked = 0
@@ -289,6 +252,70 @@ class TestBalancedRestrictions:
             assert abs(num(z) / den(z) - direct) < 1e-8 * (1.0 + abs(direct))
             checked += 1
         assert checked >= 20
+
+
+class TestShiftedSolves:
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(8)
+        p = random_bidisk_problem(rng, n_max=3)
+        while p.size < 3:
+            p = random_bidisk_problem(rng, n_max=3)
+        pair, _ = regularize_pair(p, one_variable_pair(p, 0), seed=7)
+        return p, pair, rng
+
+    def test_forced_weak_node_gets_a_factor_in_z1(self, monkeypatch):
+        p, pair, rng = self._setup()
+        plain, d, *_ = _shifted_denominator(p, pair, 0)
+        weak_node_status = disk_module.weak_node_status
+
+        def forced_at_1(*args):
+            statuses = weak_node_status(*args)
+            statuses[1] = "forced-weak"
+            return statuses
+
+        monkeypatch.setattr(disk_module, "weak_node_status", forced_at_1)
+        den, d_forced, *_ = _shifted_denominator(p, pair, 0)
+        assert d_forced == (d[0] + 2, d[1])
+        factor = vacuous_node_factor(p.nodes[1, 0])
+        z1, z2 = (rng.uniform(-1, 1, (2, 20)) + 1j * rng.uniform(-1, 1, (2, 20))) * 0.9
+        expected = plain(z1, z2) * factor(z1)
+        assert np.allclose(den(z1, z2), expected, rtol=1e-10, atol=1e-12 * den.norm())
+        assert np.max(np.abs(den(p.nodes[1, 0], z2))) < 1e-12 * den.norm()
+
+    def test_unequal_shift_bidegrees_padded_to_common(self, monkeypatch):
+        # Shift 0 gains two degrees in z1 and shift 1 two in z2, so every
+        # shift is padded in at least one variable.
+        p, pair, rng = self._setup()
+        shifted = bidisk_module._shifted_denominator
+        raw = []
+
+        def unequal(problem, pair, j):
+            den, d, *rest = shifted(problem, pair, j)
+            if j == 0:
+                den, d = den * vacuous_node_factor(problem.nodes[1, 0]), (d[0] + 2, d[1])
+            elif j == 1:
+                factor = vacuous_node_factor(problem.nodes[0, 1]).coeffs.reshape(1, -1)
+                den, d = den * Poly(factor), (d[0], d[1] + 2)
+            raw.append((den, d))
+            return (den, d, *rest)
+
+        monkeypatch.setattr(bidisk_module, "_shifted_denominator", unequal)
+        family = solve_bidisk_shifts(p, pair)
+        bidegree = tuple(max(d[r] for _, d in raw) for r in range(2))
+        assert family.bidegree == bidegree
+        assert raw[0][1][0] == bidegree[0] > raw[1][1][0]
+        assert raw[1][1][1] == bidegree[1] > raw[0][1][1]
+        z1, z2 = (rng.uniform(-1, 1, (2, 20)) + 1j * rng.uniform(-1, 1, (2, 20))) * 0.9
+        lam, w = p.nodes, p.values
+        for den, (old, d) in zip(family.dens, raw):
+            gap = np.subtract(bidegree, d)
+            expected = old(z1, z2) * (1 + z1) ** gap[0] * (1 + z2) ** gap[1]
+            assert np.allclose(den(z1, z2), expected, rtol=1e-10, atol=1e-12 * den.norm())
+            num = poly_reflect(den, bidegree)
+            scale = max(den.norm(), num.norm())
+            residual = np.abs(num(lam[:, 0], lam[:, 1]) - w * den(lam[:, 0], lam[:, 1]))
+            assert np.all(residual <= 1e-7 * scale * (1 + np.abs(w)))
 
 
 class TestSolveBidisk:
@@ -329,7 +356,7 @@ class TestSolveBidisk:
         rng = np.random.default_rng(13)
         p = random_bidisk_problem(rng, n_max=3)
         sol = solve_bidisk(p, seed=1)
-        ref = poly2_reflect(sol.denominator, sol.bidegree)
+        ref = poly_reflect(sol.denominator, sol.bidegree)
         # The pair is reflective up to coefficient padding; compare as functions.
         for _ in range(16):
             z1 = np.exp(2j * np.pi * rng.uniform())

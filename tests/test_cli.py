@@ -178,6 +178,37 @@ class TestBoundarySamples:
         assert captured.out == "" and "n must be >= 1" in captured.err
 
 
+class TestMalformedResult:
+    # Each case corrupts one field of a solved result file.
+    CASES = {
+        "bidisk-no-inertias": ("problems/bidisk_pair.json", "inertias", []),
+        "bidisk-one-delta": ("problems/bidisk_pair.json", "deltas", [1]),
+        "disk-short-inertia": ("problems/disk_basic.json", "inertia", [1, 2]),
+        "disk-text-inertia": ("problems/disk_basic.json", "inertia", ["x", 0, 0]),
+        "disk-zero-outside": ("problems/disk_basic.json", "blaschke", {
+            "constant": [1.0, 0.0], "f_zeros": [[2.0, 0.0]], "g_zeros": []}),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "boundary-samples"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_input_error(self, case, command, tmp_path, capsys):
+        problem, key, value = self.CASES[case]
+        out_path = tmp_path / "result.json"
+        main(["solve", problem, "--out", str(out_path), "--seed", "0"])
+        data = json.loads(out_path.read_text())
+        data[key] = value
+        dump_json(data, str(out_path))
+        capsys.readouterr()
+        assert main([command, str(out_path)]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+
+def test_malformed_seed_variable_is_input_error(disk_file, monkeypatch, capsys):
+    monkeypatch.setenv("TAKAGI_SEED", "abc")
+    assert main(["solve", disk_file]) == EXIT_INPUT
+    assert "TAKAGI_SEED" in capsys.readouterr().err
+
+
 class TestLemmaCheck:
     def test_passes(self, capsys):
         assert main(["lemma-check", "--m", "2", "--n", "1", "--trials", "5", "--seed", "0"]) == EXIT_OK

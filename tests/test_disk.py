@@ -121,7 +121,7 @@ class TestShiftedFamily:
             assert den.degree <= fam.refl_degree
 
     def test_every_shift_failing_is_a_solve_error(self, monkeypatch):
-        def failing(problem, tol=1e-9):
+        def failing(problem):
             raise SolveError("lost strict interpolation at the centered node")
 
         monkeypatch.setattr(disk_module, "solve_centered", failing)
@@ -134,8 +134,8 @@ class TestShiftedFamily:
         centered = disk_module.solve_centered
         degrees = []
 
-        def first_raised(problem, tol=1e-9):
-            sol = centered(problem, tol)
+        def first_raised(problem):
+            sol = centered(problem)
             if not degrees:
                 sol = replace(sol, den=sol.den * vacuous_node_factor(problem.nodes[1]),
                               refl_degree=sol.refl_degree + 2)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takagi.bidisk import Poly2
 from takagi.krein import SignatureMatrix
 from takagi.linalg import (
     Inertia,
@@ -149,7 +148,7 @@ def test_transfer_kernel_two_axes_matches_bidisk_evaluation(blocks):
     r = Realization(A=A, B=B, C=C, D=D, J1=SignatureMatrix(np.ones(sum(blocks))), blocks=blocks)
     num_c, den_c = transfer_coefficients(A, B, C, D, blocks, (1.0, 1.0))
     assert num_c.shape == den_c.shape == (blocks[0] + 1, blocks[1] + 1)
-    num, den = Poly2(num_c), Poly2(den_c)
+    num, den = Poly(num_c), Poly(den_c)
     for _ in range(10):
         z = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.6
         direct = eval_realization(r, z)

@@ -40,6 +40,72 @@ class TestPoly:
         p = Poly.from_roots([1.0, -1.0])
         assert np.allclose(p.coeffs, [-1.0, 0.0, 1.0])
 
+    def test_product_is_np_convolve_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for m, n in [(1, 1), (1, 7), (5, 3), (13, 19)]:
+            a = rng.normal(size=m) + 1j * rng.normal(size=m)
+            b = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert np.array_equal((Poly(a) * Poly(b)).coeffs, np.convolve(a, b))
+
+
+class TestTwoVariables:
+    def test_eval_and_degrees(self):
+        # 1 + z1 z2 + z2^2
+        p = Poly(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        assert p.degrees == (1, 2)
+        assert p(0.5, 2.0) == pytest.approx(1.0 + 0.5 * 2.0 + 4.0)
+
+    def test_arithmetic(self):
+        p = Poly(np.array([[1.0], [1.0]]))  # 1 + z1
+        q = Poly(np.array([[1.0, 1.0]]))  # 1 + z2
+        prod = p * q
+        assert prod(0.3, 0.4) == pytest.approx(1.3 * 1.4)
+        assert (p + q)(0.3, 0.4) == pytest.approx(2.0 + 0.3 + 0.4)
+
+    def test_reflection_involution(self):
+        rng = np.random.default_rng(0)
+        C = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        p = Poly(C)
+        d = (2, 3)
+        back = poly_reflect(poly_reflect(p, d), d)
+        assert np.allclose(back.coeffs, p.coeffs)
+
+    def test_reflection_torus_modulus(self):
+        rng = np.random.default_rng(1)
+        p = Poly(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        ref = poly_reflect(p, p.degrees)
+        for _ in range(32):
+            z1 = np.exp(2j * np.pi * rng.uniform())
+            z2 = np.exp(2j * np.pi * rng.uniform())
+            assert abs(abs(ref(z1, z2)) - abs(p(z1, z2))) < 1e-10 * p.norm()
+
+    def test_evaluation_is_the_double_sum(self):
+        rng = np.random.default_rng(3)
+        C = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        z1, z2 = (rng.uniform(-1, 1, (2, 20)) + 1j * rng.uniform(-1, 1, (2, 20))) * 0.9
+        direct = sum(C[k1, k2] * z1**k1 * z2**k2 for k1 in range(4) for k2 in range(3))
+        assert np.allclose(Poly(C)(z1, z2), direct, rtol=1e-13, atol=1e-13)
+
+    def test_product_is_the_double_sum(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        B = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        direct = np.zeros((4, 6), dtype=complex)
+        for i in range(3):
+            for j in range(4):
+                direct[i : i + 2, j : j + 3] += A[i, j] * B
+        prod = Poly(A) * Poly(B)
+        assert prod.degrees == (3, 5)
+        assert np.allclose(prod.coeffs, direct, rtol=0, atol=1e-13)
+        z1, z2 = (rng.uniform(-1, 1, (2, 20)) + 1j * rng.uniform(-1, 1, (2, 20))) * 0.9
+        assert np.allclose(prod(z1, z2), Poly(A)(z1, z2) * Poly(B)(z1, z2), rtol=1e-12)
+
+    def test_one_variable_factor_acts_on_the_first(self):
+        p = Poly(np.array([[1.0, 2.0], [0.0, 1.0]]))  # 1 + 2 z2 + z1 z2
+        q = p * Poly(np.array([-0.5, 1.0]))  # times (z1 - 1/2)
+        assert q.degrees == (2, 1)
+        assert q(0.3, 0.7) == pytest.approx(p(0.3, 0.7) * (0.3 - 0.5))
+
 
 class TestRoots:
     def test_factored_quadratic(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from takagi.bidisk import AglerPair, BidiskProblem, pair_gram, regularize_pair
+from takagi.bidisk import AglerPair, BidiskProblem, regularize_pair
 from takagi.krein import SignatureMatrix
 from takagi.linalg import hermitian_inertia, hermitize
 from takagi.pick import DiskProblem, gram_decompose, pick_matrix
@@ -180,8 +180,7 @@ def two_block_data(rng, N=3):
     g2 = (1.0 - np.outer(values, values.conj())
           - (1.0 - np.outer(nodes[:, 0], nodes[:, 0].conj())) * g1) / (
         1.0 - np.outer(nodes[:, 1], nodes[:, 1].conj()))
-    pair = regularize_pair(problem, AglerPair(gamma1=g1, gamma2=hermitize(g2)))
-    gram = pair_gram(pair)
+    _, gram = regularize_pair(problem, AglerPair(gamma1=g1, gamma2=hermitize(g2)))
     X = np.vstack([gram.u[0].T, gram.v[0].T, gram.u[1].T, gram.v[1].T])
     J1 = SignatureMatrix.blocks(*[(w.shape[1], s) for r in range(2)
                                   for w, s in ((gram.u[r], 1), (gram.v[r], -1))])
