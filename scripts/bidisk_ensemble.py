@@ -19,11 +19,11 @@ import numpy as np
 from takagi.bidisk import (
     AglerPair,
     BidiskProblem,
+    one_variable_pair,
     restrict_balanced,
     solve_bidisk,
 )
 from takagi.linalg import hermitize
-from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import MoebiusMap, roots_in_disk
 from takagi.verify import check_unimodular
 
@@ -58,11 +58,9 @@ def random_problem(cfg: BidiskEnsembleConfig, rng: np.random.Generator) -> Bidis
 
 def random_pair(problem: BidiskProblem, kind: int, rng: np.random.Generator) -> AglerPair:
     """kind 0/1: one-variable embedding; kind 2: generic two-variable pair."""
-    lam, w, N = problem.nodes, problem.values, problem.size
     if kind in (0, 1):
-        G = pick_matrix(DiskProblem(nodes=lam[:, kind], values=w))
-        Z = np.zeros_like(G)
-        return AglerPair(gamma1=G, gamma2=Z) if kind == 0 else AglerPair(gamma1=Z, gamma2=G)
+        return one_variable_pair(problem, kind)
+    lam, w, N = problem.nodes, problem.values, problem.size
     lhs = 1.0 - np.outer(w, w.conj())
     g1 = hermitize(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
     g2 = (lhs - (1.0 - np.outer(lam[:, 0], lam[:, 0].conj())) * g1) / (

@@ -2,7 +2,7 @@
 
 from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem, gram_decompose, pick_matrix
-from .polynomials import BlaschkeProduct, MoebiusMap, Poly, moebius_swap
+from .polynomials import BlaschkeProduct, MoebiusMap, Poly
 from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_gram
 from .realization import (
     Realization,
@@ -47,7 +47,6 @@ __all__ = [
     "gram_decompose",
     "Poly",
     "MoebiusMap",
-    "moebius_swap",
     "BlaschkeProduct",
     "SignatureMatrix",
     "PartialJIsometry",

@@ -12,9 +12,11 @@ phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data.
 Per-node Moebius re-centering in both coordinates plus a real combination
 upgrades weak interpolation to strict, as in the one-variable pipeline.  The
-polynomials are two-variable ``polynomials.Poly``s, and the vacuous node
-factors and the padding to a common bidegree are the disk's own steps
-(``disk.enforce_weak_interpolation``, ``polynomials.pad_to_degree``).
+polynomials are two-variable ``polynomials.Poly``s, and the pull-back of
+each shifted solution, the vacuous node factors, the padding to a common
+bidegree and the torus scan are the disk's own steps
+(``polynomials.moebius_pullback``, ``disk.enforce_weak_interpolation``,
+``polynomials.pad_to_degree``, ``polynomials.boundary_values``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .pick import DiskProblem, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
     Poly,
+    boundary_values,
     moebius_matrix,
+    moebius_pullback,
     pad_coeffs,
     pad_to_degree,
     poly_reflect,
@@ -422,11 +426,8 @@ class ToralReport:
 
 def toral_check(br: BiRational, grid: int = 256) -> ToralReport:
     """Scan the torus: wherever the denominator nearly vanishes, so must the numerator."""
-    theta = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
-    z = np.exp(1j * theta)
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    qv = np.abs(br.denominator(Z1, Z2))
-    pv = np.abs(br.numerator(Z1, Z2))
+    qv = np.abs(boundary_values(br.denominator, grid))
+    pv = np.abs(boundary_values(br.numerator, grid))
     qs = max(float(qv.max()), 1e-300)
     ps = max(float(pv.max()), 1e-300)
     q_small = qv < 1e-6 * qs
@@ -497,12 +498,6 @@ def _transport_pair(problem: BidiskProblem, pair: AglerPair, j: int) -> tuple[Bi
     return shifted_problem, AglerPair(gamma1=g1, gamma2=g2, y1=y1, y2=y2), maps
 
 
-def _compose_with_maps(p: Poly, maps: tuple[MoebiusMap, MoebiusMap], d: tuple[int, int]) -> Poly:
-    """Cleared composition prod_r (1 - conj(a_r) z_r)^{d_r} * p(m1(z1), m2(z2))."""
-    M1, M2 = (moebius_matrix(m.a, k) for m, k in zip(maps, d))
-    return Poly(M1 @ pad_coeffs(p.coeffs, d) @ M2.T)
-
-
 class BidiskSolveError(BidiskError):
     pass
 
@@ -531,13 +526,7 @@ def _shifted_denominator(
         raise BidiskSolveError(
             f"numerator is not a unimodular reflection of the denominator (defect {defect:.3e})"
         )
-    den = _compose_with_maps(rotate_reflective(br.denominator, c), maps, d)
-    c2, defect2 = reflective_constant(
-        _compose_with_maps(rotate_reflective(br.numerator, c), maps, d), den, d
-    )
-    # Composition may flip the reflection constant per odd degree; re-rotate.
-    if defect2 <= 1e-6 and abs(abs(c2) - 1.0) <= 1e-6:
-        den = rotate_reflective(den, c2)
+    den = moebius_pullback(rotate_reflective(br.denominator, c), [m.a for m in maps], d)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[j] != "strict":
         raise BidiskSolveError(f"lost strict interpolation at the re-centered node {j}")

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .bidisk import BidiskError, BidiskProblem, PairValidationError, solve_bidisk
+from .bidisk import BidiskError, PairValidationError, solve_bidisk
 from .disk import SolveError, solve
 from .io import (
     ProblemFileError,
@@ -29,7 +29,7 @@ from .io import (
 from .krein import ExtensionError
 from .linalg import hermitian_inertia
 from .pick import DiskProblem, pick_matrix
-from .polynomials import BlaschkeProduct, Poly, poly_roots
+from .polynomials import BlaschkeProduct, boundary_values, midpoint_angles
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -117,34 +117,21 @@ def cmd_boundary_samples(args) -> int:
         return EXIT_INPUT
     data = load_json(args.file)
     solution, problem, _ = result_to_solution(data)
-    if isinstance(problem, DiskProblem):
-        num = solution.interpolant.numerator
-        den = solution.interpolant.denominator
-        roots = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
-        print("theta,abs_phi,arg_phi,flag")
-        for k in range(n):
-            theta = 2.0 * np.pi * (k + 0.5) / n
-            z = np.exp(1j * theta)
-            flagged = bool(roots.size) and bool(np.min(np.abs(z - roots)) < 1e-6)
-            if flagged:
-                print(f"{theta:.12g},nan,nan,1")
-                continue
-            val = num(z) / den(z)
-            print(f"{theta:.12g},{abs(val):.12g},{np.angle(val):.12g},0")
-        return EXIT_OK
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    z = np.exp(1j * theta)
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    qv = solution.denominator(Z1, Z2)
-    pv = solution.numerator(Z1, Z2)
-    qmax = max(float(np.max(np.abs(qv))), 1e-300)
-    print("theta1,theta2,abs_phi,flag")
-    for a in range(n):
-        for b in range(n):
-            if abs(qv[a, b]) < 1e-6 * qmax:
-                print(f"{theta[a]:.12g},{theta[b]:.12g},nan,1")
-            else:
-                print(f"{theta[a]:.12g},{theta[b]:.12g},{abs(pv[a, b] / qv[a, b]):.12g},0")
+    disk = isinstance(problem, DiskProblem)
+    phi = solution.interpolant if disk else solution
+    num, den = phi.numerator, phi.denominator
+    theta = midpoint_angles(n)
+    qv = boundary_values(den, n)
+    pv = boundary_values(num, n)
+    # The one near-pole rule of verify.check_unimodular.
+    flags = np.abs(qv) < verify.POLE_EXCLUSION * max(float(np.max(np.abs(qv))), 1e-300)
+    print("theta,abs_phi,arg_phi,flag" if disk else "theta1,theta2,abs_phi,flag")
+    for idx in np.ndindex(qv.shape):
+        val = complex(np.nan) if flags[idx] else pv[idx] / qv[idx]
+        cells = [f"{theta[k]:.12g}" for k in idx] + [f"{abs(val):.12g}"]
+        if disk:
+            cells.append(f"{np.angle(val):.12g}")
+        print(",".join(cells + [str(int(flags[idx]))]))
     return EXIT_OK
 
 

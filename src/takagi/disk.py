@@ -20,7 +20,7 @@ from .polynomials import (
     BlaschkeProduct,
     MoebiusMap,
     Poly,
-    moebius_compose_poly,
+    moebius_pullback,
     pad_coeffs,
     pad_to_degree,
     poly_gcd_numeric,
@@ -199,13 +199,8 @@ def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
             errors.append(f"node {j}: {exc}")
             continue
         inertia = sol.inertia
-        # Pull back through the swap map at the same reflection degree.
-        # Composition flips the reflection constant by (-1)**d; rotating by 1j
-        # makes the reflection of den_j its numerator again.
         d_j = sol.refl_degree
-        den_j, _ = moebius_compose_poly(m, sol.den, d_j)
-        if d_j % 2 == 1:
-            den_j = 1j * den_j
+        den_j = moebius_pullback(sol.den, m.a, d_j)
         if abs(den_j(problem.nodes[j])) <= 1e-10 * max(den_j.norm(), 1e-300):
             errors.append(f"node {j}: shifted denominator vanishes at its own node")
             continue
@@ -367,19 +362,16 @@ def solve(
 ) -> TakagiSolution:
     """Full pipeline: shifted solves, real combination, certification.
 
-    Positive semi-definite problems go through the classical pole-free solve
-    first; anything else (or a breakdown there) uses the general machinery.
+    The classical pole-free solve goes first; it rejects a matrix with a
+    negative eigenvalue at once, and that (or a breakdown there) hands the
+    problem to the general machinery.
     """
-    solution = None
-    G = pick_matrix(problem)
-    if float(np.min(np.linalg.eigvalsh(G))) > -1e-9 * max(1.0, float(np.linalg.norm(G))):
-        try:
-            solution = solve_positive(problem)
-        except (SolveError, ExtensionError):
-            solution = None
+    try:
+        solution = solve_positive(problem)
+    except (SolveError, ExtensionError):
+        solution = None
     if solution is None:
-        family = solve_all_shifts(problem)
-        solution = combine(family, problem, rng=np.random.default_rng(seed))
+        solution = combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
     if certify:
         solution.certificates.update(certify_disk(solution, problem))
     return solution

@@ -18,7 +18,7 @@ from .bidisk import AglerPair, BidiskProblem, BidiskSolution, BiRational
 from .disk import RationalInterpolant, TakagiSolution
 from .linalg import Inertia
 from .pick import DiskProblem
-from .polynomials import BlaschkeProduct, Poly
+from .polynomials import BlaschkeProduct, NonFiniteCoefficientError, Poly
 
 SCHEMA_VERSION = 1
 
@@ -222,6 +222,14 @@ def bidisk_result_to_dict(
     return out
 
 
+def _decode_poly(data: dict, key: str, decode) -> Poly:
+    """The polynomial stored under ``key``; a non-finite coefficient is an input error."""
+    try:
+        return Poly(decode(_require(data, key), key))
+    except NonFiniteCoefficientError as exc:
+        raise ProblemFileError(f"{key}: {exc}") from exc
+
+
 def result_to_solution(data: dict):
     """Rebuild (solution, problem) from a result dictionary for re-certification."""
     if not isinstance(data, dict):
@@ -229,8 +237,8 @@ def result_to_solution(data: dict):
     kind = _require(data, "kind")
     problem, pair = problem_from_dict(_require(data, "problem"))
     if kind == "disk":
-        num = Poly(decode_vector(_require(data, "numerator"), "numerator"))
-        den = Poly(decode_vector(_require(data, "denominator"), "denominator"))
+        num = _decode_poly(data, "numerator", decode_vector)
+        den = _decode_poly(data, "denominator", decode_vector)
         bl = _require(data, "blaschke")
         constant = decode_complex(_require(bl, "constant"), "blaschke.constant")
         f_zeros = tuple(decode_vector(bl.get("f_zeros", []), "blaschke.f_zeros"))
@@ -253,8 +261,8 @@ def result_to_solution(data: dict):
         )
         return solution, problem, pair
     if kind == "bidisk":
-        num = Poly(decode_matrix(_require(data, "numerator"), "numerator"))
-        den = Poly(decode_matrix(_require(data, "denominator"), "denominator"))
+        num = _decode_poly(data, "numerator", decode_matrix)
+        den = _decode_poly(data, "denominator", decode_matrix)
         rows = _require(data, "inertias")
         if not (isinstance(rows, list) and len(rows) == 2):
             raise ProblemFileError(f"inertias: expected two inertias, got {rows!r}")
@@ -263,8 +271,8 @@ def result_to_solution(data: dict):
         weak = None
         if "weak_numerator" in data and "weak_denominator" in data:
             weak = BiRational(
-                numerator=Poly(decode_matrix(data["weak_numerator"], "weak_numerator")),
-                denominator=Poly(decode_matrix(data["weak_denominator"], "weak_denominator")),
+                numerator=_decode_poly(data, "weak_numerator", decode_matrix),
+                denominator=_decode_poly(data, "weak_denominator", decode_matrix),
             )
         solution = BidiskSolution(
             numerator=num,

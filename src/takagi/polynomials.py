@@ -11,13 +11,15 @@ running a Euclidean remainder sequence, which is unstable in floating point.
 
 The coefficient-space kernels shared by the disk and bidisk solvers live
 here: Moebius composition as a matrix on coefficients (``moebius_matrix``),
-reflection at a declared degree per variable (``poly_reflect``), the
-reflective constant of a numerator/denominator pair
-(``reflective_constant``), padding to a common declared degree
-(``pad_to_degree``), the agreement of two rational functions away from their
-poles (``ratio_agreement``), the vacuous node factor, the roots inside the
-disk (``roots_in_disk``) and the cancellation of near-common roots
-(``reduce_common_roots``).
+the pull-back of a shifted weak solution (``moebius_pullback``), the values
+on the circle or torus midpoint grid (``boundary_values``), reflection at a
+declared degree per variable (``poly_reflect``), the reflective constant of a
+numerator/denominator pair (``reflective_constant``), padding to a common
+declared degree (``pad_to_degree``), the agreement of two rational functions
+away from their poles (``ratio_agreement``), the vacuous node factor, the
+roots inside the disk (``roots_in_disk``) and the cancellation of near-common
+roots (``reduce_common_roots``).  A NaN or infinite coefficient raises
+``NonFiniteCoefficientError``.
 """
 
 from __future__ import annotations
@@ -32,11 +34,18 @@ TRIM_RTOL = 1e-10
 DISK_INTERIOR = 1.0 - 1e-9
 
 
+class NonFiniteCoefficientError(ArithmeticError):
+    """A polynomial coefficient is NaN or infinite."""
+
+
 def _trim(coeffs: np.ndarray, rtol: float = TRIM_RTOL) -> np.ndarray:
     """Coefficients cut after the last entry above ``rtol`` times the largest, per axis."""
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     mags = np.abs(coeffs)
-    kept = np.nonzero(mags > rtol * float(mags.max(initial=0.0)))
+    top = float(mags.max(initial=0.0))
+    if not math.isfinite(top):
+        raise NonFiniteCoefficientError(f"polynomial coefficient is {top}")
+    kept = np.nonzero(mags > rtol * top)
     if kept[0].size == 0:
         return np.zeros((0,) * coeffs.ndim, dtype=complex)
     return coeffs[tuple(slice(0, k.max() + 1) for k in kept)].copy()
@@ -313,10 +322,6 @@ class MoebiusMap:
 
 
 
-def moebius_swap(a: complex) -> MoebiusMap:
-    return MoebiusMap(complex(a))
-
-
 def moebius_matrix(a: complex, d: int) -> np.ndarray:
     """Coefficient map of p -> (1 - conj(a) z)**d * p(m(z)) at degree d, m = MoebiusMap(a).
 
@@ -333,18 +338,36 @@ def moebius_matrix(a: complex, d: int) -> np.ndarray:
     return np.column_stack([np.convolve(num_pows[k], den_pows[d - k]) for k in range(d + 1)])
 
 
-def moebius_compose_poly(m: MoebiusMap, p: Poly, d: int | None = None) -> tuple[Poly, Poly]:
-    """Numerator/denominator of p(m(z)) cleared of denominators at degree d.
+def moebius_pullback(p: Poly, a, d) -> Poly:
+    """Cleared composition of p with one Moebius map per variable, times i at odd |d|.
 
-    Returns (num, den) with ``num = (1 - conj(a) z)**d * p(m(z))`` and
-    ``den = (1 - conj(a) z)**d``; d defaults to deg p and must be >= deg p.
+    Returns ``i**(|d| mod 2) * prod_r (1 - conj(a_r) z_r)**d_r * p(m_1(z_1), ...)``
+    with m_r = MoebiusMap(a_r): one parameter a_r and declared degree
+    d_r >= deg p per variable (scalars on one variable), |d| = sum_r d_r.
+    The composition is ``M @ c`` on one variable and ``M1 @ C @ M2.T`` on two
+    (``moebius_matrix``).  Composition multiplies the reflection at d by
+    (-1)**|d|; the factor i undoes that, so the pull-back of a weak
+    solution's denominator is again one.
     """
-    if d is None:
-        d = max(p.degree, 0)
-    if d < p.degree:
-        raise ValueError("clearing degree below deg p")
-    M = moebius_matrix(m.a, d)
-    return Poly(M @ pad_coeffs(p.coeffs, (d,))), Poly(M[:, 0])
+    d = _degrees(d)
+    a = np.broadcast_to(np.asarray(a, dtype=complex), (len(d),))
+    c = pad_coeffs(p.coeffs, d)
+    out = (moebius_matrix(a[0], d[0]) @ c.reshape(d[0] + 1, -1)).reshape(c.shape)
+    for axis in range(1, len(d)):
+        M = moebius_matrix(a[axis], d[axis])
+        out = np.swapaxes(np.swapaxes(out, axis, -1) @ M.T, axis, -1)
+    return Poly(out * 1j if sum(d) % 2 else out)
+
+
+def midpoint_angles(n: int) -> np.ndarray:
+    """Angles 2 pi (m + 1/2) / n, m = 0..n-1, of the boundary grid."""
+    return 2.0 * np.pi * (np.arange(n) + 0.5) / n
+
+
+def boundary_values(p: Poly, n: int) -> np.ndarray:
+    """p at exp(i * midpoint_angles(n)) in each variable: shape (n,) or (n, n)."""
+    z = np.exp(1j * midpoint_angles(n))
+    return p(*np.meshgrid(*(z,) * p.coeffs.ndim, indexing="ij", sparse=True))
 
 
 def vacuous_node_factor(lam: complex) -> Poly:

@@ -8,7 +8,8 @@ The two per-node classification rules live here and serve the disk and bidisk
 solvers alike: ``node_status`` (strict | weak | fail, the rule of
 ``check_interpolation``) judges a finished interpolant, and
 ``weak_node_status`` (strict | weak | forced-weak) judges a weak solution by
-the residual of its cleared identity.
+the residual of its cleared identity.  ``check_unimodular`` is the one
+boundary scan, on the circle or the torus.
 """
 
 from __future__ import annotations
@@ -19,10 +20,19 @@ import numpy as np
 
 from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem
-from .polynomials import BlaschkeProduct, MoebiusMap, Poly, poly_roots, roots_in_disk
+from .polynomials import (
+    BlaschkeProduct,
+    MoebiusMap,
+    Poly,
+    boundary_values,
+    poly_roots,
+    roots_in_disk,
+)
 
 STRICT_TOL = 1e-7
 UNIMODULAR_TOL = 1e-7
+# Boundary points where |den| is below this fraction of its largest grid value
+# count as near a pole.
 POLE_EXCLUSION = 1e-6
 
 
@@ -75,16 +85,15 @@ def check_interpolation(
 
 
 def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:
-    """Max | |phi| - 1 | on the circle, skipping points near denominator roots."""
-    theta = 2.0 * np.pi * (np.arange(samples) + 0.5) / samples
-    z = np.exp(1j * theta)
-    roots = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
-    keep = np.ones(samples, dtype=bool)
-    for r in roots:
-        keep &= np.abs(z - r) > POLE_EXCLUSION
+    """Max | |phi| - 1 | on the circle (torus) midpoint grid, skipping points near poles.
+
+    ``samples`` points per variable (``polynomials.boundary_values``).
+    """
+    qv = boundary_values(den, samples)
+    keep = np.abs(qv) > POLE_EXCLUSION * max(float(np.max(np.abs(qv))), 1e-300)
     if not np.any(keep):
         return np.inf
-    vals = num(z[keep]) / den(z[keep])
+    vals = boundary_values(num, samples)[keep] / qv[keep]
     return float(np.max(np.abs(np.abs(vals) - 1.0)))
 
 
@@ -219,16 +228,8 @@ def augmented_inertia(
 
 
 def torus_unimodularity(num2, den2, grid: int = 128) -> float:
-    """Max | |phi| - 1 | on a torus grid, skipping cells near denominator zeros."""
-    theta = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
-    z = np.exp(1j * theta)
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    qv = den2(Z1, Z2)
-    keep = np.abs(qv) > 1e-6 * max(float(np.max(np.abs(qv))), 1e-300)
-    if not np.any(keep):
-        return np.inf
-    vals = num2(Z1, Z2)[keep] / qv[keep]
-    return float(np.max(np.abs(np.abs(vals) - 1.0)))
+    """``check_unimodular`` on the torus, ``grid`` points per variable."""
+    return check_unimodular(num2, den2, grid)
 
 
 def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> dict:

@@ -167,6 +167,22 @@ class TestBoundarySamples:
         assert lines[0].startswith("theta1")
         assert len(lines) == 65
 
+    def test_flag_is_denominator_size(self, disk_file, tmp_path, capsys):
+        # A double pole 1e-4 off the first sample point: the point keeps clear
+        # of the pole, but |den| there is 2.5e-9 of its largest sample.
+        out_path = tmp_path / "result.json"
+        main(["solve", disk_file, "--out", str(out_path), "--seed", "0"])
+        data = json.loads(out_path.read_text())
+        pole = (1.0 + 1e-4) * np.exp(0.25j * np.pi)
+        data["numerator"] = [[1.0, 0.0]]
+        data["denominator"] = [[z.real, z.imag] for z in np.convolve([-pole, 1.0], [-pole, 1.0])]
+        dump_json(data, str(out_path))
+        capsys.readouterr()
+        assert main(["boundary-samples", str(out_path), "--n", "4"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1", "0", "0", "0"]
+        assert rows[0].split(",")[1:3] == ["nan", "nan"]
+
     @pytest.mark.parametrize(("problem", "n"), [(BIDISK_PROBLEM, "0"), (DISK_PROBLEM, "-3")])
     def test_nonpositive_n_is_input_error(self, problem, n, tmp_path, capsys):
         problem_path, out_path = tmp_path / "problem.json", tmp_path / "result.json"
@@ -187,6 +203,8 @@ class TestMalformedResult:
         "disk-text-inertia": ("problems/disk_basic.json", "inertia", ["x", 0, 0]),
         "disk-zero-outside": ("problems/disk_basic.json", "blaschke", {
             "constant": [1.0, 0.0], "f_zeros": [[2.0, 0.0]], "g_zeros": []}),
+        "disk-nan-numerator": ("problems/disk_basic.json", "numerator", [[1.0, 0.0], ["nan", 0.0]]),
+        "bidisk-inf-weak": ("problems/bidisk_pair.json", "weak_numerator", [[["inf", 0.0]]]),
     }
 
     @pytest.mark.parametrize("command", ["verify", "boundary-samples"])

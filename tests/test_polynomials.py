@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from takagi.polynomials import (
     BlaschkeProduct,
     MoebiusMap,
+    NonFiniteCoefficientError,
     Poly,
-    moebius_compose_poly,
+    boundary_values,
     moebius_matrix,
-    moebius_swap,
+    moebius_pullback,
     poly_gcd_numeric,
     poly_reflect,
     poly_roots,
@@ -24,6 +25,13 @@ class TestPoly:
     def test_trim(self):
         p = Poly(np.array([1.0, 2.0, 1e-30]))
         assert p.degree == 1
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1.0, np.nan], [np.inf, 1.0], [[np.inf, 1.0]], [[1.0, 0.0], [0.0, np.nan]]]
+    )
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        with pytest.raises(NonFiniteCoefficientError):
+            Poly(np.array(coeffs))
 
     def test_arithmetic(self):
         p = Poly(np.array([1.0, 1.0]))
@@ -187,11 +195,11 @@ class TestGcd:
 
 class TestMoebius:
     def test_zero_parameter_is_negation(self):
-        m = moebius_swap(0.0)
+        m = MoebiusMap(0.0)
         assert m(0.3 + 0.1j) == pytest.approx(-0.3 - 0.1j)
 
     def test_swaps_zero_and_parameter(self):
-        m = moebius_swap(0.5)
+        m = MoebiusMap(0.5)
         assert m(0.5) == pytest.approx(0.0)
         assert m(0.0) == pytest.approx(0.5)
 
@@ -214,12 +222,11 @@ class TestMoebius:
         rng = np.random.default_rng(4)
         p = Poly(rng.normal(size=size) + 1j * rng.normal(size=size))
         m = MoebiusMap(a)
-        d = None if extra is None else p.degree + extra
-        num, den = moebius_compose_poly(m, p, d)
+        d = p.degree + (extra or 0)
+        pulled = moebius_pullback(p, a, d)
         z = (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)) * 0.6
-        assert np.max(np.abs(num(z) / den(z) - p(m(z)))) < 1e-10
-        cleared = (1.0 - np.conj(a) * z) ** (p.degree if d is None else d)
-        assert np.max(np.abs(den(z) - cleared)) < 1e-12 * np.max(np.abs(cleared))
+        direct = 1j ** (d % 2) * (1.0 - np.conj(a) * z) ** d * p(m(z))
+        assert np.max(np.abs(pulled(z) - direct)) < 1e-10 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("a", [0.0, 0.3, -0.45 + 0.2j, 0.9j, -0.45 + 0.77j])
     def test_matrix_is_scaled_involution(self, a):
@@ -229,6 +236,33 @@ class TestMoebius:
             target = (1.0 - abs(a) ** 2) ** d * np.eye(d + 1)
             tol = 1e-13 * max(1.0, float(np.max(np.abs(M)))) ** 2 * (d + 1)
             assert np.max(np.abs(M @ M - target)) < tol
+
+
+class TestPullback:
+    CASES = [((5,), 0.3 - 0.4j, (4,)), ((5,), -0.6j, (5,)), ((3, 4), (0.3 - 0.2j, 0.7), (2, 3)),
+             ((3, 4), (-0.5j, 0.0), (3, 3)), ((2, 2), (0.85, -0.6 + 0.4j), (1, 2))]
+
+    @pytest.mark.parametrize("shape, a, d", CASES, ids=["k1-even", "k1-odd", "k2-odd", "k2-even",
+                                                       "k2-odd-declared"])
+    def test_commutes_with_reflection(self, shape, a, d):
+        # reflect(pullback(p), d) == pullback(reflect(p, d)): a weak solution
+        # reflect(p, d)/p pulls back to a weak solution at the same degree.
+        rng = np.random.default_rng(21)
+        p = Poly(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        lhs = poly_reflect(moebius_pullback(p, a, d), d)
+        rhs = moebius_pullback(poly_reflect(p, d), a, d)
+        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12 * rhs.norm()
+
+
+class TestBoundaryValues:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_boundary_values_match_full_grid(self, k):
+        rng = np.random.default_rng(22)
+        shape = (7, 5)[:k]
+        p = Poly(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        z = np.exp(1j * 2.0 * np.pi * (np.arange(64) + 0.5) / 64)
+        full = p(*np.meshgrid(*(z,) * k, indexing="ij"))
+        assert np.array_equal(boundary_values(p, 64), full)
 
 
 class TestBlaschke:
