@@ -54,7 +54,7 @@ from .polynomials import (
     rotate_reflective,
 )
 from .realization import Realization, lurking_colligation
-from .verify import certify_bidisk, node_status
+from .verify import certify_bidisk, near_pole, node_status
 
 PAIR_RESIDUAL_TOL = 1e-9
 
@@ -426,13 +426,10 @@ class ToralReport:
 
 def toral_check(br: BiRational, grid: int = 256) -> ToralReport:
     """Scan the torus: wherever the denominator nearly vanishes, so must the numerator."""
-    qv = np.abs(boundary_values(br.denominator, grid))
+    qv = boundary_values(br.denominator, grid)
     pv = np.abs(boundary_values(br.numerator, grid))
-    qs = max(float(qv.max()), 1e-300)
-    ps = max(float(pv.max()), 1e-300)
-    q_small = qv < 1e-6 * qs
-    p_small = pv < 1e-6 * ps
-    p_large = pv > 1e-3 * ps
+    q_small, p_small = near_pole(qv), near_pole(pv)
+    p_large = pv > 1e-3 * max(float(pv.max()), 1e-300)
     common = q_small & p_small
     violations = int(np.sum(q_small & p_large))
     cells = [tuple(map(int, idx)) for idx in np.argwhere(common)[:64]]

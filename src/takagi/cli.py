@@ -123,8 +123,7 @@ def cmd_boundary_samples(args) -> int:
     theta = midpoint_angles(n)
     qv = boundary_values(den, n)
     pv = boundary_values(num, n)
-    # The one near-pole rule of verify.check_unimodular.
-    flags = np.abs(qv) < verify.POLE_EXCLUSION * max(float(np.max(np.abs(qv))), 1e-300)
+    flags = verify.near_pole(qv)
     print("theta,abs_phi,arg_phi,flag" if disk else "theta1,theta2,abs_phi,flag")
     for idx in np.ndindex(qv.shape):
         val = complex(np.nan) if flags[idx] else pv[idx] / qv[idx]

@@ -19,6 +19,7 @@ from .pick import DiskProblem, GramDecomposition, gram_decompose, pick_matrix
 from .polynomials import (
     BlaschkeProduct,
     MoebiusMap,
+    NonFiniteCoefficientError,
     Poly,
     moebius_pullback,
     pad_coeffs,
@@ -195,7 +196,7 @@ def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
         shifted = DiskProblem(nodes=m(problem.nodes[order]), values=problem.values[order])
         try:
             sol = solve_centered(shifted)
-        except (SolveError, ExtensionError) as exc:
+        except (SolveError, ExtensionError, NonFiniteCoefficientError) as exc:
             errors.append(f"node {j}: {exc}")
             continue
         inertia = sol.inertia
@@ -368,9 +369,7 @@ def solve(
     """
     try:
         solution = solve_positive(problem)
-    except (SolveError, ExtensionError):
-        solution = None
-    if solution is None:
+    except (SolveError, ExtensionError, NonFiniteCoefficientError):
         solution = combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
     if certify:
         solution.certificates.update(certify_disk(solution, problem))

@@ -32,8 +32,9 @@ from .polynomials import (
 STRICT_TOL = 1e-7
 UNIMODULAR_TOL = 1e-7
 # Boundary points where |den| is below this fraction of its largest grid value
-# count as near a pole.
-POLE_EXCLUSION = 1e-6
+# count as near a pole: there the rounding of den alone, about machine epsilon
+# times its largest value, can reach UNIMODULAR_TOL of |phi|.
+POLE_EXCLUSION = 1e-9
 
 
 class OracleError(ValueError):
@@ -84,13 +85,19 @@ def check_interpolation(
     return node_status(num(problem.nodes), den(problem.nodes), problem.values, scale, tol)
 
 
+def near_pole(values: np.ndarray) -> np.ndarray:
+    """Mask of the grid values below POLE_EXCLUSION times the largest of them."""
+    mags = np.abs(values)
+    return mags < POLE_EXCLUSION * max(float(np.max(mags)), 1e-300)
+
+
 def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:
     """Max | |phi| - 1 | on the circle (torus) midpoint grid, skipping points near poles.
 
     ``samples`` points per variable (``polynomials.boundary_values``).
     """
     qv = boundary_values(den, samples)
-    keep = np.abs(qv) > POLE_EXCLUSION * max(float(np.max(np.abs(qv))), 1e-300)
+    keep = ~near_pole(qv)
     if not np.any(keep):
         return np.inf
     vals = boundary_values(num, samples)[keep] / qv[keep]
@@ -251,10 +258,7 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     wmax = float(np.max(np.abs(problem.values)))
     defect = torus_unimodularity(num2, den2)
     toral = toral_check(solution.birational())
-    (pi1, nu1, _), (pi2, nu2, _) = (
-        solution.inertias[0].as_tuple(),
-        solution.inertias[1].as_tuple(),
-    )
+    (pi1, nu1, _), (pi2, nu2, _) = (inertia.as_tuple() for inertia in solution.inertias)
     d1, d2 = solution.deltas
     bound_constructive = (pi1 + nu1 + 2 * d1, pi2 + nu2 + 2 * d2)
     bound_declared = (pi1 + nu1 + d1, pi2 + nu2 + d2)

@@ -168,12 +168,12 @@ class TestBoundarySamples:
         assert len(lines) == 65
 
     def test_flag_is_denominator_size(self, disk_file, tmp_path, capsys):
-        # A double pole 1e-4 off the first sample point: the point keeps clear
-        # of the pole, but |den| there is 2.5e-9 of its largest sample.
+        # A double pole 1e-5 off the first sample point: the point keeps clear
+        # of the pole, but |den| there is 2.5e-11 of its largest sample.
         out_path = tmp_path / "result.json"
         main(["solve", disk_file, "--out", str(out_path), "--seed", "0"])
         data = json.loads(out_path.read_text())
-        pole = (1.0 + 1e-4) * np.exp(0.25j * np.pi)
+        pole = (1.0 + 1e-5) * np.exp(0.25j * np.pi)
         data["numerator"] = [[1.0, 0.0]]
         data["denominator"] = [[z.real, z.imag] for z in np.convolve([-pole, 1.0], [-pole, 1.0])]
         dump_json(data, str(out_path))

@@ -128,6 +128,20 @@ class TestShiftedFamily:
         with pytest.raises(SolveError, match="every shifted solve failed"):
             solve_all_shifts(BASIC)
 
+    def test_non_finite_shift_is_dropped(self, monkeypatch):
+        centered = disk_module.solve_centered
+        calls = []
+
+        def first_non_finite(problem):
+            calls.append(problem)
+            if len(calls) == 1:
+                Poly(np.array([1.0, np.nan]))
+            return centered(problem)
+
+        monkeypatch.setattr(disk_module, "solve_centered", first_non_finite)
+        fam = solve_all_shifts(BASIC)
+        assert len(fam.dens) == BASIC.size - 1
+
     def test_lower_degree_shifts_padded_to_common_degree(self, monkeypatch):
         # The first shift gains a vacuous factor (two degrees); the others must
         # be padded up to its degree and keep the weak identity there.
@@ -231,6 +245,16 @@ class TestSolve:
         sol = solve(p, seed=0)
         assert sol.interpolant.poles_in_disk == 0
         assert sol.g.degree == 0
+        assert sol.certificates["pass"]
+
+    def test_non_finite_positive_solve_falls_back_to_shifts(self, monkeypatch):
+        def non_finite(problem):
+            return Poly(np.array([np.inf, 1.0]))
+
+        monkeypatch.setattr(disk_module, "solve_positive", non_finite)
+        b = lambda z: 0.8 * (z - 0.3) / (1 - 0.3 * z)  # noqa: E731
+        nodes = np.array([0.0, 0.4, -0.2 + 0.3j])
+        sol = solve(DiskProblem(nodes=nodes, values=b(nodes)), seed=0)
         assert sol.certificates["pass"]
 
     def test_deterministic_for_fixed_seed(self):

@@ -225,8 +225,8 @@ class TestMoebius:
         d = p.degree + (extra or 0)
         pulled = moebius_pullback(p, a, d)
         z = (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)) * 0.6
-        direct = 1j ** (d % 2) * (1.0 - np.conj(a) * z) ** d * p(m(z))
-        assert np.max(np.abs(pulled(z) - direct)) < 1e-10 * np.max(np.abs(direct))
+        cleared = 1j ** (d % 2) * (1.0 - np.conj(a) * z) ** d
+        assert np.max(np.abs(pulled(z) / cleared - p(m(z)))) < 1e-10
 
     @pytest.mark.parametrize("a", [0.0, 0.3, -0.45 + 0.2j, 0.9j, -0.45 + 0.77j])
     def test_matrix_is_scaled_involution(self, a):
