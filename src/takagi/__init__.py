@@ -2,7 +2,7 @@
 
 from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem, gram_decompose, pick_matrix
-from .polynomials import BlaschkeProduct, MoebiusMap, Poly
+from .polynomials import BlaschkeProduct, MoebiusMap, Poly, Rational
 from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_gram
 from .realization import (
     Realization,
@@ -11,12 +11,11 @@ from .realization import (
     lurking_colligation,
     realization_to_rational,
 )
-from .disk import RationalInterpolant, TakagiSolution, combine, solve, solve_all_shifts, solve_centered
+from .disk import TakagiSolution, combine, solve, solve_all_shifts, solve_centered
 from .bidisk import (
     AglerPair,
     BidiskProblem,
     BidiskSolution,
-    BiRational,
     build_bidisk_realization,
     one_variable_pair,
     regularize_pair,
@@ -31,7 +30,6 @@ __all__ = [
     "AglerPair",
     "BidiskProblem",
     "BidiskSolution",
-    "BiRational",
     "build_bidisk_realization",
     "one_variable_pair",
     "regularize_pair",
@@ -46,6 +44,7 @@ __all__ = [
     "pick_matrix",
     "gram_decompose",
     "Poly",
+    "Rational",
     "MoebiusMap",
     "BlaschkeProduct",
     "SignatureMatrix",
@@ -57,7 +56,6 @@ __all__ = [
     "realization_to_rational",
     "kernel_forms",
     "lurking_colligation",
-    "RationalInterpolant",
     "TakagiSolution",
     "solve",
     "solve_centered",

@@ -12,11 +12,13 @@ phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data.
 Per-node Moebius re-centering in both coordinates plus a real combination
 upgrades weak interpolation to strict, as in the one-variable pipeline.  The
-polynomials are two-variable ``polynomials.Poly``s, and the pull-back of
-each shifted solution, the vacuous node factors, the padding to a common
-bidegree and the torus scan are the disk's own steps
-(``polynomials.moebius_pullback``, ``disk.enforce_weak_interpolation``,
-``polynomials.pad_to_degree``, ``polynomials.boundary_values``).
+polynomials are two-variable ``polynomials.Poly``s and the quotients
+``polynomials.Rational``s.  Only the per-node solve (``_shifted_denominator``)
+is the bidisk's own; the reflective-pair rule, the pull-back, the vacuous node
+factors, the loop over the shifts, the real combination, the strict check and
+the torus scan are the disk's (``disk.solve_shifts`` and its neighbours,
+``polynomials.moebius_pullback``, ``polynomials.boundary_values``).  Every
+bidisk error is a ``disk.SolveError``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .disk import enforce_weak_interpolation
+from .disk import (
+    ShiftedFamily,
+    SolveError,
+    best_reflective_pair,
+    combine_shifts,
+    enforce_weak_interpolation,
+    require_strict,
+    solve_shifts,
+)
 from .krein import SignatureMatrix
 from .linalg import (
     Inertia,
@@ -33,7 +43,6 @@ from .linalg import (
     check_hermitian,
     hermitize,
     rank_with_tol,
-    real_combination,
     resolvent_stack,
     sample_grid,
     transfer_coefficients,
@@ -43,23 +52,22 @@ from .pick import DiskProblem, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
     Poly,
+    Rational,
     boundary_values,
     moebius_matrix,
     moebius_pullback,
     pad_coeffs,
-    pad_to_degree,
-    poly_reflect,
     reduce_common_roots,
-    reflective_constant,
-    rotate_reflective,
 )
 from .realization import Realization, lurking_colligation
-from .verify import certify_bidisk, near_pole, node_status
+from .verify import certify_bidisk, near_pole
 
 PAIR_RESIDUAL_TOL = 1e-9
+# Relative singular-value threshold of the rank conditions.
+RANK_TOL = 1e-8
 
 
-class BidiskError(RuntimeError):
+class BidiskError(SolveError):
     pass
 
 
@@ -229,7 +237,7 @@ def pair_gram(pair: AglerPair) -> PairGram:
                     deltas=(deltas[0], deltas[1]))
 
 
-def _rank_conditions(problem: BidiskProblem, gram: PairGram, tol: float = 1e-8) -> tuple[bool, bool]:
+def _rank_conditions(problem: BidiskProblem, gram: PairGram) -> tuple[bool, bool]:
     """Rank-N tests for the value-side and node-side Gram matrices.
 
     With Delta^r the sum of Grams of the widened vectors, condition (a) asks
@@ -247,23 +255,23 @@ def _rank_conditions(problem: BidiskProblem, gram: PairGram, tol: float = 1e-8) 
         delta = gram.u[r] @ gram.u[r].conj().T + gram.v[r] @ gram.v[r].conj().T
         a_mat = a_mat + delta
         b_mat = b_mat + np.outer(lam[:, r], lam[:, r].conj()) * delta
-    ra = rank_with_tol(hermitize(a_mat), tol)
-    rb = rank_with_tol(hermitize(b_mat), tol)
+    ra = rank_with_tol(hermitize(a_mat), RANK_TOL)
+    rb = rank_with_tol(hermitize(b_mat), RANK_TOL)
     return ra == N, rb == N
 
 
-def validate_pair(problem: BidiskProblem, pair: AglerPair, tol: float = PAIR_RESIDUAL_TOL) -> float:
-    """Residual of the decomposition identity; PairValidationError beyond ``tol``."""
+def validate_pair(problem: BidiskProblem, pair: AglerPair) -> float:
+    """Residual of the decomposition identity; PairValidationError beyond PAIR_RESIDUAL_TOL."""
     if pair.size != problem.size:
         raise ValueError("pair dimension does not match the problem size")
     residual = pair_residual(problem, pair)
-    if residual > tol * max(1.0, float(np.max(np.abs(problem.values))) ** 2):
+    if residual > PAIR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(problem.values))) ** 2):
         raise PairValidationError(residual)
     return residual
 
 
 def regularize_pair(
-    problem: BidiskProblem, pair: AglerPair, seed: int = 7, tol: float = 1e-8
+    problem: BidiskProblem, pair: AglerPair, seed: int = 7
 ) -> tuple[AglerPair, PairGram]:
     """Populate positive semi-definite regularizers until the rank conditions hold.
 
@@ -274,7 +282,7 @@ def regularize_pair(
     identity (which the regularizers never enter) keeps its meaning.
     """
     gram = pair_gram(pair)
-    if all(_rank_conditions(problem, gram, tol)):
+    if all(_rank_conditions(problem, gram)):
         return pair, gram
     N = problem.size
     rho = 1e-2 * max(1.0, float(np.linalg.norm(pair.gamma1) + np.linalg.norm(pair.gamma2)))
@@ -296,7 +304,7 @@ def regularize_pair(
                     ys.append(rho * (G @ G.conj().T))
             candidate = AglerPair(gamma1=pair.gamma1, gamma2=pair.gamma2, y1=ys[0], y2=ys[1])
             gram = pair_gram(candidate)
-            if all(_rank_conditions(problem, gram, tol)):
+            if all(_rank_conditions(problem, gram)):
                 return candidate, gram
     raise RegularizationError("no regularizer up to full rank restored the rank conditions")
 
@@ -329,18 +337,6 @@ def build_bidisk_realization(
 # Polynomial extraction
 
 
-@dataclass(frozen=True)
-class BiRational:
-    """phi = numerator / denominator with denominator = det(I - D E_lam)."""
-
-    numerator: Poly
-    denominator: Poly
-
-    def __call__(self, z1, z2):
-        out = self.numerator(z1, z2) / self.denominator(z1, z2)
-        return out if np.ndim(out) else complex(out)
-
-
 def _bidisk_radii(r: Realization) -> tuple[float, float]:
     """Grid radii keeping the sampled determinant away from zero."""
     candidates = [1.0, 0.9, 1.1, 0.8, 1.25, 0.7, 1.45, 0.55]
@@ -369,8 +365,8 @@ CHECK_DRAWS = 200
 CHECK_CHUNK = 32
 
 
-def to_birational(r: Realization) -> BiRational:
-    """Exact numerator/denominator from grid samples and a two-axis forward DFT.
+def to_birational(r: Realization) -> Rational:
+    """Exact numerator and denominator det(I - D E_lam) from grid samples and a 2-D DFT.
 
     The result is checked against the realization at CHECK_POINTS seeded
     points that keep clear of the realization's singularities and of the
@@ -378,7 +374,7 @@ def to_birational(r: Realization) -> BiRational:
     beyond 1e-7.
     """
     if r.kappa == 0:
-        return BiRational(numerator=Poly(np.array([[r.A]])), denominator=Poly.one(2))
+        return Rational(numerator=Poly(np.array([[r.A]])), denominator=Poly.one(2))
     blocks = r.blocks
     num_c, den_c = transfer_coefficients(r.A, r.B, r.C, r.D, blocks, _bidisk_radii(r))
     num, den = Poly(num_c), Poly(den_c)
@@ -404,7 +400,7 @@ def to_birational(r: Realization) -> BiRational:
         raise BirationalExtractionError(
             f"polynomial extraction disagrees with the realization ({worst:.3e})"
         )
-    return BiRational(numerator=num, denominator=den)
+    return Rational(numerator=num, denominator=den)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,7 @@ class ToralReport:
         return self.violations == 0
 
 
-def toral_check(br: BiRational, grid: int = 256) -> ToralReport:
+def toral_check(br: Rational, grid: int = 256) -> ToralReport:
     """Scan the torus: wherever the denominator nearly vanishes, so must the numerator."""
     qv = boundary_values(br.denominator, grid)
     pv = np.abs(boundary_values(br.numerator, grid))
@@ -442,7 +438,7 @@ def toral_check(br: BiRational, grid: int = 256) -> ToralReport:
     )
 
 
-def restrict_balanced(br: BiRational, m: MoebiusMap) -> tuple[Poly, Poly]:
+def restrict_balanced(br: Rational, m: MoebiusMap) -> tuple[Poly, Poly]:
     """One-variable numerator/denominator of z -> phi(z, m(z)), reduced.
 
     Clears the Moebius denominator at the common second-variable degree, which
@@ -499,108 +495,62 @@ class BidiskSolveError(BidiskError):
     pass
 
 
-@dataclass(frozen=True)
-class ShiftedBidiskFamily:
-    dens: list[Poly]
-    bidegree: tuple[int, int]
-    inertias: tuple[Inertia, Inertia]
-    deltas: tuple[int, int]
-    node_status: list[list[str]]
-
-
 def _shifted_denominator(
     problem: BidiskProblem, pair: AglerPair, j: int
-) -> tuple[Poly, tuple[int, int], tuple[Inertia, Inertia], tuple[int, int], list[str]]:
-    """Centered solve at node j pulled back to the original coordinates."""
+) -> tuple[Poly, tuple[int, int], tuple[tuple[Inertia, Inertia], tuple[int, int]]]:
+    """Centered solve at node j pulled back to the original coordinates.
+
+    Returns (denominator, bidegree, (inertias, deltas)), the per-node solve
+    of ``disk.solve_shifts``.
+    """
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
     # The diagonal congruence can cost the shifted pair its rank conditions;
     # top up the regularizers for this shift when that happens.
     shifted_pair, gram = regularize_pair(shifted, shifted_pair, seed=1234 + j)
     br = to_birational(build_bidisk_realization(shifted, shifted_pair, gram))
-    d = tuple(max(a, b, 0) for a, b in zip(br.numerator.degrees, br.denominator.degrees))
-    c, defect = reflective_constant(br.numerator, br.denominator, d)
-    if defect > 1e-7 or abs(abs(c) - 1.0) > 1e-6:
-        raise BidiskSolveError(
-            f"numerator is not a unimodular reflection of the denominator (defect {defect:.3e})"
-        )
-    den = moebius_pullback(rotate_reflective(br.denominator, c), [m.a for m in maps], d)
+    _, den, d = best_reflective_pair(br.numerator, br.denominator)
+    den = moebius_pullback(den, [m.a for m in maps], d)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[j] != "strict":
         raise BidiskSolveError(f"lost strict interpolation at the re-centered node {j}")
-    return den, d, gram.inertias, gram.deltas, statuses
+    return den, d, (gram.inertias, gram.deltas)
 
 
-def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair) -> ShiftedBidiskFamily:
-    """One re-centered solve per node, padded to a common bidegree."""
-    dens: list[Poly] = []
-    degrees: list[tuple[int, int]] = []
-    statuses: list[list[str]] = []
-    inertias = None
-    deltas = None
-    for j in range(problem.size):
-        den, d, inert, delt, st = _shifted_denominator(problem, pair, j)
-        if abs(den(problem.nodes[j, 0], problem.nodes[j, 1])) <= 1e-10 * max(den.norm(), 1e-300):
-            raise BidiskSolveError(f"shifted denominator vanishes at its own node {j}")
-        dens.append(den)
-        degrees.append(d)
-        statuses.append(st)
-        inertias = inert
-        deltas = delt if deltas is None else (max(deltas[0], delt[0]), max(deltas[1], delt[1]))
-    bidegree = (max(d[0] for d in degrees), max(d[1] for d in degrees))
-    return ShiftedBidiskFamily(
-        dens=[pad_to_degree(den, d, bidegree) for den, d in zip(dens, degrees)],
-        bidegree=bidegree, inertias=inertias, deltas=deltas, node_status=statuses,
-    )
+def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair) -> ShiftedFamily:
+    """One re-centered solve per node (``disk.solve_shifts``), padded to a common bidegree."""
+    return solve_shifts(problem, lambda j: _shifted_denominator(problem, pair, j))
 
 
 @dataclass(frozen=True)
-class BidiskSolution:
-    numerator: Poly
-    denominator: Poly
+class BidiskSolution(Rational):
+    """Strict interpolant numerator/denominator with the data its certificate reads."""
+
     bidegree: tuple[int, int]
     inertias: tuple[Inertia, Inertia]
     deltas: tuple[int, int]
     node_status: list[str]
-    weak_solution: "BiRational | None" = None
+    weak_solution: Rational | None = None
     certificates: dict = field(default_factory=dict)
-
-    def __call__(self, z1, z2):
-        out = self.numerator(z1, z2) / self.denominator(z1, z2)
-        return out if np.ndim(out) else complex(out)
-
-    def birational(self) -> BiRational:
-        return BiRational(numerator=self.numerator, denominator=self.denominator)
 
 
 def combine_bidisk(
-    family: ShiftedBidiskFamily,
+    family: ShiftedFamily,
     problem: BidiskProblem,
     rng: np.random.Generator | None = None,
-    retries: int = 64,
 ) -> BidiskSolution:
-    """Real combination of the shifted denominators into a strict interpolant."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d = family.bidegree
-    lam = problem.nodes
-    vals = np.column_stack([p(lam[:, 0], lam[:, 1]) for p in family.dens])
-    t, _ = real_combination(vals, max(p.norm() for p in family.dens), rng, retries)
-    if t is None:
-        raise BidiskSolveError("could not find a real combination avoiding all nodes")
-    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
-    p = poly_reflect(q, d)
-    statuses = node_status(
-        p(lam[:, 0], lam[:, 1]), q(lam[:, 0], lam[:, 1]), problem.values,
-        max(p.norm(), q.norm(), 1e-300),
-    )
-    if any(s != "strict" for s in statuses):
-        raise BidiskSolveError(f"combination is not strict at all nodes: {statuses}")
+    """Real combination of the shifted denominators (``disk.combine_shifts``), strict at every node.
+
+    The inertias are the last kept shift's; the rank budgets the largest
+    over the kept shifts.
+    """
+    p, q = combine_shifts(family, problem, rng)
+    statuses = require_strict(p, q, problem, "combination")
     return BidiskSolution(
         numerator=p,
         denominator=q,
-        bidegree=d,
-        inertias=family.inertias,
-        deltas=family.deltas,
+        bidegree=family.refl_degree,
+        inertias=family.infos[-1][0],
+        deltas=tuple(map(max, zip(*(deltas for _, deltas in family.infos)))),
         node_status=statuses,
     )
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .bidisk import BidiskError, PairValidationError, solve_bidisk
+from .bidisk import PairValidationError, solve_bidisk
 from .disk import SolveError, solve
 from .io import (
     ProblemFileError,
@@ -84,7 +84,7 @@ def cmd_solve(args) -> int:
     except PairValidationError as exc:
         print(f"decomposition identity violated: residual {exc.residual:.6e}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolveError, BidiskError, ExtensionError) as exc:
+    except (SolveError, ExtensionError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     cert = solution.certificates
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except PairValidationError as exc:
         print(f"decomposition identity violated: residual {exc.residual:.6e}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolveError, BidiskError, ExtensionError, ArithmeticError) as exc:
+    except (SolveError, ExtensionError, ArithmeticError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

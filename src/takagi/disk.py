@@ -5,11 +5,17 @@ origin, weak elsewhere), one Moebius-shifted solve per node, then a real
 combination of the shifted denominators into a solution that interpolates
 strictly everywhere.  Zero/pole counts inside the disk are certified against
 the inertia of the Pick matrix.
+
+The shifted-solve stage (``solve_shifts``, ``combine_shifts``,
+``require_strict``), the reflective-pair rule (``best_reflective_pair``) and
+the vacuous node factors (``enforce_weak_interpolation``) are written once
+here and serve the bidisk as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -21,12 +27,12 @@ from .polynomials import (
     MoebiusMap,
     NonFiniteCoefficientError,
     Poly,
+    Rational,
     moebius_pullback,
     pad_coeffs,
     pad_to_degree,
     poly_gcd_numeric,
     poly_reflect,
-    ratio_agreement,
     reflective_constant,
     reduce_common_roots,
     roots_in_disk,
@@ -34,7 +40,12 @@ from .polynomials import (
     vacuous_node_factor,
 )
 from .realization import Realization, lurking_colligation, realization_to_rational
-from .verify import certify_disk, check_interpolation, weak_node_status
+from .verify import certify_disk, check_interpolation, node_coordinates, weak_node_status
+
+# Largest relative defect of num = c * reflect(den, d) accepted as reflective.
+REFLECTIVE_DEFECT = 1e-6
+# Random real combinations tried before the combination is declared broken down.
+COMBINATION_RETRIES = 64
 
 
 class SolveError(RuntimeError):
@@ -51,37 +62,30 @@ class CombinationError(SolveError):
         super().__init__("could not find a real combination avoiding all nodes")
 
 
-def best_reflective_pair(num: Poly, den: Poly, defect_tol: float = 1e-8) -> tuple[Poly, Poly, int]:
-    """Representation of num/den whose numerator is c * reflection of the denominator.
+# Numerical breakdowns of one solve attempt; each hands the problem on.
+BREAKDOWNS = (SolveError, ExtensionError, NonFiniteCoefficientError)
 
-    Tries the pair as given first; if a common factor spoils the reflection
-    structure, cancels near-common roots at increasing matching radii until the
-    structure appears, verifying that the reduced ratio still agrees with the
-    original away from poles.
+
+def best_reflective_pair(num: Poly, den: Poly) -> tuple[Poly, Poly, int | tuple[int, ...]]:
+    """The pair (num, den rotated so that num = reflect(den, d)) and its declared degree d.
+
+    ``d`` is the larger of the two degrees in each variable (an int on one
+    variable).  The pair must satisfy num = c * reflect(den, d) with |c| = 1,
+    to a relative defect of REFLECTIVE_DEFECT; otherwise
+    ReflectiveStructureError.
     """
-    d = max(num.degree, den.degree)
+    d = tuple(max(a, b, 0) for a, b in zip(num.degrees, den.degrees))
+    d = d[0] if len(d) == 1 else d
     c, defect = reflective_constant(num, den, d)
-    if defect <= defect_tol and abs(abs(c) - 1.0) <= 1e-6:
+    if defect <= REFLECTIVE_DEFECT and abs(abs(c) - 1.0) <= 1e-6:
         return num, rotate_reflective(den, c), d
-    for tol in (1e-10, 1e-8, 1e-6, 1e-4):
-        try:
-            n0, d0, _ = poly_gcd_numeric(num, den, tol)
-        except ValueError:
-            continue
-        if n0.is_zero or d0.is_zero:
-            continue
-        dd = max(n0.degree, d0.degree)
-        c0, defect0 = reflective_constant(n0, d0, dd)
-        if defect0 <= 1e-6 and abs(abs(c0) - 1.0) <= 1e-6:
-            if ratio_agreement(num, den, n0, d0) <= 1e-6:
-                return n0, rotate_reflective(d0, c0), dd
     raise ReflectiveStructureError(
         f"no reflective representation found (raw defect {defect:.3e})"
     )
 
 
 def enforce_weak_interpolation(
-    den: Poly, d: int | tuple[int, ...], problem, tol: float = 1e-7
+    den: Poly, d: int | tuple[int, ...], problem
 ) -> tuple[Poly, int | tuple[int, ...], list[str]]:
     """Adjoin vacuous self-reflective factors at nodes where the weak identity fails.
 
@@ -92,9 +96,9 @@ def enforce_weak_interpolation(
     adjusted (den, d) and per-node status before adjustment.
     """
     num = poly_reflect(den, d)
-    coords = problem.nodes.reshape(problem.size, -1).T
+    coords = node_coordinates(problem)
     scale = max(den.norm(), num.norm())
-    statuses = weak_node_status(num(*coords), den(*coords), problem.values, scale, tol)
+    statuses = weak_node_status(num(*coords), den(*coords), problem.values, scale)
     for lam, status in zip(coords[0], statuses):
         if status == "forced-weak":
             den = den * vacuous_node_factor(lam)
@@ -142,11 +146,77 @@ def solve_centered(problem: DiskProblem) -> CenteredSolution:
 
 @dataclass(frozen=True)
 class ShiftedFamily:
-    """Per-node shifted denominators, padded to a common reflection degree."""
+    """Per-node shifted denominators, padded to a common declared degree.
+
+    ``infos`` holds, per kept shift, what its solve reported besides the
+    denominator: the inertia on the disk, the pair's inertias and rank
+    budgets on the bidisk.
+    """
 
     dens: list[Poly]
-    refl_degree: int
-    inertia: Inertia
+    refl_degree: int | tuple[int, ...]
+    infos: list
+
+
+def solve_shifts(problem, shift: Callable[[int], tuple]) -> ShiftedFamily:
+    """One re-centered weak solve per node, on the disk or the bidisk.
+
+    ``shift(j)`` returns the solve centered at node j, pulled back, as
+    (denominator, declared degree, info).  A shift that breaks down
+    (``BREAKDOWNS``) or whose denominator vanishes at its own node is dropped;
+    SolveError when none is left.  The rest are padded to the largest declared
+    degree in each variable.
+    """
+    nodes = node_coordinates(problem).T
+    kept, errors = [], []
+    for j in range(problem.size):
+        try:
+            den, d, info = shift(j)
+        except BREAKDOWNS as exc:
+            errors.append(f"node {j}: {exc}")
+            continue
+        if abs(den(*nodes[j])) <= 1e-10 * max(den.norm(), 1e-300):
+            errors.append(f"node {j}: shifted denominator vanishes at its own node")
+            continue
+        kept.append((den, d, info))
+    if not kept:
+        raise SolveError("every shifted solve failed: " + "; ".join(errors))
+    degrees = [d for _, d, _ in kept]
+    target = max(degrees) if np.ndim(degrees[0]) == 0 else tuple(map(max, zip(*degrees)))
+    return ShiftedFamily(
+        dens=[pad_to_degree(den, d, target) for den, d, _ in kept],
+        refl_degree=target,
+        infos=[info for _, _, info in kept],
+    )
+
+
+def combine_shifts(
+    family: ShiftedFamily, problem, rng: np.random.Generator | None = None
+) -> tuple[Poly, Poly]:
+    """(reflect(q, d), q) for a real combination q of the family clear of zero at every node.
+
+    CombinationError when COMBINATION_RETRIES random combinations all come
+    near zero at some node.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    coords = node_coordinates(problem)
+    vals = np.column_stack([p(*coords) for p in family.dens])
+    t, residual_table = real_combination(
+        vals, max(p.norm() for p in family.dens), rng, COMBINATION_RETRIES
+    )
+    if t is None:
+        raise CombinationError(residual_table)
+    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
+    return poly_reflect(q, family.refl_degree), q
+
+
+def require_strict(num: Poly, den: Poly, problem, stage: str) -> list[str]:
+    """Per-node statuses of num/den; SolveError naming ``stage`` unless all are strict."""
+    statuses = check_interpolation(num, den, problem)
+    if any(s != "strict" for s in statuses):
+        raise SolveError(f"{stage} is not strict at all nodes: {statuses}")
+    return statuses
 
 
 def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
@@ -180,67 +250,32 @@ def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
 
 
 def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
-    """One centered solve per node, pulled back and padded to equal degree.
-
-    A shift whose centered solve breaks down numerically is dropped; the
-    remaining weak solutions still cover every node generically.
-    """
+    """One centered solve per node (``solve_shifts``), projected onto the weak identity."""
     N = problem.size
-    dens: list[Poly] = []
-    degrees: list[int] = []
-    inertia = None
-    errors: list[str] = []
-    for j in range(N):
+
+    def shift(j: int) -> tuple[Poly, int, Inertia]:
         m = MoebiusMap(problem.nodes[j])
         order = [j] + [i for i in range(N) if i != j]
-        shifted = DiskProblem(nodes=m(problem.nodes[order]), values=problem.values[order])
-        try:
-            sol = solve_centered(shifted)
-        except (SolveError, ExtensionError, NonFiniteCoefficientError) as exc:
-            errors.append(f"node {j}: {exc}")
-            continue
-        inertia = sol.inertia
-        d_j = sol.refl_degree
-        den_j = moebius_pullback(sol.den, m.a, d_j)
-        if abs(den_j(problem.nodes[j])) <= 1e-10 * max(den_j.norm(), 1e-300):
-            errors.append(f"node {j}: shifted denominator vanishes at its own node")
-            continue
-        dens.append(den_j)
-        degrees.append(d_j)
-    if not dens:
-        raise SolveError("every shifted solve failed: " + "; ".join(errors))
-    d = max(degrees)
-    dens = [
-        _project_weak(pad_to_degree(den, d_j, d), d, problem) for den, d_j in zip(dens, degrees)
-    ]
-    return ShiftedFamily(dens=dens, refl_degree=d, inertia=inertia)
+        sol = solve_centered(
+            DiskProblem(nodes=m(problem.nodes[order]), values=problem.values[order])
+        )
+        return moebius_pullback(sol.den, m.a, sol.refl_degree), sol.refl_degree, sol.inertia
 
-
-@dataclass(frozen=True)
-class RationalInterpolant:
-    """Reduced unimodular rational function with per-node interpolation status."""
-
-    numerator: Poly
-    denominator: Poly
-    node_status: list[str] = field(default_factory=list)
-    zeros_in_disk: int = 0
-    poles_in_disk: int = 0
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.numerator(z) / self.denominator(z)
-        return out if np.ndim(out) else complex(out)
+    family = solve_shifts(problem, shift)
+    d = family.refl_degree
+    return replace(family, dens=[_project_weak(den, d, problem) for den in family.dens])
 
 
 @dataclass(frozen=True)
 class TakagiSolution:
-    interpolant: RationalInterpolant
+    """Strict interpolant num/den = constant * f / g, with per-node statuses."""
+
+    interpolant: Rational
     f: BlaschkeProduct
     g: BlaschkeProduct
     constant: complex
     inertia: Inertia
-    unreduced_den: Poly
-    refl_degree: int
+    node_status: list[str]
     certificates: dict = field(default_factory=dict)
 
 
@@ -250,25 +285,16 @@ def _inner_factor(p: Poly) -> BlaschkeProduct:
 
 
 def _strict_solution(
-    num: Poly, den: Poly, problem: DiskProblem, stage: str, inertia: Inertia,
-    unreduced_den: Poly, refl_degree: int,
+    num: Poly, den: Poly, problem: DiskProblem, stage: str, inertia: Inertia
 ) -> TakagiSolution:
     """Classify the nodes of num/den, split it into Blaschke factors, find the constant.
 
     Raises SolveError naming ``stage`` unless num/den is strict at every node.
     """
-    statuses = check_interpolation(num, den, problem)
-    if any(s != "strict" for s in statuses):
-        raise SolveError(f"{stage} is not strict at all nodes: {statuses}")
+    statuses = require_strict(num, den, problem, stage)
     f = _inner_factor(num)
     g = _inner_factor(den)
-    interp = RationalInterpolant(
-        numerator=num,
-        denominator=den,
-        node_status=statuses,
-        zeros_in_disk=f.degree,
-        poles_in_disk=g.degree,
-    )
+    interp = Rational(numerator=num, denominator=den)
     # Unimodular constant with phi = c f / g at a pole-free sample point.
     z0 = 0.237 + 0.111j
     fz, gz = f(z0), g(z0)
@@ -281,9 +307,7 @@ def _strict_solution(
         g=g,
         constant=complex(c_phi),
         inertia=inertia,
-        unreduced_den=unreduced_den,
-        refl_degree=refl_degree,
-        certificates={},
+        node_status=statuses,
     )
 
 
@@ -291,28 +315,19 @@ def combine(
     family: ShiftedFamily,
     problem: DiskProblem,
     rng: np.random.Generator | None = None,
-    retries: int = 64,
 ) -> TakagiSolution:
-    """Real combination of shifted denominators into a strict interpolant."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d = family.refl_degree
-    vals = np.column_stack([p(problem.nodes) for p in family.dens])
-    t, residual_table = real_combination(
-        vals, max(p.norm() for p in family.dens), rng, retries
-    )
-    if t is None:
-        raise CombinationError(residual_table)
-    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
-    num = poly_reflect(q, d)
+    """Real combination of shifted denominators (``combine_shifts``) into a strict interpolant.
+
+    Near-common roots of the combination are cancelled and the reduced pair
+    made reflective again before it is split into Blaschke factors.
+    """
+    num, q = combine_shifts(family, problem, rng)
     num_r, den_r = reduce_common_roots(num, q)
     c, defect = reflective_constant(num_r, den_r, max(num_r.degree, den_r.degree))
     if defect < 1e-6 and abs(abs(c) - 1.0) < 1e-6:
         den_r = rotate_reflective(den_r, c)
         num_r = poly_reflect(den_r, max(num_r.degree, den_r.degree))
-    return _strict_solution(
-        num_r, den_r, problem, "combination", family.inertia, unreduced_den=q, refl_degree=d
-    )
+    return _strict_solution(num_r, den_r, problem, "combination", family.infos[-1])
 
 
 def solve_positive(problem: DiskProblem) -> TakagiSolution:
@@ -347,10 +362,7 @@ def solve_positive(problem: DiskProblem) -> TakagiSolution:
     )
     num, den = realization_to_rational(real)
     num_r, den_r, _ = poly_gcd_numeric(num, den, 1e-9)
-    solution = _strict_solution(
-        num_r, den_r, problem, "positive-case solve", dec.inertia,
-        unreduced_den=den, refl_degree=max(num_r.degree, den_r.degree),
-    )
+    solution = _strict_solution(num_r, den_r, problem, "positive-case solve", dec.inertia)
     if solution.f.degree != pi or num_r.degree != pi or solution.g.degree:
         raise SolveError("positive-case solve did not reach an inner function of rank degree")
     return solution
@@ -369,7 +381,7 @@ def solve(
     """
     try:
         solution = solve_positive(problem)
-    except (SolveError, ExtensionError, NonFiniteCoefficientError):
+    except BREAKDOWNS:
         solution = combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
     if certify:
         solution.certificates.update(certify_disk(solution, problem))

@@ -14,11 +14,11 @@ from typing import Any
 
 import numpy as np
 
-from .bidisk import AglerPair, BidiskProblem, BidiskSolution, BiRational
-from .disk import RationalInterpolant, TakagiSolution
+from .bidisk import AglerPair, BidiskProblem, BidiskSolution
+from .disk import TakagiSolution
 from .linalg import Inertia
 from .pick import DiskProblem
-from .polynomials import BlaschkeProduct, NonFiniteCoefficientError, Poly
+from .polynomials import BlaschkeProduct, NonFiniteCoefficientError, Poly, Rational
 
 SCHEMA_VERSION = 1
 
@@ -196,7 +196,7 @@ def disk_result_to_dict(solution: TakagiSolution, problem: DiskProblem) -> dict:
             "g_zeros": encode_vector(np.array(solution.g.zeros, dtype=complex)),
         },
         "inertia": list(solution.inertia.as_tuple()),
-        "node_status": list(solution.interpolant.node_status),
+        "node_status": list(solution.node_status),
         "certificate": _jsonable(solution.certificates),
     }
 
@@ -248,16 +248,9 @@ def result_to_solution(data: dict):
         except ValueError as exc:
             raise ProblemFileError(f"blaschke: {exc}") from exc
         inertia = Inertia(*_decode_ints(_require(data, "inertia"), 3, "inertia"))
-        interp = RationalInterpolant(
-            numerator=num,
-            denominator=den,
-            node_status=list(data.get("node_status", [])),
-            zeros_in_disk=f.degree,
-            poles_in_disk=g.degree,
-        )
         solution = TakagiSolution(
-            interpolant=interp, f=f, g=g, constant=constant, inertia=inertia,
-            unreduced_den=den, refl_degree=max(num.degree, den.degree), certificates={},
+            interpolant=Rational(numerator=num, denominator=den), f=f, g=g,
+            constant=constant, inertia=inertia, node_status=list(data.get("node_status", [])),
         )
         return solution, problem, pair
     if kind == "bidisk":
@@ -270,7 +263,7 @@ def result_to_solution(data: dict):
         deltas = _decode_ints(_require(data, "deltas"), 2, "deltas")
         weak = None
         if "weak_numerator" in data and "weak_denominator" in data:
-            weak = BiRational(
+            weak = Rational(
                 numerator=_decode_poly(data, "weak_numerator", decode_matrix),
                 denominator=_decode_poly(data, "weak_denominator", decode_matrix),
             )

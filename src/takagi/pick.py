@@ -76,6 +76,8 @@ def gram_decompose(G: np.ndarray, tol: float = 1e-9) -> GramDecomposition:
     zer = ~(pos | neg)
     u = evecs[:, pos] * np.sqrt(evals[pos])
     v = evecs[:, neg] * np.sqrt(-evals[neg])
-    c = max(1.0, float(np.linalg.norm(G, 2)) if np.asarray(G).size else 1.0)
-    y = evecs[:, zer] * np.sqrt(c)
+    y = evecs[:, zer]
+    if y.shape[1]:
+        # The 2-norm is an SVD; it scales the null vectors only.
+        y = y * np.sqrt(max(1.0, float(np.linalg.norm(G, 2))))
     return GramDecomposition(u=u, v=v, y=y, inertia=inertia)

@@ -4,10 +4,12 @@ A ``Poly`` in k variables stores its coefficients in an array of rank k,
 ascending in each axis: ``coeffs[k1, ..., kk]`` multiplies
 z1**k1 ... zk**kk.  The disk uses k = 1 and the bidisk k = 2; every
 operation below (trim, evaluate, add, multiply, reflect, pad) is written once
-for any k.  The zero polynomial has shape (0, ..., 0) and degree -1 in each
-variable.  Root finding (one variable) goes through the companion matrix
-(numpy.roots); the numeric GCD pairs roots of the two polynomials rather than
-running a Euclidean remainder sequence, which is unstable in floating point.
+for any k, and a ``Rational`` is the quotient of two ``Poly``s, callable in
+the same k variables.  The zero polynomial has shape (0, ..., 0) and degree
+-1 in each variable.  Root finding (one variable) goes through the companion
+matrix (numpy.roots); the numeric GCD pairs roots of the two polynomials
+rather than running a Euclidean remainder sequence, which is unstable in
+floating point.
 
 The coefficient-space kernels shared by the disk and bidisk solvers live
 here: Moebius composition as a matrix on coefficients (``moebius_matrix``),
@@ -150,6 +152,18 @@ class Poly:
         for r in roots:
             p = p * Poly(np.array([-complex(r), 1.0]))
         return p
+
+
+@dataclass(frozen=True)
+class Rational:
+    """phi = numerator / denominator in as many variables as the two ``Poly``s."""
+
+    numerator: Poly
+    denominator: Poly
+
+    def __call__(self, *z):
+        """phi(z) in one variable, phi(z1, z2) in two; arguments broadcast."""
+        return self.numerator(*z) / self.denominator(*z)
 
 
 def poly_roots(p: Poly) -> np.ndarray:

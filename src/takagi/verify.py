@@ -8,8 +8,10 @@ The two per-node classification rules live here and serve the disk and bidisk
 solvers alike: ``node_status`` (strict | weak | fail, the rule of
 ``check_interpolation``) judges a finished interpolant, and
 ``weak_node_status`` (strict | weak | forced-weak) judges a weak solution by
-the residual of its cleared identity.  ``check_unimodular`` is the one
-boundary scan, on the circle or the torus.
+the residual of its cleared identity.  ``check_interpolation`` and
+``check_unimodular`` take one or two variables: they are the one strict check
+and the one boundary scan, on the circle or the torus.  Both certificates
+recompute the node statuses; neither reads them from the solution.
 """
 
 from __future__ import annotations
@@ -35,13 +37,17 @@ UNIMODULAR_TOL = 1e-7
 # count as near a pole: there the rounding of den alone, about machine epsilon
 # times its largest value, can reach UNIMODULAR_TOL of |phi|.
 POLE_EXCLUSION = 1e-9
+# Seed of the certificates' random sample points and Moebius restrictions.
+CERTIFICATE_SEED = 12345
+# Balanced-disk restrictions checked by the bidisk certificate.
+BALANCED_RESTRICTIONS = 5
 
 
 class OracleError(ValueError):
     pass
 
 
-def node_status(num_vals, den_vals, values, scale: float, tol: float = STRICT_TOL) -> list[str]:
+def node_status(num_vals, den_vals, values, scale: float) -> list[str]:
     """Per-node strict | weak | fail from the values of num and den at the nodes.
 
     A node is strict when the denominator is clear of zero (relative to
@@ -51,15 +57,15 @@ def node_status(num_vals, den_vals, values, scale: float, tol: float = STRICT_TO
     out = []
     for qv, pv, w in zip(num_vals, den_vals, values):
         if abs(pv) > 1e-8 * scale:
-            out.append("strict" if abs(qv / pv - w) <= tol * (1.0 + abs(w)) else "fail")
-        elif abs(qv - w * pv) <= tol * scale * (1.0 + abs(w)):
+            out.append("strict" if abs(qv / pv - w) <= STRICT_TOL * (1.0 + abs(w)) else "fail")
+        elif abs(qv - w * pv) <= STRICT_TOL * scale * (1.0 + abs(w)):
             out.append("weak")
         else:
             out.append("fail")
     return out
 
 
-def weak_node_status(num_vals, den_vals, values, scale: float, tol: float = STRICT_TOL) -> list[str]:
+def weak_node_status(num_vals, den_vals, values, scale: float) -> list[str]:
     """Per-node strict | weak | forced-weak of a weak solution, by its cleared residual.
 
     The residual ``|num - w den|`` is judged against ``scale``, not against
@@ -69,7 +75,7 @@ def weak_node_status(num_vals, den_vals, values, scale: float, tol: float = STRI
     """
     out = []
     for qv, pv, w in zip(num_vals, den_vals, values):
-        holds = abs(qv - w * pv) <= tol * scale * (1.0 + abs(w))
+        holds = abs(qv - w * pv) <= STRICT_TOL * scale * (1.0 + abs(w))
         if holds and abs(pv) > 1e-8 * scale:
             out.append("strict")
         else:
@@ -77,12 +83,19 @@ def weak_node_status(num_vals, den_vals, values, scale: float, tol: float = STRI
     return out
 
 
-def check_interpolation(
-    num: Poly, den: Poly, problem: DiskProblem, tol: float = STRICT_TOL
-) -> list[str]:
-    """Per-node classification strict | weak | fail for phi = num/den (reduced)."""
+def node_coordinates(problem) -> np.ndarray:
+    """The nodes as one row per variable: ``p(*node_coordinates(problem))`` evaluates p."""
+    return problem.nodes.reshape(problem.size, -1).T
+
+
+def check_interpolation(num: Poly, den: Poly, problem) -> list[str]:
+    """Per-node classification strict | weak | fail for phi = num/den, in one or two variables.
+
+    The scale of ``node_status`` is the largest coefficient of the pair.
+    """
+    coords = node_coordinates(problem)
     scale = max(num.norm(), den.norm(), 1e-300)
-    return node_status(num(problem.nodes), den(problem.nodes), problem.values, scale, tol)
+    return node_status(num(*coords), den(*coords), problem.values, scale)
 
 
 def near_pole(values: np.ndarray) -> np.ndarray:
@@ -239,7 +252,7 @@ def torus_unimodularity(num2, den2, grid: int = 128) -> float:
     return check_unimodular(num2, den2, grid)
 
 
-def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> dict:
+def certify_bidisk(solution, problem) -> dict:
     """Certificate block for a bidisk solution; all quantities recomputed.
 
     The bidegree verdict uses the constructive bound (pi^r + nu^r + 2 delta^r),
@@ -251,26 +264,27 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     num2 = solution.numerator
     den2 = solution.denominator
     N = problem.size
+    statuses = check_interpolation(num2, den2, problem)
     vals = np.array(
         [solution(problem.nodes[i, 0], problem.nodes[i, 1]) for i in range(N)]
     )
     residuals = np.abs(vals - problem.values)
     wmax = float(np.max(np.abs(problem.values)))
     defect = torus_unimodularity(num2, den2)
-    toral = toral_check(solution.birational())
+    toral = toral_check(solution)
     (pi1, nu1, _), (pi2, nu2, _) = (inertia.as_tuple() for inertia in solution.inertias)
     d1, d2 = solution.deltas
     bound_constructive = (pi1 + nu1 + 2 * d1, pi2 + nu2 + 2 * d2)
     bound_declared = (pi1 + nu1 + d1, pi2 + nu2 + d2)
     bidegree = den2.degrees
     pi_tot, nu_tot, delta_tot = pi1 + pi2, nu1 + nu2, d1 + d2
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CERTIFICATE_SEED)
     restriction_counts = []
     restrictions_ok = True
     # The zero/pole count bound is a property of the single-realization weak
     # solution; the strict combination can exceed it.
-    br = solution.weak_solution if solution.weak_solution is not None else solution.birational()
-    for _ in range(n_moebius):
+    br = solution.weak_solution if solution.weak_solution is not None else solution
+    for _ in range(BALANCED_RESTRICTIONS):
         a = (rng.uniform(-0.85, 0.85) + 1j * rng.uniform(-0.85, 0.85)) * 0.7
         rnum, rden = restrict_balanced(br, MoebiusMap(complex(a)))
         zeros = roots_in_disk(rnum).size
@@ -279,7 +293,7 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
         if zeros > pi_tot + delta_tot or poles > nu_tot + delta_tot:
             restrictions_ok = False
     verdicts = {
-        "strict_all_nodes": all(s == "strict" for s in solution.node_status),
+        "strict_all_nodes": all(s == "strict" for s in statuses),
         "interpolation": bool(np.max(residuals) <= STRICT_TOL * (1.0 + wmax)),
         "unimodular": bool(defect <= UNIMODULAR_TOL),
         "bidegree": bidegree[0] <= bound_constructive[0] and bidegree[1] <= bound_constructive[1],
@@ -287,7 +301,7 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
         "balanced_restrictions": restrictions_ok,
     }
     return {
-        "node_status": list(solution.node_status),
+        "node_status": statuses,
         "interpolation_residuals": residuals.tolist(),
         "unimodularity_defect": defect,
         "bidegree": bidegree,
@@ -303,7 +317,7 @@ def certify_bidisk(solution, problem, seed: int = 12345, n_moebius: int = 5) -> 
     }
 
 
-def certify_disk(solution, problem: DiskProblem, seed: int = 12345) -> dict:
+def certify_disk(solution, problem: DiskProblem) -> dict:
     """Certificate block for a disk solution; all quantities recomputed."""
     num = solution.interpolant.numerator
     den = solution.interpolant.denominator
@@ -314,7 +328,7 @@ def certify_disk(solution, problem: DiskProblem, seed: int = 12345) -> dict:
     residuals = np.abs(vals - problem.values)
     defect = check_unimodular(num, den)
     zf, zg = count_zeros_poles(num, den)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CERTIFICATE_SEED)
     kernel = sampled_kernel_inertia(num, den, 2 * N, rng)
     poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
     circle_gap = float(np.min(np.abs(np.abs(poles) - 1.0))) if poles.size else np.inf

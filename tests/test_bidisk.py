@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import takagi.bidisk as bidisk_module
 import takagi.disk as disk_module
+from takagi.disk import CombinationError, SolveError
 from takagi.bidisk import (
     _shifted_denominator,
     AglerPair,
     BidiskProblem,
-    BiRational,
+    BidiskSolveError,
     BirationalExtractionError,
     PairValidationError,
     build_bidisk_realization,
+    combine_bidisk,
     one_variable_pair,
     pair_residual,
     regularize_pair,
@@ -310,7 +314,7 @@ class TestShiftedSolves:
         monkeypatch.setattr(bidisk_module, "_shifted_denominator", unequal)
         family = solve_bidisk_shifts(p, pair)
         bidegree = tuple(max(d[r] for _, d in raw) for r in range(2))
-        assert family.bidegree == bidegree
+        assert family.refl_degree == bidegree
         assert raw[0][1][0] == bidegree[0] > raw[1][1][0]
         assert raw[1][1][1] == bidegree[1] > raw[0][1][1]
         z1, z2 = (rng.uniform(-1, 1, (2, 20)) + 1j * rng.uniform(-1, 1, (2, 20))) * 0.9
@@ -323,6 +327,43 @@ class TestShiftedSolves:
             scale = max(den.norm(), num.norm())
             residual = np.abs(num(lam[:, 0], lam[:, 1]) - w * den(lam[:, 0], lam[:, 1]))
             assert np.all(residual <= 1e-7 * scale * (1 + np.abs(w)))
+
+
+    def test_failing_shift_is_dropped(self, monkeypatch):
+        p, pair, _ = self._setup()
+        shifted = bidisk_module._shifted_denominator
+
+        def failing_at_0(problem, pair, j):
+            if j == 0:
+                raise BidiskSolveError("lost strict interpolation at the re-centered node 0")
+            return shifted(problem, pair, j)
+
+        monkeypatch.setattr(bidisk_module, "_shifted_denominator", failing_at_0)
+        assert len(solve_bidisk_shifts(p, pair).dens) == p.size - 1
+        sol = solve_bidisk(p, pair, seed=0)
+        assert sol.certificates["pass"]
+        assert sol.node_status == ["strict"] * p.size
+
+    def test_every_shift_failing_is_a_solve_error(self, monkeypatch):
+        p, pair, _ = self._setup()
+
+        def failing(problem, pair, j):
+            raise BidiskSolveError("lost strict interpolation")
+
+        monkeypatch.setattr(bidisk_module, "_shifted_denominator", failing)
+        with pytest.raises(SolveError, match="every shifted solve failed"):
+            solve_bidisk_shifts(p, pair)
+
+    def test_no_combination_avoiding_a_node(self):
+        # Every denominator of the family carries the factor z1 - lam1 of node 1.
+        p, pair, _ = self._setup()
+        family = solve_bidisk_shifts(p, pair)
+        factor = Poly(np.array([[-p.nodes[1, 0]], [1.0]]))
+        d = (family.refl_degree[0] + 1, family.refl_degree[1])
+        vanishing = replace(family, dens=[den * factor for den in family.dens], refl_degree=d)
+        with pytest.raises(CombinationError) as info:
+            combine_bidisk(vanishing, p)
+        assert len(info.value.residuals) == 64
 
 
 class TestSolveBidisk:

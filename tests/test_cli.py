@@ -145,6 +145,19 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out_path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("problem", ["problems/disk_basic.json", "problems/bidisk_pair.json"])
+    def test_node_status_is_recomputed(self, problem, tmp_path, capsys):
+        # The stored statuses are the solver's report; the verdict must come
+        # from the function alone.
+        out_path = tmp_path / "result.json"
+        assert main(["solve", problem, "--out", str(out_path), "--seed", "0"]) == EXIT_OK
+        data = json.loads(out_path.read_text())
+        data["node_status"] = ["fail"] * len(data["node_status"])
+        dump_json(data, str(out_path))
+        capsys.readouterr()
+        assert main(["verify", str(out_path)]) == EXIT_OK
+        assert "strict_all_nodes: pass" in capsys.readouterr().out
+
 
 class TestBoundarySamples:
     def test_disk_csv(self, disk_file, tmp_path, capsys):
