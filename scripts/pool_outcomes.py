@@ -12,7 +12,9 @@ bidisk) and the sha256 of the result file that ``takagi.io.dump_json`` writes
 ``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
 are imported, so one copy of this script can run any checkout, such as an
 exported parent commit.  ``--compare A B`` lists every problem whose row
-differs between two outcome files and exits 1 if there is any.
+differs between two outcome files, tallies the differences per workload and
+seed (gains, losses, degree rises and falls, cause changes, rows that differ
+only in bytes) and exits 1 if there is any.
 
     python3 scripts/pool_outcomes.py --out change.json
     python3 scripts/pool_outcomes.py --tree ../parent --out parent.json
@@ -85,8 +87,28 @@ def solve_pools(cfg: PoolConfig) -> list[dict]:
     return rows
 
 
+TALLY = ("gains", "losses", "degree rises", "degree falls", "cause changes", "bytes only")
+
+
+def difference_kinds(ra: dict, rb: dict) -> list[str]:
+    """The TALLY entries that the change from row ``ra`` to row ``rb`` counts in."""
+    kinds = []
+    if ra["passed"] != rb["passed"]:
+        kinds.append("gains" if rb["passed"] else "losses")
+    if ra["degrees"] is not None and rb["degrees"] is not None:
+        if sum(rb["degrees"]) > sum(ra["degrees"]):
+            kinds.append("degree rises")
+        elif sum(rb["degrees"]) < sum(ra["degrees"]):
+            kinds.append("degree falls")
+    if ra["cause"] != rb["cause"] and ra["cause"] and rb["cause"]:
+        kinds.append("cause changes")
+    if all(ra[f] == rb[f] for f in ra if f != "sha256"):
+        kinds.append("bytes only")
+    return kinds
+
+
 def compare(a_path: str, b_path: str) -> int:
-    """Print each problem whose row differs between two outcome files; 1 if any."""
+    """Print each problem whose row differs between two outcome files, and a tally; 1 if any."""
     def rows(path):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -94,14 +116,20 @@ def compare(a_path: str, b_path: str) -> int:
 
     a, b = rows(a_path), rows(b_path)
     differ = 0
+    tally: dict[tuple[str, int], dict[str, int]] = {}
     for key in sorted(a.keys() | b.keys()):
         ra, rb = a.get(key), b.get(key)
+        counts = tally.setdefault(key[:2], dict.fromkeys(TALLY, 0))
         if ra != rb:
             differ += 1
             fields = sorted(f for f in (ra or rb) if (ra or {}).get(f) != (rb or {}).get(f))
             print(f"{key[0]} seed {key[1]} problem {key[2]}: differs in {', '.join(fields)}")
             for name, r in ((a_path, ra), (b_path, rb)):
                 print(f"  {name}: {r}")
+            for kind in difference_kinds(ra, rb) if ra and rb else ():
+                counts[kind] += 1
+    for (workload, seed), counts in sorted(tally.items()):
+        print(f"{workload} seed {seed}: " + ", ".join(f"{counts[k]} {k}" for k in TALLY))
     print(f"{len(a)} vs {len(b)} problems, {differ} differ")
     return 1 if differ else 0
 

@@ -1,10 +1,13 @@
 """Unimodular rational interpolation on the disk with indefinite Pick matrices.
 
-Pipeline: a centered solve through a J-unitary colligation (strict at the
+General path: a centered solve through a J-unitary colligation (strict at the
 origin, weak elsewhere), one Moebius-shifted solve per node, then a real
 combination of the shifted denominators into a solution that interpolates
-strictly everywhere.  Zero/pole counts inside the disk are certified against
-the inertia of the Pick matrix.
+strictly everywhere.  Rank-degree path (``solve_positive``): one colligation
+from the Gram vectors alone, of degrees (pi, nu) even for a singular Pick
+matrix.  ``solve`` tries the rank-degree path first when nu = 0 and the
+general path first otherwise, each the other's fallback.  Zero/pole counts
+inside the disk are certified against the inertia of the Pick matrix.
 
 The shifted-solve stage (``solve_shifts``, ``combine_shifts``,
 ``require_strict``), the reflective-pair rule (``best_reflective_pair``) and
@@ -34,13 +37,12 @@ from .polynomials import (
     poly_gcd_numeric,
     poly_reflect,
     reflective_constant,
-    reduce_common_roots,
     roots_in_disk,
     rotate_reflective,
     vacuous_node_factor,
 )
-from .realization import Realization, lurking_colligation, realization_to_rational
-from .verify import certify_disk, check_interpolation, node_coordinates, weak_node_status
+from .realization import lurking_colligation, realization_to_rational
+from .verify import certify_disk, check_interpolation, node_coordinates
 
 # Largest relative defect of num = c * reflect(den, d) accepted as reflective.
 REFLECTIVE_DEFECT = 1e-6
@@ -89,20 +91,17 @@ def enforce_weak_interpolation(
 ) -> tuple[Poly, int | tuple[int, ...], list[str]]:
     """Adjoin vacuous self-reflective factors at nodes where the weak identity fails.
 
-    The pair is (reflect(den, d), den); a node where the numerator does not
-    match w * denominator gets a factor vanishing there, which makes the weak
-    condition hold trivially.  On the bidisk (``d`` a bidegree, ``problem`` a
+    The pair is (reflect(den, d), den); a node whose ``node_status`` is
+    ``fail`` gets a factor vanishing there, which makes the weak condition
+    hold trivially.  On the bidisk (``d`` a bidegree, ``problem`` a
     ``BidiskProblem``) the factor is taken in the first variable.  Returns the
     adjusted (den, d) and per-node status before adjustment.
     """
-    num = poly_reflect(den, d)
-    coords = node_coordinates(problem)
-    scale = max(den.norm(), num.norm())
-    statuses = weak_node_status(num(*coords), den(*coords), problem.values, scale)
-    for lam, status in zip(coords[0], statuses):
-        if status == "forced-weak":
+    statuses = check_interpolation(poly_reflect(den, d), den, problem)
+    for lam, status in zip(node_coordinates(problem)[0], statuses):
+        if status == "fail":
             den = den * vacuous_node_factor(lam)
-    added = 2 * statuses.count("forced-weak")
+    added = 2 * statuses.count("fail")
     return den, (d + added if np.ndim(d) == 0 else (d[0] + added, *d[1:])), statuses
 
 
@@ -112,8 +111,6 @@ class CenteredSolution:
 
     den: Poly
     refl_degree: int
-    realization: Realization
-    node_status: list[str]
     inertia: Inertia
 
     def numerator(self) -> Poly:
@@ -139,9 +136,7 @@ def solve_centered(problem: DiskProblem) -> CenteredSolution:
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[0] != "strict":
         raise SolveError("lost strict interpolation at the centered node")
-    return CenteredSolution(
-        den=den, refl_degree=d, realization=real, node_status=statuses, inertia=dec.inertia
-    )
+    return CenteredSolution(den=den, refl_degree=d, inertia=dec.inertia)
 
 
 @dataclass(frozen=True)
@@ -316,40 +311,29 @@ def combine(
     problem: DiskProblem,
     rng: np.random.Generator | None = None,
 ) -> TakagiSolution:
-    """Real combination of shifted denominators (``combine_shifts``) into a strict interpolant.
-
-    Near-common roots of the combination are cancelled and the reduced pair
-    made reflective again before it is split into Blaschke factors.
-    """
+    """Real combination of shifted denominators (``combine_shifts``) into a strict interpolant."""
     num, q = combine_shifts(family, problem, rng)
-    num_r, den_r = reduce_common_roots(num, q)
-    c, defect = reflective_constant(num_r, den_r, max(num_r.degree, den_r.degree))
-    if defect < 1e-6 and abs(abs(c) - 1.0) < 1e-6:
-        den_r = rotate_reflective(den_r, c)
-        num_r = poly_reflect(den_r, max(num_r.degree, den_r.degree))
-    return _strict_solution(num_r, den_r, problem, "combination", family.infos[-1])
+    return _strict_solution(num, q, problem, "combination", family.infos[-1])
 
 
-def solve_positive(problem: DiskProblem) -> TakagiSolution:
-    """Classical positive-case solve: pole-free Blaschke of degree rank(Gamma).
+def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSolution:
+    """Rank-degree solve: an interpolant with deg f = pi and deg g = nu.
 
-    Builds the unitary colligation from the positive Gram factor alone, so the
-    transfer function is inner of degree rank(Gamma) even when the matrix is
-    singular.  Raises SolveError when the matrix has negative eigenvalues or
-    the reduced function misses a node.
+    ``dec`` is the Gram decomposition of the problem's Pick matrix.  The
+    colligation is built from the Gram vectors u over v alone, with
+    J1 = diag(I_pi, -I_nu) and no y block, so the transfer function has
+    degree rank(Gamma) even when the matrix is singular; with nu = 0 it is the
+    classical pole-free Blaschke product.  Raises SolveError when the reduced
+    function misses a node or does not reach the degrees (pi, nu).
     """
-    G = pick_matrix(problem)
-    dec = gram_decompose(G)
-    pi, nu, zeta = dec.inertia.as_tuple()
-    if nu:
-        raise SolveError("positive-case solve needs a positive semi-definite matrix")
-    X = dec.u.T  # pi x N
+    pi, nu, _ = dec.inertia.as_tuple()
+    X = np.vstack([dec.u.T, dec.v.T])  # (pi + nu) x N
     domain = np.vstack([np.ones((1, problem.size)), problem.nodes[None, :] * X])
     # With a singular matrix the domain columns are dependent; a maximal
     # independent subset determines the isometry and the rest follow from the
     # exact Gram identity.
     keep: list[int] = []
-    basis = np.zeros((pi + 1, 0), dtype=complex)
+    basis = np.zeros((pi + nu + 1, 0), dtype=complex)
     for j in range(domain.shape[1]):
         col = domain[:, j]
         resid = col - basis @ (basis.conj().T @ col)
@@ -358,13 +342,14 @@ def solve_positive(problem: DiskProblem) -> TakagiSolution:
             basis = np.hstack([basis, (resid / np.linalg.norm(resid))[:, None]])
     real = lurking_colligation(
         problem.nodes[keep][:, None], problem.values[keep], X[:, keep],
-        SignatureMatrix(np.ones(pi)), (pi,),
+        SignatureMatrix.blocks((pi, 1), (nu, -1)), (pi + nu,),
     )
     num, den = realization_to_rational(real)
     num_r, den_r, _ = poly_gcd_numeric(num, den, 1e-9)
-    solution = _strict_solution(num_r, den_r, problem, "positive-case solve", dec.inertia)
-    if solution.f.degree != pi or num_r.degree != pi or solution.g.degree:
-        raise SolveError("positive-case solve did not reach an inner function of rank degree")
+    solution = _strict_solution(num_r, den_r, problem, "rank-degree solve", dec.inertia)
+    degrees = (solution.f.degree, solution.g.degree, max(num_r.degree, den_r.degree))
+    if degrees != (pi, nu, pi + nu):
+        raise SolveError("rank-degree solve did not reach the degrees (pi, nu)")
     return solution
 
 
@@ -373,16 +358,32 @@ def solve(
     seed: int = 0,
     certify: bool = True,
 ) -> TakagiSolution:
-    """Full pipeline: shifted solves, real combination, certification.
+    """Full pipeline: the general path and the rank-degree path, then certification.
 
-    The classical pole-free solve goes first; it rejects a matrix with a
-    negative eigenvalue at once, and that (or a breakdown there) hands the
-    problem to the general machinery.
+    The general path is the shifted solves and the real combination.  With a
+    positive semi-definite Pick matrix (nu = 0) the rank-degree solve goes
+    first and the general path is its fallback; otherwise the general path
+    goes first and the rank-degree solve is its fallback.  When both break
+    down, the general path's error is raised.
     """
-    try:
-        solution = solve_positive(problem)
-    except BREAKDOWNS:
-        solution = combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
+    dec = gram_decompose(pick_matrix(problem))
+
+    def general() -> TakagiSolution:
+        return combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
+
+    if dec.inertia.negative == 0:
+        try:
+            solution = solve_positive(problem, dec)
+        except BREAKDOWNS:
+            solution = general()
+    else:
+        try:
+            solution = general()
+        except BREAKDOWNS as general_error:
+            try:
+                solution = solve_positive(problem, dec)
+            except BREAKDOWNS:
+                raise general_error from None
     if certify:
         solution.certificates.update(certify_disk(solution, problem))
     return solution

@@ -4,14 +4,14 @@ Every check here recomputes its quantities from the rational function and the
 problem data alone, never reusing solver intermediates, so a passing
 certificate is evidence independent of the construction path.
 
-The two per-node classification rules live here and serve the disk and bidisk
-solvers alike: ``node_status`` (strict | weak | fail, the rule of
-``check_interpolation``) judges a finished interpolant, and
-``weak_node_status`` (strict | weak | forced-weak) judges a weak solution by
-the residual of its cleared identity.  ``check_interpolation`` and
-``check_unimodular`` take one or two variables: they are the one strict check
-and the one boundary scan, on the circle or the torus.  Both certificates
-recompute the node statuses; neither reads them from the solution.
+The one per-node classification rule, ``node_status`` (strict | weak | fail),
+lives here and serves the disk and bidisk solvers alike: it judges a weak
+solution in the weak stage (``disk.enforce_weak_interpolation``), a centered
+solve at its own node, and a finished interpolant in the strict stage and the
+certificates.  ``check_interpolation`` and ``check_unimodular`` take one or
+two variables: they are the one node check and the one boundary scan, on the
+circle or the torus.  Both certificates recompute the node statuses; neither
+reads them from the solution.
 """
 
 from __future__ import annotations
@@ -50,36 +50,20 @@ class OracleError(ValueError):
 def node_status(num_vals, den_vals, values, scale: float) -> list[str]:
     """Per-node strict | weak | fail from the values of num and den at the nodes.
 
-    A node is strict when the denominator is clear of zero (relative to
-    ``scale``, the largest coefficient of the pair) and num/den matches the
-    target; weak when the denominator vanishes and the cleared identity holds.
+    Weak interpolation is the cleared identity num = w * den; strict adds a
+    denominator clear of zero.  A node is strict when |den| is above 1e-8 of
+    ``scale`` (the largest coefficient of the pair) and num/den matches the
+    target; otherwise weak when the cleared residual |num - w den| is small
+    against ``scale``; otherwise fail.
     """
     out = []
     for qv, pv, w in zip(num_vals, den_vals, values):
-        if abs(pv) > 1e-8 * scale:
-            out.append("strict" if abs(qv / pv - w) <= STRICT_TOL * (1.0 + abs(w)) else "fail")
+        if abs(pv) > 1e-8 * scale and abs(qv / pv - w) <= STRICT_TOL * (1.0 + abs(w)):
+            out.append("strict")
         elif abs(qv - w * pv) <= STRICT_TOL * scale * (1.0 + abs(w)):
             out.append("weak")
         else:
             out.append("fail")
-    return out
-
-
-def weak_node_status(num_vals, den_vals, values, scale: float) -> list[str]:
-    """Per-node strict | weak | forced-weak of a weak solution, by its cleared residual.
-
-    The residual ``|num - w den|`` is judged against ``scale``, not against
-    the denominator's value, so a node with a small but nonzero denominator can
-    be strict here and fail under ``node_status``.  Forced-weak nodes need a
-    vacuous factor to satisfy the weak identity.
-    """
-    out = []
-    for qv, pv, w in zip(num_vals, den_vals, values):
-        holds = abs(qv - w * pv) <= STRICT_TOL * scale * (1.0 + abs(w))
-        if holds and abs(pv) > 1e-8 * scale:
-            out.append("strict")
-        else:
-            out.append("weak" if holds else "forced-weak")
     return out
 
 
@@ -89,9 +73,9 @@ def node_coordinates(problem) -> np.ndarray:
 
 
 def check_interpolation(num: Poly, den: Poly, problem) -> list[str]:
-    """Per-node classification strict | weak | fail for phi = num/den, in one or two variables.
+    """Per-node ``node_status`` of phi = num/den, in one or two variables.
 
-    The scale of ``node_status`` is the largest coefficient of the pair.
+    The scale is the largest coefficient of the pair.
     """
     coords = node_coordinates(problem)
     scale = max(num.norm(), den.norm(), 1e-300)
@@ -194,8 +178,10 @@ def augmented_inertia(
 
     Appends deg f + deg g - N roots of num - c*den inside the disk; for an
     interpolant of maximal degrees this matrix is invertible with inertia
-    (deg f, deg g, 0).  When c is not given, magnitudes 1.3 and 0.7 are tried
-    over eight phases in a fixed order.
+    (deg f, deg g, 0).  When c is not given, magnitudes 1.3 and 0.7 over
+    eight phases are all tried, and the constant whose level points lie
+    deepest inside the disk is used: a point near the circle inflates the
+    matrix and lets the relative cutoff swallow a genuine small eigenvalue.
     """
     zf, zg = count_zeros_poles(num, den)
     eta = zf + zg - problem.size
@@ -231,8 +217,9 @@ def augmented_inertia(
                     continue
                 good.append(complex(r))
             if len(good) >= eta:
-                found = (cand, good[:eta])
-                break
+                good = sorted(good, key=abs)[:eta]
+                if found is None or abs(good[-1]) < abs(found[1][-1]):
+                    found = (cand, good)
         if found is None:
             raise OracleError("no level-set constant yielded enough interior points")
         used_c, level_list = found

@@ -278,14 +278,14 @@ class TestShiftedSolves:
     def test_forced_weak_node_gets_a_factor_in_z1(self, monkeypatch):
         p, pair, rng = self._setup()
         plain, d, *_ = _shifted_denominator(p, pair, 0)
-        weak_node_status = disk_module.weak_node_status
+        check_interpolation = disk_module.check_interpolation
 
-        def forced_at_1(*args):
-            statuses = weak_node_status(*args)
-            statuses[1] = "forced-weak"
+        def fail_at_1(*args):
+            statuses = check_interpolation(*args)
+            statuses[1] = "fail"
             return statuses
 
-        monkeypatch.setattr(disk_module, "weak_node_status", forced_at_1)
+        monkeypatch.setattr(disk_module, "check_interpolation", fail_at_1)
         den, d_forced, *_ = _shifted_denominator(p, pair, 0)
         assert d_forced == (d[0] + 2, d[1])
         factor = vacuous_node_factor(p.nodes[1, 0])

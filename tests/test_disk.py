@@ -102,7 +102,7 @@ class TestCenteredSolve:
         # phi = 1/1 matches w at the origin only; the node 0.5 gets a factor vanishing there.
         p = DiskProblem(nodes=np.array([0.0, 0.5]), values=np.array([1.0, 2.0]))
         den, d, statuses = enforce_weak_interpolation(Poly.one(), 0, p)
-        assert statuses == ["strict", "forced-weak"]
+        assert statuses == ["strict", "fail"]
         assert d == 2
         assert abs(den(0.5)) < 1e-15
         num = poly_reflect(den, d)
@@ -246,7 +246,7 @@ class TestSolve:
         assert sol.certificates["pass"]
 
     def test_non_finite_positive_solve_falls_back_to_shifts(self, monkeypatch):
-        def non_finite(problem):
+        def non_finite(problem, dec):
             return Poly(np.array([np.inf, 1.0]))
 
         monkeypatch.setattr(disk_module, "solve_positive", non_finite)
@@ -254,6 +254,36 @@ class TestSolve:
         nodes = np.array([0.0, 0.4, -0.2 + 0.3j])
         sol = solve(DiskProblem(nodes=nodes, values=b(nodes)), seed=0)
         assert sol.certificates["pass"]
+
+    def test_rank_degree_fallback_when_general_path_fails(self, monkeypatch):
+        # Data of a degree-(1, 1) Blaschke quotient at four nodes: Gamma is
+        # singular and indefinite, inertia (1, 1, 2).
+        def failing(problem):
+            raise SolveError("every shifted solve failed: forced")
+
+        monkeypatch.setattr(disk_module, "solve_all_shifts", failing)
+        phi = lambda z: np.exp(0.6j) * (z - 0.3) / (1 - 0.3 * z) * (1 + 0.2j * z) / (z - 0.2j)  # noqa: E731
+        nodes = np.array([0.1, -0.4 + 0.2j, 0.5j, -0.3 - 0.5j])
+        sol = solve(DiskProblem(nodes=nodes, values=phi(nodes)), seed=0)
+        assert sol.inertia.as_tuple() == (1, 1, 2)
+        assert (sol.f.degree, sol.g.degree) == (1, 1)
+        assert sol.certificates["pass"]
+
+    @pytest.mark.parametrize("problem", [BASIC, DiskProblem(
+        nodes=np.array([0.0, 0.4]), values=np.array([0.5, 0.2 + 0.1j]))])
+    def test_general_error_raised_when_both_paths_fail(self, monkeypatch, problem):
+        # BASIC is indefinite (general path first), the second problem
+        # positive definite (rank-degree solve first).
+        def general_fails(problem):
+            raise SolveError("general path failed")
+
+        def rank_degree_fails(problem, dec):
+            raise SolveError("rank-degree solve failed")
+
+        monkeypatch.setattr(disk_module, "solve_all_shifts", general_fails)
+        monkeypatch.setattr(disk_module, "solve_positive", rank_degree_fails)
+        with pytest.raises(SolveError, match="general path failed"):
+            solve(problem, seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         p = DiskProblem(

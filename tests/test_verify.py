@@ -15,7 +15,6 @@ from takagi.verify import (
     node_status,
     pick_matrix_of_function,
     sampled_kernel_inertia,
-    weak_node_status,
 )
 
 
@@ -58,19 +57,21 @@ class TestInterpolationCheck:
         )
         assert statuses[0] not in ("strict",)
 
-    def test_weak_stage_strict_where_strict_stage_fails(self):
-        # den(0) = 1e-4 is small against the unit coefficient scale: the cleared
-        # residual 1e-8 passes the weak-stage rule, while num/den misses w by
-        # 1e-4 and fails the strict-stage rule.
+    def test_small_denominator_node_is_weak_in_both_stages(self):
+        # den(0) = 1e-4 is clear of zero against the unit coefficient scale,
+        # but num/den misses w by 1e-4, so the node is not strict; the cleared
+        # residual 1e-8 is small against the scale, so it is weak.  The weak
+        # stage and the strict stage classify it alike, and the weak stage
+        # adjoins no factor.
         w = 0.5 - 0.25j
         den = Poly(np.array([1e-4, 1.0, np.conj(w * 1e-4 + 1e-8)]))
         num = poly_reflect(den, 2)
         p = DiskProblem(nodes=np.array([0.0]), values=np.array([w]))
-        assert weak_node_status([num(0.0)], [den(0.0)], p.values, 1.0) == ["strict"]
-        assert node_status([num(0.0)], [den(0.0)], p.values, 1.0) == ["fail"]
-        assert check_interpolation(num, den, p) == ["fail"]
-        _, d2, statuses = enforce_weak_interpolation(den, 2, p)
-        assert statuses == ["strict"] and d2 == 2
+        assert node_status([num(0.0)], [den(0.0)], p.values, 1.0) == ["weak"]
+        assert check_interpolation(num, den, p) == ["weak"]
+        den2, d2, statuses = enforce_weak_interpolation(den, 2, p)
+        assert statuses == ["weak"] and d2 == 2
+        assert np.array_equal(den2.coeffs, den.coeffs)
 
 
 class TestUnimodularCheck:
@@ -166,6 +167,27 @@ class TestAugmentedInertia:
         res = augmented_inertia(num, den, p)
         assert res.n_appended == sol.f.degree + sol.g.degree - p.size
         assert res.inertia.as_tuple() == (sol.f.degree, sol.g.degree, 0)
+
+    def test_level_points_taken_deepest_inside_the_disk(self):
+        # Data of a degree-(2, 1) Blaschke quotient at four nodes (inertia
+        # (2, 1, 1)); the solution has degrees (3, 2).  The first constant,
+        # 1.3, puts its level point at |z| = 0.99998, which inflates the
+        # largest eigenvalue to about 1e4 so that the relative cutoff swallows
+        # a genuine eigenvalue near 1e-4.  The deepest level point is used.
+        f = BlaschkeProduct(zeros=(-0.1343199218585769 + 0.2710570365309321j,
+                                   -0.5245254018540344 - 0.4946785358886159j))
+        g = BlaschkeProduct(zeros=(-0.1258899499704389 + 0.44822715734487856j,))
+        nodes = np.array([-0.03323959589998621 - 0.4471163891413124j,
+                          0.4951463203690627 - 0.5117245136032416j,
+                          0.31910054128664683 - 0.5156084957169383j,
+                          0.49838875213411904 + 0.44262515321678314j])
+        p = DiskProblem(nodes=nodes, values=f(nodes) / g(nodes))
+        sol = solve(p, seed=5)
+        assert (sol.f.degree, sol.g.degree) == (3, 2)
+        res = augmented_inertia(sol.interpolant.numerator, sol.interpolant.denominator, p)
+        assert res.n_appended == 1
+        assert np.max(np.abs(res.level_points)) < 0.99
+        assert res.inertia.as_tuple() == (3, 2, 0)
 
 
 class TestPickOfFunction:
