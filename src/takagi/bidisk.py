@@ -48,7 +48,7 @@ from .linalg import (
     transfer_coefficients,
     transfer_samples,
 )
-from .pick import DiskProblem, gram_decompose, pick_matrix
+from .pick import MIN_NODE_SEPARATION, DiskProblem, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
     Poly,
@@ -116,7 +116,7 @@ class BidiskProblem:
             raise ValueError("both coordinates of every node must lie strictly inside the disk")
         for i in range(nodes.shape[0]):
             for j in range(i + 1, nodes.shape[0]):
-                if np.max(np.abs(nodes[i] - nodes[j])) <= 1e-9:
+                if np.max(np.abs(nodes[i] - nodes[j])) <= MIN_NODE_SEPARATION:
                     raise ValueError(f"nodes {i} and {j} coincide")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)

@@ -53,7 +53,7 @@ def cmd_inertia(args) -> int:
     problem, pair, _ = load_problem(args.file)
     if isinstance(problem, DiskProblem):
         G = pick_matrix(problem)
-        inertia, evals, _ = hermitian_inertia(G, args.tol)
+        inertia, evals, _ = hermitian_inertia(G)
         print(f"N = {problem.size}")
         print("interpolation matrix:")
         for row in G:
@@ -65,7 +65,7 @@ def cmd_inertia(args) -> int:
         print("bidisk problems need gamma1/gamma2 for an inertia report", file=sys.stderr)
         return EXIT_INPUT
     for name, G in (("gamma1", pair.gamma1), ("gamma2", pair.gamma2)):
-        inertia, evals, _ = hermitian_inertia(G, args.tol)
+        inertia, evals, _ = hermitian_inertia(G)
         print(f"{name} eigenvalues: " + "  ".join(f"{v:.12g}" for v in evals))
         print(f"{name} inertia (pos,neg,zero): {inertia}")
     return EXIT_OK
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inertia", help="interpolation-matrix inertia report for a problem file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9, help="zero-eigenvalue tolerance")
     p.set_defaults(func=cmd_inertia)
 
     p = sub.add_parser("solve", help="solve a problem file and certify the result")

@@ -40,12 +40,16 @@ class DiskProblem:
         return self.nodes.size
 
 
+def pick_matrix_of_function(values, points) -> np.ndarray:
+    """Hermitian matrix (1 - w_i conj(w_j)) / (1 - z_i conj(z_j)) of values w at points z."""
+    w = np.asarray(values, dtype=complex)
+    z = np.asarray(points, dtype=complex)
+    return hermitize((1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(z, z.conj())))
+
+
 def pick_matrix(problem: DiskProblem) -> np.ndarray:
-    """Hermitian matrix (1 - w_i conj(w_j)) / (1 - lam_i conj(lam_j))."""
-    lam = problem.nodes
-    w = problem.values
-    G = (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(lam, lam.conj()))
-    return hermitize(G)
+    """The Pick matrix of the problem: its targets at its nodes."""
+    return pick_matrix_of_function(problem.values, problem.nodes)
 
 
 @dataclass(frozen=True)
@@ -62,21 +66,19 @@ class GramDecomposition:
     inertia: Inertia
 
 
-def gram_decompose(G: np.ndarray, tol: float = 1e-9) -> GramDecomposition:
+def gram_decompose(G: np.ndarray) -> GramDecomposition:
     """Eigen-based Gram decomposition of a Hermitian matrix.
 
-    u comes from the positive eigenpairs scaled by sqrt(lam), v from the
-    negative ones scaled by sqrt(|lam|).  The y block is sqrt(max(1,||G||))
-    times the null eigenvectors, which makes B strictly positive definite.
+    The ascending eigenpairs split by ``hermitian_inertia``'s counts: u from
+    the positive ones scaled by sqrt(lam), v from the negative ones scaled by
+    sqrt(|lam|).  The y block is sqrt(max(1,||G||)) times the null
+    eigenvectors, which makes B strictly positive definite.
     """
-    inertia, evals, evecs = hermitian_inertia(G, tol)
-    cutoff = tol * max(1.0, float(np.max(np.abs(evals))) if evals.size else 0.0)
-    pos = evals > cutoff
-    neg = evals < -cutoff
-    zer = ~(pos | neg)
-    u = evecs[:, pos] * np.sqrt(evals[pos])
-    v = evecs[:, neg] * np.sqrt(-evals[neg])
-    y = evecs[:, zer]
+    inertia, evals, evecs = hermitian_inertia(G)
+    _, nu, zeta = inertia.as_tuple()
+    u = evecs[:, nu + zeta:] * np.sqrt(evals[nu + zeta:])
+    v = evecs[:, :nu] * np.sqrt(-evals[:nu])
+    y = evecs[:, nu:nu + zeta]
     if y.shape[1]:
         # The 2-norm is an SVD; it scales the null vectors only.
         y = y * np.sqrt(max(1.0, float(np.linalg.norm(G, 2))))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Inertia, hermitian_inertia
-from .pick import DiskProblem
+from .linalg import Inertia, hermitian_inertia, inertia_of
+from .pick import DiskProblem, pick_matrix, pick_matrix_of_function
 from .polynomials import (
     BlaschkeProduct,
     MoebiusMap,
@@ -106,13 +106,6 @@ def count_zeros_poles(num: Poly, den: Poly) -> tuple[int, int]:
     return roots_in_disk(num).size, roots_in_disk(den).size
 
 
-def pick_matrix_of_function(values, points) -> np.ndarray:
-    points = np.asarray(points, dtype=complex)
-    values = np.asarray(values, dtype=complex)
-    G = (1.0 - np.outer(values, values.conj())) / (1.0 - np.outer(points, points.conj()))
-    return 0.5 * (G + G.conj().T)
-
-
 def lemma_inertia_oracle(
     f: BlaschkeProduct, g: BlaschkeProduct, points, tol: float = 1e-8
 ) -> Inertia:
@@ -131,10 +124,7 @@ def lemma_inertia_oracle(
         for zg in g.zeros:
             if abs(p - zg) <= 1e-8:
                 raise OracleError("sample point touches a pole of f/g")
-    vals = f(points) / g(points) if points.size else np.zeros(0, dtype=complex)
-    if points.size == 0:
-        return Inertia(0, 0, 0)
-    inertia, _, _ = hermitian_inertia(pick_matrix_of_function(vals, points), tol)
+    inertia, _, _ = hermitian_inertia(pick_matrix_of_function(f(points) / g(points), points), tol)
     return inertia
 
 
@@ -305,10 +295,10 @@ def certify_bidisk(solution, problem) -> dict:
 
 
 def certify_disk(solution, problem: DiskProblem) -> dict:
-    """Certificate block for a disk solution; all quantities recomputed."""
+    """Certificate block for a disk solution; all quantities recomputed, the inertia too."""
     num = solution.interpolant.numerator
     den = solution.interpolant.denominator
-    pi, nu, zeta = solution.inertia.as_tuple()
+    pi, nu, zeta = inertia_of(np.linalg.eigvalsh(pick_matrix(problem))).as_tuple()
     N = problem.size
     statuses = check_interpolation(num, den, problem)
     vals = num(problem.nodes) / den(problem.nodes)

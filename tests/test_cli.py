@@ -145,6 +145,21 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out_path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("inertia", [[0, 0, 3], [3, 0, 0]])
+    def test_disk_inertia_is_recomputed(self, inertia, tmp_path, capsys):
+        # The stored inertia is informational; the degree window and the
+        # kernel bound use the inertia of the problem's Pick matrix.
+        out_path = tmp_path / "result.json"
+        assert main(["solve", "problems/disk_basic.json", "--out", str(out_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", str(out_path)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        data = json.loads(out_path.read_text())
+        data["inertia"] = inertia
+        dump_json(data, str(out_path))
+        assert main(["verify", str(out_path)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("problem", ["problems/disk_basic.json", "problems/bidisk_pair.json"])
     def test_node_status_is_recomputed(self, problem, tmp_path, capsys):
         # The stored statuses are the solver's report; the verdict must come

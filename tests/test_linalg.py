@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from takagi.linalg import (
     check_hermitian,
     hermitian_inertia,
     hermitize,
+    inertia_of,
     rank_with_tol,
     real_combination,
     sample_grid,
     transfer_coefficients,
     transfer_samples,
 )
+from takagi.io import load_problem
 from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import Poly
 from takagi.realization import Realization, eval_realization
@@ -74,6 +77,61 @@ def test_sylvester_stability():
         congruent = hermitize(S.conj().T @ M @ S)
         inertia2, _, _ = hermitian_inertia(congruent)
         assert inertia2.as_tuple() == inertia.as_tuple()
+
+
+def inertia_60_digits(problem: DiskProblem) -> tuple[int, int, int]:
+    """Inertia of the Pick matrix formed and diagonalised at 60 digits.
+
+    An eigenvalue counts as zero below 1e-40 of max(1, max|lam|), far under
+    any float64 rounding of the inputs' exact matrix.
+    """
+    with mpmath.workdps(60):
+        lam = [mpmath.mpc(z) for z in problem.nodes]
+        w = [mpmath.mpc(v) for v in problem.values]
+        n = len(lam)
+        G = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                G[i, j] = (1 - w[i] * mpmath.conj(w[j])) / (1 - lam[i] * mpmath.conj(lam[j]))
+        evals = np.array([float(e) for e in mpmath.eighe(G, eigvals_only=True)])
+    cutoff = 1e-40 * max(1.0, float(np.max(np.abs(evals))))
+    pos, neg = int(np.sum(evals > cutoff)), int(np.sum(evals < -cutoff))
+    return pos, neg, n - pos - neg
+
+
+def test_zero_rule_default_cutoff():
+    # The cutoff is 32 * 16 * eps = 1.14e-13 at N = 16 with max|lam| = 1.
+    evals = np.array([-1.0, 1e-13, 1.2e-13] + [1.0] * 13)
+    assert inertia_of(evals).as_tuple() == (14, 1, 1)
+    assert inertia_of(evals, 1e-9).as_tuple() == (13, 1, 2)
+
+
+def test_zero_rule_matches_60_digit_inertia():
+    """Clustered N = 16 Pick matrices: the float64 rule against a 60-digit reference.
+
+    Square nodes of half-width 0.5 (pairwise at least 0.05 apart) and targets
+    of modulus 0.2 to 3.  These matrices are nonsingular, with eigenvalues down
+    to about 1e-11 relative, and a 1e-9 cutoff calls some of them singular.
+    """
+    old_singular = 0
+    for k in range(12):
+        rng = np.random.default_rng([16, k])
+        while True:
+            nodes = (rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)) * 0.5
+            if np.min(np.abs(nodes[:, None] - nodes[None, :]) + np.eye(16)) > 0.05:
+                break
+        values = rng.uniform(0.2, 3.0, 16) * np.exp(2j * np.pi * rng.uniform(0, 1, 16))
+        problem = DiskProblem(nodes=nodes, values=values)
+        evals = np.linalg.eigvalsh(pick_matrix(problem))
+        assert inertia_of(evals).as_tuple() == inertia_60_digits(problem)
+        old_singular += inertia_of(evals, 1e-9).zero > 0
+    assert old_singular >= 1
+
+
+def test_zero_rule_keeps_the_singular_reference():
+    problem, _, _ = load_problem("problems/disk_degenerate.json")
+    evals = np.linalg.eigvalsh(pick_matrix(problem))
+    assert inertia_of(evals).as_tuple() == inertia_60_digits(problem) == (1, 1, 2)
 
 
 def test_rank_with_tol():

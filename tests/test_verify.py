@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from takagi.disk import enforce_weak_interpolation, solve
-from takagi.linalg import hermitian_inertia
+from takagi.io import load_problem
+from takagi.linalg import Inertia, hermitian_inertia
 from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import BlaschkeProduct, Poly, poly_reflect
 from takagi.verify import (
     OracleError,
     augmented_inertia,
+    certify_disk,
     check_interpolation,
     check_unimodular,
     count_zeros_poles,
@@ -142,6 +146,33 @@ class TestSampledKernel:
         )
         assert inertia.positive <= p.size - nu
         assert inertia.negative <= p.size - pi
+
+
+class TestCertificateInertia:
+    """certify_disk decides (pi, nu, zeta) from the problem, not from the solution."""
+
+    WRONG = [Inertia(0, 0, 3), Inertia(3, 0, 0)]
+
+    def test_recorded_inertia_is_ignored(self):
+        p, _, _ = load_problem("problems/disk_basic.json")
+        sol = solve(p, seed=0)
+        assert sol.inertia.as_tuple() == (2, 1, 0) and sol.certificates["pass"]
+        for wrong in self.WRONG:
+            cert = certify_disk(replace(sol, inertia=wrong), p)
+            assert cert["verdicts"] == sol.certificates["verdicts"]
+
+    def test_recorded_inertia_cannot_make_a_bound_vacuous(self):
+        # A degree-(2, 2) interpolant of the same three nodes breaks the
+        # degree window of the true inertia (2, 1, 0); a recorded (0, 0, 3)
+        # would widen the window until both bounds hold.
+        p, _, _ = load_problem("problems/disk_basic.json")
+        wider = DiskProblem(np.append(p.nodes, 0.5 + 0.2j), np.append(p.values, 2.0))
+        sol = solve(wider, seed=0)
+        assert (sol.f.degree, sol.g.degree) == (2, 2)
+        expected = certify_disk(sol, p)["verdicts"]
+        assert not expected["degree_sandwich"] and not expected["kernel_bound"]
+        for wrong in self.WRONG:
+            assert certify_disk(replace(sol, inertia=wrong), p)["verdicts"] == expected
 
 
 class TestAugmentedInertia:
