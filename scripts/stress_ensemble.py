@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Stress ensemble past the benchmark pools: disk problems at N = 12 to 24.
 
-Each cell is one node geometry and one N, with ``problems`` problems.
+Each cell is one node geometry and one N, with ``PROBLEMS`` problems.
 Problem k of a cell is drawn from ``default_rng([777, N, k, len(geometry)])``
 with the benchmark's generators (``perfbench/workloads.py``): nodes uniform in
 the square of half-width 0.5 ("square") or the disk of radius 0.85 ("disk"),
@@ -9,67 +9,41 @@ at least 0.05 apart, and targets of modulus 0.2 to 3.  Each problem is solved
 with ``seed=k`` and certified.  Per cell the script prints the certified
 count, the certificate FAILs, the solver errors by cause, and how often the
 solver's inertia of the Pick matrix (``gram_decompose``) agrees with the
-inertia computed at 60 digits with mpmath.  It reports; it is not a gate.
+inertia computed at 60 digits with mpmath (``tests/mp_reference.py``).  It
+reports; it is not a gate.
 
 ``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
 are imported, so the same script can measure an exported parent commit.
 
     python3 scripts/stress_ensemble.py
-    python3 scripts/stress_ensemble.py --tree ../parent --sizes 16 20
+    python3 scripts/stress_ensemble.py --tree ../parent
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 # One BLAS thread, as in the benchmark; it must be set before NumPy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tests"))
+from mp_reference import inertia_60_digits  # noqa: E402
+
+SIZES = (12, 16, 20, 24)
 GEOMETRIES = ("square", "disk")
+PROBLEMS = 24
 
 
-@dataclass(frozen=True)
-class StressConfig:
-    tree: str = str(REPO)
-    sizes: tuple[int, ...] = (12, 16, 20, 24)
-    geometries: tuple[str, ...] = GEOMETRIES
-    problems: int = 24
-    out: str | None = None
-
-
-def inertia_60_digits(nodes: np.ndarray, values: np.ndarray) -> tuple[int, int, int]:
-    """Inertia of the Pick matrix formed and diagonalised at 60 digits.
-
-    An eigenvalue counts as zero below 1e-40 of max(1, max|lam|).
-    """
-    n = nodes.size
-    with mpmath.workdps(60):
-        lam = [mpmath.mpc(z) for z in nodes]
-        w = [mpmath.mpc(v) for v in values]
-        G = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                G[i, j] = (1 - w[i] * mpmath.conj(w[j])) / (1 - lam[i] * mpmath.conj(lam[j]))
-        evals = np.array([float(e) for e in mpmath.eighe(G, eigvals_only=True)])
-    cutoff = 1e-40 * max(1.0, float(np.max(np.abs(evals))))
-    pos, neg = int(np.sum(evals > cutoff)), int(np.sum(evals < -cutoff))
-    return pos, neg, n - pos - neg
-
-
-def run(cfg: StressConfig) -> list[dict]:
-    tree = Path(cfg.tree).resolve()
+def run(tree: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from takagi.disk import solve
     from takagi.pick import DiskProblem, gram_decompose, pick_matrix
@@ -77,12 +51,12 @@ def run(cfg: StressConfig) -> list[dict]:
 
     nodes_of = {"square": lambda rng, n: _square_nodes(rng, n, 0.5),
                 "disk": lambda rng, n: _disk_nodes(rng, n, 0.85)}
-    cells = []
-    for geometry in cfg.geometries:
-        for n in cfg.sizes:
+    total, total_fail = 0, 0
+    for geometry in GEOMETRIES:
+        for n in SIZES:
             start = time.perf_counter()
             certified, cert_fail, agree, causes = 0, 0, 0, Counter()
-            for k in range(cfg.problems):
+            for k in range(PROBLEMS):
                 rng = np.random.default_rng([777, n, k, len(geometry)])
                 nodes = nodes_of[geometry](rng, n)
                 problem = DiskProblem(nodes=nodes, values=_targets(rng, n))
@@ -97,37 +71,19 @@ def run(cfg: StressConfig) -> list[dict]:
                     certified += 1
                 else:
                     cert_fail += 1
-            cells.append({"geometry": geometry, "N": n, "problems": cfg.problems,
-                          "certified": certified, "certificate_fail": cert_fail,
-                          "errors": dict(sorted(causes.items())), "inertia_agrees": agree,
-                          "seconds": round(time.perf_counter() - start, 1)})
-            print(f"{geometry:6} N={n:2}: certified {certified}/{cfg.problems}, "
-                  f"certificate FAIL {cert_fail}, inertia agrees {agree}/{cfg.problems}, "
-                  f"errors {dict(causes) or '{}'} ({cells[-1]['seconds']} s)", flush=True)
-    return cells
+            total, total_fail = total + certified, total_fail + cert_fail
+            print(f"{geometry:6} N={n:2}: certified {certified}/{PROBLEMS}, "
+                  f"certificate FAIL {cert_fail}, inertia agrees {agree}/{PROBLEMS}, "
+                  f"errors {dict(sorted(causes.items()))} "
+                  f"({time.perf_counter() - start:.1f} s)", flush=True)
+    cells = len(GEOMETRIES) * len(SIZES)
+    print(f"certified {total}/{PROBLEMS * cells}, certificate FAIL {total_fail}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    defaults = StressConfig()
-    parser.add_argument("--tree", default=defaults.tree, help="source checkout to import")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(defaults.sizes))
-    parser.add_argument("--geometries", nargs="+", choices=GEOMETRIES,
-                        default=list(defaults.geometries))
-    parser.add_argument("--problems", type=int, default=defaults.problems)
-    parser.add_argument("--out", default=None, help="write the per-cell JSON here")
-    args = parser.parse_args()
-    cfg = StressConfig(tree=args.tree, sizes=tuple(args.sizes),
-                       geometries=tuple(args.geometries), problems=args.problems, out=args.out)
-    cells = run(cfg)
-    total = sum(c["certified"] for c in cells)
-    fails = sum(c["certificate_fail"] for c in cells)
-    print(f"certified {total}/{cfg.problems * len(cells)}, certificate FAIL {fails}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump({"config": asdict(cfg), "cells": cells}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"summary written to {cfg.out}")
+    parser.add_argument("--tree", default=str(REPO), help="source checkout to import")
+    run(Path(parser.parse_args().tree).resolve())
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,8 @@ from takagi.io import load_problem
 from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import Poly
 from takagi.realization import Realization, eval_realization
+
+from mp_reference import inertia_60_digits
 
 
 def test_identity_inertia():
@@ -79,26 +80,6 @@ def test_sylvester_stability():
         assert inertia2.as_tuple() == inertia.as_tuple()
 
 
-def inertia_60_digits(problem: DiskProblem) -> tuple[int, int, int]:
-    """Inertia of the Pick matrix formed and diagonalised at 60 digits.
-
-    An eigenvalue counts as zero below 1e-40 of max(1, max|lam|), far under
-    any float64 rounding of the inputs' exact matrix.
-    """
-    with mpmath.workdps(60):
-        lam = [mpmath.mpc(z) for z in problem.nodes]
-        w = [mpmath.mpc(v) for v in problem.values]
-        n = len(lam)
-        G = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                G[i, j] = (1 - w[i] * mpmath.conj(w[j])) / (1 - lam[i] * mpmath.conj(lam[j]))
-        evals = np.array([float(e) for e in mpmath.eighe(G, eigvals_only=True)])
-    cutoff = 1e-40 * max(1.0, float(np.max(np.abs(evals))))
-    pos, neg = int(np.sum(evals > cutoff)), int(np.sum(evals < -cutoff))
-    return pos, neg, n - pos - neg
-
-
 def test_zero_rule_default_cutoff():
     # The cutoff is 32 * 16 * eps = 1.14e-13 at N = 16 with max|lam| = 1.
     evals = np.array([-1.0, 1e-13, 1.2e-13] + [1.0] * 13)
@@ -123,7 +104,7 @@ def test_zero_rule_matches_60_digit_inertia():
         values = rng.uniform(0.2, 3.0, 16) * np.exp(2j * np.pi * rng.uniform(0, 1, 16))
         problem = DiskProblem(nodes=nodes, values=values)
         evals = np.linalg.eigvalsh(pick_matrix(problem))
-        assert inertia_of(evals).as_tuple() == inertia_60_digits(problem)
+        assert inertia_of(evals).as_tuple() == inertia_60_digits(problem.nodes, problem.values)
         old_singular += inertia_of(evals, 1e-9).zero > 0
     assert old_singular >= 1
 
@@ -131,7 +112,8 @@ def test_zero_rule_matches_60_digit_inertia():
 def test_zero_rule_keeps_the_singular_reference():
     problem, _, _ = load_problem("problems/disk_degenerate.json")
     evals = np.linalg.eigvalsh(pick_matrix(problem))
-    assert inertia_of(evals).as_tuple() == inertia_60_digits(problem) == (1, 1, 2)
+    reference = inertia_60_digits(problem.nodes, problem.values)
+    assert inertia_of(evals).as_tuple() == reference == (1, 1, 2)
 
 
 def test_rank_with_tol():
