@@ -1,10 +1,12 @@
 """Indefinite inner products: signature matrices and J-isometry extension.
 
 A partially defined map sending domain vectors to range vectors with equal
-J-Grams extends to a full J-unitary matrix.  The extension here is
-constructive: split off the radical of the common Gram, adjoin hyperbolic
-partners to both sides, then match J-orthonormalized bases of the two
-J-orthogonal complements sign by sign.
+J-Grams extends to a full J-unitary matrix.  The extension here is one
+construction: split off the radical of the common Gram, adjoin hyperbolic
+partners to both sides, match J-orthonormalized bases of the two
+J-orthogonal complements sign by sign, polish both bases onto their shared
+Gram S and take V1 = Br S^-1 Bd* J.  The radical, and a degenerate
+complement, are decided by the one zero rule ``linalg.zero_cutoff``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import hermitize, zero_cutoff
+
+GRAM_MISMATCH_TOL = 1e-9  # relative, per prescribed vector
 
 
 class ExtensionError(RuntimeError):
@@ -86,11 +90,6 @@ class PartialJIsometry:
         object.__setattr__(self, "domain", d)
         object.__setattr__(self, "range_", r)
 
-    def gram_mismatch(self) -> float:
-        Gd = j_gram(self.J, self.domain)
-        Gr = j_gram(self.J, self.range_)
-        return float(np.linalg.norm(Gd - Gr))
-
 
 def _hyperbolic_partner(span: np.ndarray, idx: int, signs: np.ndarray) -> np.ndarray:
     """Vector J-orthogonal to every column of span except unit pairing with column idx,
@@ -105,7 +104,7 @@ def _hyperbolic_partner(span: np.ndarray, idx: int, signs: np.ndarray) -> np.nda
     return w0 - 0.5 * alpha * span[:, idx]
 
 
-def _j_orthonormal_complement(span: np.ndarray, signs: np.ndarray, tol: float):
+def _j_orthonormal_complement(span: np.ndarray, signs: np.ndarray):
     """J-orthonormal basis of the J-orthogonal complement of the span.
 
     Returns (basis columns, their +-1 J-norms sorted positives first, each
@@ -123,19 +122,19 @@ def _j_orthonormal_complement(span: np.ndarray, signs: np.ndarray, tol: float):
         return Q, np.zeros(0)
     Gc = hermitize(Q.conj().T @ (signs[:, None] * Q))
     evals, evecs = np.linalg.eigh(Gc)
-    if np.min(np.abs(evals)) <= tol * max(1.0, float(np.max(np.abs(evals)))):
+    if np.min(np.abs(evals)) <= zero_cutoff(evals):
         raise ExtensionError("complement J-Gram is degenerate")
     order = sorted(range(evals.size), key=lambda k: (0 if evals[k] > 0 else 1, -abs(evals[k])))
     basis = (Q @ evecs[:, order]) / np.sqrt(np.abs(evals[order]))[None, :]
     return basis, np.sign(evals[order])
 
 
-def extend_j_isometry(partial: PartialJIsometry, tol: float = 1e-9) -> np.ndarray:
+def extend_j_isometry(partial: PartialJIsometry) -> np.ndarray:
     """Extend the prescribed action to an n x n J-unitary matrix V1.
 
     Raises GramMismatchError when the J-Grams of domain and range disagree
-    beyond ``tol`` (relative), ExtensionError when the domain columns are
-    dependent or the geometry degenerates.
+    beyond ``GRAM_MISMATCH_TOL`` (relative), ExtensionError when the domain
+    columns are dependent or the geometry degenerates.
     """
     J, D, R = partial.J, partial.domain, partial.range_
     signs = J.signs
@@ -146,7 +145,7 @@ def extend_j_isometry(partial: PartialJIsometry, tol: float = 1e-9) -> np.ndarra
     Gr = j_gram(J, R)
     scale = max(1.0, float(np.linalg.norm(Gd)))
     mismatch = float(np.linalg.norm(Gd - Gr))
-    if mismatch > tol * scale * N:
+    if mismatch > GRAM_MISMATCH_TOL * scale * N:
         raise GramMismatchError(mismatch)
     if np.linalg.matrix_rank(D, tol=1e-10 * max(1.0, np.linalg.norm(D))) < N:
         raise ExtensionError("domain vectors are linearly dependent")
@@ -155,8 +154,7 @@ def extend_j_isometry(partial: PartialJIsometry, tol: float = 1e-9) -> np.ndarra
 
     G = hermitize(0.5 * (Gd + Gr))
     evals, evecs = np.linalg.eigh(G)
-    cutoff = tol * max(1.0, float(np.max(np.abs(evals))))
-    radical = np.abs(evals) <= cutoff
+    radical = np.abs(evals) <= zero_cutoff(evals)
     # Rotate so radical directions sit in designated columns on both sides,
     # then rescale each column pair by a common factor (which preserves the
     # prescribed map) so the Gram is +-1/0 diagonal and well conditioned.
@@ -176,8 +174,8 @@ def extend_j_isometry(partial: PartialJIsometry, tol: float = 1e-9) -> np.ndarra
         wr = _hyperbolic_partner(Fr, i, signs)
         Fd = np.hstack([Fd, wd[:, None]])
         Fr = np.hstack([Fr, wr[:, None]])
-    Cd, sd = _j_orthonormal_complement(Fd, signs, tol)
-    Cr, sr = _j_orthonormal_complement(Fr, signs, tol)
+    Cd, sd = _j_orthonormal_complement(Fd, signs)
+    Cr, sr = _j_orthonormal_complement(Fr, signs)
     if Cd.shape[1] != Cr.shape[1] or not np.array_equal(sd, sr):
         raise ExtensionError("complement signatures do not match")
     Bd = np.hstack([Fd, Cd])
@@ -202,10 +200,6 @@ def extend_j_isometry(partial: PartialJIsometry, tol: float = 1e-9) -> np.ndarra
     Bd = _polish_to_gram(Bd, signs, S, Sinv)
     Br = _polish_to_gram(Br, signs, S, Sinv)
     V1 = Br @ Sinv @ (Bd.conj().T * signs[None, :])
-    alt = np.linalg.solve(Bd.conj().T, Br.conj().T).conj().T
-    alt = _newton_j_unitary(alt, J)
-    if j_unitarity_defect(J, alt) < j_unitarity_defect(J, V1):
-        V1 = alt
     defect = j_unitarity_defect(J, V1)
     if defect > 1e-8 * n * scale:
         raise ExtensionError(f"extension failed J-unitarity check (defect {defect:.3e})")
@@ -225,26 +219,6 @@ def _polish_to_gram(
         if res >= best_res:
             break
         best, best_res = cand, res
-    return best
-
-
-def _newton_j_unitary(V: np.ndarray, J: SignatureMatrix, iterations: int = 12) -> np.ndarray:
-    """Polish toward J-unitarity: V <- (V + J V^-* J)/2, kept only while it helps.
-
-    The action on the prescribed span moves only by the size of the starting
-    defect, so the interpolation data are preserved to that accuracy.
-    """
-    Jm = J.matrix()
-    best = V
-    for _ in range(iterations):
-        try:
-            correction = Jm @ np.linalg.inv(best).conj().T @ Jm
-        except np.linalg.LinAlgError:
-            break
-        cand = 0.5 * (best + correction)
-        if j_unitarity_defect(J, cand) >= j_unitarity_defect(J, best):
-            break
-        best = cand
     return best
 
 

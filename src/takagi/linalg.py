@@ -1,9 +1,11 @@
 """Dense Hermitian eigen-analysis with one zero-eigenvalue rule.
 
-``inertia_of`` counts an eigenvalue lam of an n x n matrix as zero when
-``|lam| <= ZERO_RULE * n * eps * max(1, max|lam|)``, 1.1e-13 at n = 16: a
-backward-stable Hermitian eigensolver moves each eigenvalue by at most about
-``n * eps * ||M||_2`` (Weyl; Demmel, *Applied Numerical Linear Algebra*, 5.2).
+An eigenvalue lam of an n x n matrix is zero when
+``|lam| <= zero_cutoff(evals) = ZERO_RULE * n * eps * max(1, max|lam|)``,
+1.1e-13 at n = 16: a backward-stable Hermitian eigensolver moves each
+eigenvalue by at most about ``n * eps * ||M||_2`` (Weyl; Demmel, *Applied
+Numerical Linear Algebra*, 5.2).  ``inertia_of`` counts signs under it, and
+the J-isometry extension finds the radical of a J-Gram with it.
 
 Also holds the kernels that the disk and bidisk solvers share: the randomized
 real-combination search (``real_combination``) and the batched sampling of a
@@ -62,12 +64,18 @@ def check_finite(what: str, *arrays) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def inertia_of(evals: np.ndarray, tol: float | None = None) -> Inertia:
-    """Sign counts of ``evals`` under the zero rule; ``tol`` replaces ``ZERO_RULE * n * eps``."""
+def zero_cutoff(evals: np.ndarray, tol: float | None = None) -> float:
+    """The zero rule: |lam| at or below this is zero; ``tol`` replaces ``ZERO_RULE * n * eps``."""
     evals = np.asarray(evals)
     if tol is None:
         tol = ZERO_RULE * evals.size * np.finfo(float).eps
-    cutoff = tol * max(1.0, float(np.abs(evals).max()) if evals.size else 0.0)
+    return tol * max(1.0, float(np.abs(evals).max()) if evals.size else 0.0)
+
+
+def inertia_of(evals: np.ndarray, tol: float | None = None) -> Inertia:
+    """Sign counts of ``evals`` under ``zero_cutoff(evals, tol)``."""
+    evals = np.asarray(evals)
+    cutoff = zero_cutoff(evals, tol)
     pos = int(np.count_nonzero(evals > cutoff))
     neg = int(np.count_nonzero(evals < -cutoff))
     return Inertia(pos, neg, evals.size - pos - neg)
@@ -123,10 +131,10 @@ def resolvent_stack(D: np.ndarray, blocks: tuple[int, ...], points: np.ndarray) 
 
     The state space splits into blocks of the sizes in ``blocks``, and ``E_z``
     scales block r by ``z[r]``; ``points`` has one column per block.  The
-    entries are formed as ``z * D[i, j]``, z on the left, which rounds as the
-    one-variable ``I - z D``.  NumPy's vectorised complex product can round
-    ``D[i, j] * z`` differently in the last bit, and some disk verdicts on
-    nearly singular problems depend on that bit.
+    entries are formed as ``z * D[i, j]``, z on the left.  NumPy's vectorised
+    complex product can round ``D[i, j] * z`` differently in the last bit; on
+    the benchmark pools that bit decides no verdict, but it moves the degrees
+    of some solutions whose Pick matrix is singular, up or down.
     """
     e = np.repeat(np.asarray(points, dtype=complex), blocks, axis=1)
     return np.eye(D.shape[0], dtype=complex) - e[:, None, :] * D

@@ -102,8 +102,8 @@ def lurking_colligation(
     exactly when sum_r (1 - lam_i^r conj(lam_j^r)) <J1 x_i^r, x_j^r> equals
     1 - w_i conj(w_j); ``krein.extend_j_isometry`` then extends the map.
     """
-    # Nodes on the left of the product: E * X rounds as the one-variable
-    # lam * x, and disk verdicts on nearly singular problems follow its last bit.
+    # Nodes on the left of the product, as in linalg.resolvent_stack: its last
+    # bit moves the degrees of some solutions for a singular Pick matrix.
     E = np.repeat(np.asarray(nodes).T, blocks, axis=0)
     domain = np.vstack([np.ones((1, values.size)), E * X])
     range_ = np.vstack([values[None, :], X])

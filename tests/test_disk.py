@@ -285,6 +285,22 @@ class TestSolve:
         with pytest.raises(SolveError, match="general path failed"):
             solve(problem, seed=0)
 
+    def test_clustered_sixteen_nodes_certify(self):
+        # A square-node stress problem (N = 16, k = 22): nodes uniform in the
+        # square of half-width 0.5, at least 0.05 apart, targets of modulus
+        # 0.2 to 3.  Gamma is nonsingular, and the J-Gram of every shifted
+        # solve has an eigenvalue of 1e-10 to 1e-9 (relative) that is not zero.
+        rng = np.random.default_rng([777, 16, 22, 6])
+        while True:
+            nodes = (rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)) * 0.5
+            gaps = np.abs(nodes[:, None] - nodes[None, :]) + np.eye(16)
+            if gaps.min() > 0.05:
+                break
+        values = rng.uniform(0.2, 3.0, 16) * np.exp(2j * np.pi * rng.uniform(0, 1, 16))
+        sol = solve(DiskProblem(nodes=nodes, values=values), seed=22)
+        assert sol.inertia.zero == 0
+        assert sol.certificates["pass"]
+
     def test_deterministic_for_fixed_seed(self):
         p = DiskProblem(
             nodes=np.array([0.1, -0.2j]), values=np.array([2.0, 0.3 + 0.4j])
