@@ -6,15 +6,19 @@ Solves the first-pass pool of each benchmark workload (the first
 ``seed=k`` and ``certify=True`` for problem k, on one BLAS thread.  Each
 problem gets one row: workload, seed, index, class label, pass or fail, the
 failure cause, the degrees (deg f and deg g on the disk, the bidegree on the
-bidisk) and the sha256 of the result file that ``takagi.io.dump_json`` writes
-(of the error text when the solve raised).
+bidisk), the sha256 of the result file that ``takagi.io.dump_json`` writes
+(of the error text when the solve raised) and the sha256 of the solution
+polynomials alone, the file's ``numerator`` and ``denominator`` (null when the
+solve raised).
 
 ``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
 are imported, so one copy of this script can run any checkout, such as an
 exported parent commit.  ``--compare A B`` lists every problem whose row
 differs between two outcome files, tallies the differences per workload and
 seed (gains, losses, degree rises and falls, cause changes, rows that differ
-only in bytes) and exits 1 if there is any.
+only in bytes, and rows whose polynomials are unchanged, so that a change of
+the certificate block alone is told apart from a change of the solution) and
+exits 1 if there is any.
 
     python3 scripts/pool_outcomes.py --out change.json
     python3 scripts/pool_outcomes.py --tree ../parent --out parent.json
@@ -57,8 +61,10 @@ def outcome(run, item, k: int, path: Path) -> dict:
         sol = run.solve(item, k)
     except Exception as exc:  # every solver failure is a recorded outcome
         return {"passed": False, "cause": run.failure_cause(exc), "degrees": None,
-                "sha256": hashlib.sha256(run.error_bytes(exc)).hexdigest()}
+                "sha256": hashlib.sha256(run.error_bytes(exc)).hexdigest(), "poly_sha256": None}
     text = run.serialize(sol, item, path)
+    data = json.loads(text)
+    polys = json.dumps([data["numerator"], data["denominator"]]).encode()
     cert = sol.certificates
     failed = sorted(name for name, ok in cert["verdicts"].items() if not ok)
     if item.pair is None:
@@ -67,7 +73,8 @@ def outcome(run, item, k: int, path: Path) -> dict:
         degrees = list(sol.bidegree)
     return {"passed": bool(cert["pass"]),
             "cause": None if cert["pass"] else "certificate FAIL: " + "+".join(failed),
-            "degrees": degrees, "sha256": hashlib.sha256(text).hexdigest()}
+            "degrees": degrees, "sha256": hashlib.sha256(text).hexdigest(),
+            "poly_sha256": hashlib.sha256(polys).hexdigest()}
 
 
 def solve_pools(cfg: PoolConfig) -> list[dict]:
@@ -87,7 +94,9 @@ def solve_pools(cfg: PoolConfig) -> list[dict]:
     return rows
 
 
-TALLY = ("gains", "losses", "degree rises", "degree falls", "cause changes", "bytes only")
+TALLY = ("gains", "losses", "degree rises", "degree falls", "cause changes", "bytes only",
+         "polynomials unchanged")
+HASHES = ("sha256", "poly_sha256")
 
 
 def difference_kinds(ra: dict, rb: dict) -> list[str]:
@@ -102,8 +111,10 @@ def difference_kinds(ra: dict, rb: dict) -> list[str]:
             kinds.append("degree falls")
     if ra["cause"] != rb["cause"] and ra["cause"] and rb["cause"]:
         kinds.append("cause changes")
-    if all(ra[f] == rb[f] for f in ra if f != "sha256"):
+    if all(ra.get(f) == rb.get(f) for f in ra.keys() | rb.keys() if f not in HASHES):
         kinds.append("bytes only")
+    if ra.get("poly_sha256") is not None and ra.get("poly_sha256") == rb.get("poly_sha256"):
+        kinds.append("polynomials unchanged")
     return kinds
 
 

@@ -57,10 +57,11 @@ from .polynomials import (
     moebius_matrix,
     moebius_pullback,
     pad_coeffs,
+    poly_reflect,
     reduce_common_roots,
 )
 from .realization import Realization, lurking_colligation
-from .verify import certify_bidisk, near_pole
+from .verify import TORAL_NUMERATOR, certify_bidisk, near_pole
 
 PAIR_RESIDUAL_TOL = 1e-9
 # Relative singular-value threshold of the rank conditions.
@@ -409,11 +410,8 @@ def to_birational(r: Realization) -> Rational:
 
 @dataclass(frozen=True)
 class ToralReport:
-    grid: int
-    q_near_zero_cells: int
     common_near_zero_cells: int
     violations: int
-    singular_cells: list[tuple[int, int]]
 
     @property
     def passed(self) -> bool:
@@ -421,21 +419,13 @@ class ToralReport:
 
 
 def toral_check(br: Rational, grid: int = 256) -> ToralReport:
-    """Scan the torus: wherever the denominator nearly vanishes, so must the numerator."""
+    """Torus scan: where den nearly vanishes, so must num (grid reference of ``certify_bidisk``)."""
     qv = boundary_values(br.denominator, grid)
     pv = np.abs(boundary_values(br.numerator, grid))
-    q_small, p_small = near_pole(qv), near_pole(pv)
-    p_large = pv > 1e-3 * max(float(pv.max()), 1e-300)
-    common = q_small & p_small
-    violations = int(np.sum(q_small & p_large))
-    cells = [tuple(map(int, idx)) for idx in np.argwhere(common)[:64]]
-    return ToralReport(
-        grid=grid,
-        q_near_zero_cells=int(np.sum(q_small)),
-        common_near_zero_cells=int(np.sum(common)),
-        violations=violations,
-        singular_cells=cells,
-    )
+    q_small = near_pole(qv)
+    p_large = pv > TORAL_NUMERATOR * max(float(pv.max()), 1e-300)
+    return ToralReport(common_near_zero_cells=int(np.sum(q_small & near_pole(pv))),
+                       violations=int(np.sum(q_small & p_large)))
 
 
 def restrict_balanced(br: Rational, m: MoebiusMap) -> tuple[Poly, Poly]:
@@ -543,7 +533,8 @@ def combine_bidisk(
     The inertias are the last kept shift's; the rank budgets the largest
     over the kept shifts.
     """
-    p, q = combine_shifts(family, problem, rng)
+    q = combine_shifts(family, problem, rng)
+    p = poly_reflect(q, family.refl_degree)
     statuses = require_strict(p, q, problem, "combination")
     return BidiskSolution(
         numerator=p,

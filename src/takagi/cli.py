@@ -149,17 +149,8 @@ def cmd_lemma_check(args) -> int:
                 break
         f = BlaschkeProduct(zeros=tuple(fz))
         g = BlaschkeProduct(zeros=tuple(gz))
-        pts = []
-        while len(pts) < m + n:
-            z = (rng.uniform(-0.95, 0.95) + 1j * rng.uniform(-0.95, 0.95)) * 0.7
-            if abs(z) >= 0.95:
-                continue
-            if n and np.min(np.abs(z - gz)) < 1e-3:
-                continue
-            if pts and min(abs(z - p) for p in pts) < 1e-3:
-                continue
-            pts.append(z)
-        inertia = verify.lemma_inertia_oracle(f, g, np.array(pts))
+        pts = verify.interior_points(m + n, rng, gz)
+        inertia = verify.lemma_inertia_oracle(f, g, pts)
         if inertia.as_tuple() != (m, n, 0):
             failures += 1
     print(f"trials: {args.trials}  expected inertia: ({m},{n},0)  failures: {failures}")

@@ -6,8 +6,10 @@ combination of the shifted denominators into a solution that interpolates
 strictly everywhere.  Rank-degree path (``solve_positive``): one colligation
 from the Gram vectors alone, of degrees (pi, nu) even for a singular Pick
 matrix.  ``solve`` tries the rank-degree path first when nu = 0 and the
-general path first otherwise, each the other's fallback.  Zero/pole counts
-inside the disk are certified against the inertia of the Pick matrix.
+general path first otherwise, each the other's fallback, and both end in
+``_strict_solution``: every answer is reflect(den, d)/den with den projected
+once onto the weak identity.  Zero/pole counts inside the disk are certified
+against the inertia of the Pick matrix.
 
 The shifted-solve stage (``solve_shifts``, ``combine_shifts``,
 ``require_strict``), the reflective-pair rule (``best_reflective_pair``) and
@@ -17,7 +19,7 @@ here and serve the bidisk as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,7 +36,6 @@ from .polynomials import (
     moebius_pullback,
     pad_coeffs,
     pad_to_degree,
-    poly_gcd_numeric,
     poly_reflect,
     reflective_constant,
     roots_in_disk,
@@ -131,8 +132,7 @@ def solve_centered(problem: DiskProblem) -> CenteredSolution:
     assert kappa == 2 * N - pi - nu
     J1 = SignatureMatrix.blocks((pi + zeta, 1), (nu + zeta, -1))
     real = lurking_colligation(problem.nodes[:, None], problem.values, X, J1, (kappa,))
-    num_raw, den_raw = realization_to_rational(real)
-    num, den, d = best_reflective_pair(num_raw, den_raw)
+    _, den, d = best_reflective_pair(*realization_to_rational(real))
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[0] != "strict":
         raise SolveError("lost strict interpolation at the centered node")
@@ -187,8 +187,8 @@ def solve_shifts(problem, shift: Callable[[int], tuple]) -> ShiftedFamily:
 
 def combine_shifts(
     family: ShiftedFamily, problem, rng: np.random.Generator | None = None
-) -> tuple[Poly, Poly]:
-    """(reflect(q, d), q) for a real combination q of the family clear of zero at every node.
+) -> Poly:
+    """A real combination q of the family, clear of zero at every node.
 
     CombinationError when COMBINATION_RETRIES random combinations all come
     near zero at some node.
@@ -202,8 +202,7 @@ def combine_shifts(
     )
     if t is None:
         raise CombinationError(residual_table)
-    q = sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
-    return poly_reflect(q, family.refl_degree), q
+    return sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
 
 
 def require_strict(num: Poly, den: Poly, problem, stage: str) -> list[str]:
@@ -220,13 +219,14 @@ def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
     The constraints reflect(den, d)(lam_i) = w_i den(lam_i) are real-linear in
     the coefficients; the least-squares correction removes the residual left
     by the realization arithmetic.  The original polynomial is kept when the
-    correction is large or does not help.
+    correction is large or does not help.  Inside those guards it is
+    real-linear (the residual is real-linear in the coefficients, and the
+    correction is one fixed pseudo-inverse applied to it), so projecting a real
+    combination sum_j t_j den_j once gives sum_j t_j times the projected den_j.
     """
     c = pad_coeffs(den.coeffs, (d,))
-    lam = problem.nodes
-    w = problem.values
-    V = np.vander(lam, d + 1, increasing=True)
-    A_c = -(w[:, None] * V)
+    V = np.vander(problem.nodes, d + 1, increasing=True)
+    A_c = -(problem.values[:, None] * V)
     A_cbar = V[:, ::-1]
     r = A_c @ c + A_cbar @ np.conj(c)
     top = np.hstack([A_c + A_cbar, 1j * (A_c - A_cbar)])
@@ -245,7 +245,7 @@ def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
 
 
 def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
-    """One centered solve per node (``solve_shifts``), projected onto the weak identity."""
+    """One centered solve per node (``solve_shifts``), pulled back to the problem's nodes."""
     N = problem.size
 
     def shift(j: int) -> tuple[Poly, int, Inertia]:
@@ -256,9 +256,7 @@ def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
         )
         return moebius_pullback(sol.den, m.a, sol.refl_degree), sol.refl_degree, sol.inertia
 
-    family = solve_shifts(problem, shift)
-    d = family.refl_degree
-    return replace(family, dens=[_project_weak(den, d, problem) for den in family.dens])
+    return solve_shifts(problem, shift)
 
 
 @dataclass(frozen=True)
@@ -280,12 +278,14 @@ def _inner_factor(p: Poly) -> BlaschkeProduct:
 
 
 def _strict_solution(
-    num: Poly, den: Poly, problem: DiskProblem, stage: str, inertia: Inertia
+    den: Poly, d: int, problem: DiskProblem, stage: str, inertia: Inertia
 ) -> TakagiSolution:
-    """Classify the nodes of num/den, split it into Blaschke factors, find the constant.
+    """reflect(den, d)/den with den projected (``_project_weak``), split into Blaschke factors.
 
     Raises SolveError naming ``stage`` unless num/den is strict at every node.
     """
+    den = _project_weak(den, d, problem)
+    num = poly_reflect(den, d)
     statuses = require_strict(num, den, problem, stage)
     f = _inner_factor(num)
     g = _inner_factor(den)
@@ -296,14 +296,8 @@ def _strict_solution(
     c_phi = interp(z0) * gz / fz if abs(fz) > 1e-12 else 1.0 + 0.0j
     if abs(abs(c_phi) - 1.0) > 1e-6:
         c_phi = c_phi / abs(c_phi)
-    return TakagiSolution(
-        interpolant=interp,
-        f=f,
-        g=g,
-        constant=complex(c_phi),
-        inertia=inertia,
-        node_status=statuses,
-    )
+    return TakagiSolution(interpolant=interp, f=f, g=g, constant=complex(c_phi),
+                          inertia=inertia, node_status=statuses)
 
 
 def combine(
@@ -312,8 +306,8 @@ def combine(
     rng: np.random.Generator | None = None,
 ) -> TakagiSolution:
     """Real combination of shifted denominators (``combine_shifts``) into a strict interpolant."""
-    num, q = combine_shifts(family, problem, rng)
-    return _strict_solution(num, q, problem, "combination", family.infos[-1])
+    q = combine_shifts(family, problem, rng)
+    return _strict_solution(q, family.refl_degree, problem, "combination", family.infos[-1])
 
 
 def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSolution:
@@ -323,8 +317,8 @@ def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSoluti
     colligation is built from the Gram vectors u over v alone, with
     J1 = diag(I_pi, -I_nu) and no y block, so the transfer function has
     degree rank(Gamma) even when the matrix is singular; with nu = 0 it is the
-    classical pole-free Blaschke product.  Raises SolveError when the reduced
-    function misses a node or does not reach the degrees (pi, nu).
+    classical pole-free Blaschke product.  Raises SolveError when the extracted
+    pair is not reflective, misses a node or does not reach the degrees (pi, nu).
     """
     pi, nu, _ = dec.inertia.as_tuple()
     X = np.vstack([dec.u.T, dec.v.T])  # (pi + nu) x N
@@ -344,11 +338,10 @@ def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSoluti
         problem.nodes[keep][:, None], problem.values[keep], X[:, keep],
         SignatureMatrix.blocks((pi, 1), (nu, -1)), (pi + nu,),
     )
-    num, den = realization_to_rational(real)
-    num_r, den_r, _ = poly_gcd_numeric(num, den, 1e-9)
-    solution = _strict_solution(num_r, den_r, problem, "rank-degree solve", dec.inertia)
-    degrees = (solution.f.degree, solution.g.degree, max(num_r.degree, den_r.degree))
-    if degrees != (pi, nu, pi + nu):
+    _, den, d = best_reflective_pair(*realization_to_rational(real))
+    solution = _strict_solution(den, d, problem, "rank-degree solve", dec.inertia)
+    top = max(solution.interpolant.numerator.degree, solution.interpolant.denominator.degree)
+    if (solution.f.degree, solution.g.degree, top) != (pi, nu, pi + nu):
         raise SolveError("rank-degree solve did not reach the degrees (pi, nu)")
     return solution
 

@@ -9,9 +9,13 @@ lives here and serves the disk and bidisk solvers alike: it judges a weak
 solution in the weak stage (``disk.enforce_weak_interpolation``), a centered
 solve at its own node, and a finished interpolant in the strict stage and the
 certificates.  ``check_interpolation`` and ``check_unimodular`` take one or
-two variables: they are the one node check and the one boundary scan, on the
+two variables: they are the one node check and the one boundary check, on the
 circle or the torus.  Both certificates recompute the node statuses; neither
 reads them from the solution.
+
+Unimodularity comes from the coefficients: reflect(den, d) has the modulus of
+den on the circle (torus), so with delta = ||num - c reflect(den, d)||_1 and
+|c| = 1 (``reflection_defect``), ||phi(z)| - 1| <= delta / |den(z)| there.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .polynomials import (
     MoebiusMap,
     Poly,
     boundary_values,
+    pad_coeffs,
     poly_roots,
+    reflect_coeffs,
     roots_in_disk,
 )
 
@@ -37,6 +43,8 @@ UNIMODULAR_TOL = 1e-7
 # count as near a pole: there the rounding of den alone, about machine epsilon
 # times its largest value, can reach UNIMODULAR_TOL of |phi|.
 POLE_EXCLUSION = 1e-9
+# A near-pole torus cell with |num| above this fraction of its top is a toral violation.
+TORAL_NUMERATOR = 1e-3
 # Seed of the certificates' random sample points and Moebius restrictions.
 CERTIFICATE_SEED = 12345
 # Balanced-disk restrictions checked by the bidisk certificate.
@@ -88,17 +96,25 @@ def near_pole(values: np.ndarray) -> np.ndarray:
     return mags < POLE_EXCLUSION * max(float(np.max(mags)), 1e-300)
 
 
-def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:
-    """Max | |phi| - 1 | on the circle (torus) midpoint grid, skipping points near poles.
+def reflection_defect(num: Poly, den: Poly) -> float:
+    """||num - c reflect(den, d)||_1, d the larger degree per variable, c the phase of one vdot."""
+    d = tuple(max(a, b, 0) for a, b in zip(num.degrees, den.degrees))
+    nc, rc = pad_coeffs(num.coeffs, d), reflect_coeffs(den.coeffs, d)
+    s = np.vdot(rc, nc)
+    c = s / abs(s) if s else 1.0
+    return float(np.sum(np.abs(nc - c * rc)))
 
-    ``samples`` points per variable (``polynomials.boundary_values``).
+
+def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:
+    """``reflection_defect`` over the least |den| on the ``samples``-point grid, off ``near_pole``.
+
+    A bound on | |phi| - 1 | where |den| is no smaller: at every point of the grid.
     """
     qv = boundary_values(den, samples)
     keep = ~near_pole(qv)
     if not np.any(keep):
         return np.inf
-    vals = boundary_values(num, samples)[keep] / qv[keep]
-    return float(np.max(np.abs(np.abs(vals) - 1.0)))
+    return reflection_defect(num, den) / float(np.min(np.abs(qv[keep])))
 
 
 def count_zeros_poles(num: Poly, den: Poly) -> tuple[int, int]:
@@ -128,22 +144,25 @@ def lemma_inertia_oracle(
     return inertia
 
 
-def sampled_kernel_inertia(
-    num: Poly, den: Poly, n_points: int, rng: np.random.Generator
-) -> Inertia:
-    """Inertia of the Pick kernel of phi sampled at random interior points."""
+def interior_points(n_points: int, rng: np.random.Generator, poles: np.ndarray) -> np.ndarray:
+    """Random points in the square of half-width 0.665, 1e-3 off the poles and each other."""
     pts = []
-    roots = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
     while len(pts) < n_points:
         z = (rng.uniform(-0.95, 0.95) + 1j * rng.uniform(-0.95, 0.95)) * 0.7
-        if abs(z) >= 0.95:
-            continue
-        if roots.size and np.min(np.abs(z - roots)) < 1e-3:
+        if poles.size and np.min(np.abs(z - poles)) < 1e-3:
             continue
         if pts and min(abs(z - p) for p in pts) < 1e-3:
             continue
         pts.append(z)
-    pts = np.array(pts)
+    return np.array(pts)
+
+
+def sampled_kernel_inertia(
+    num: Poly, den: Poly, n_points: int, rng: np.random.Generator
+) -> Inertia:
+    """Inertia of the Pick kernel of phi sampled at random interior points."""
+    roots = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
+    pts = interior_points(n_points, rng, roots)
     vals = num(pts) / den(pts)
     inertia, _, _ = hermitian_inertia(pick_matrix_of_function(vals, pts), 1e-8)
     return inertia
@@ -235,20 +254,27 @@ def certify_bidisk(solution, problem) -> dict:
     The bidegree verdict uses the constructive bound (pi^r + nu^r + 2 delta^r),
     which is what the widened Gram vectors actually produce; the tighter
     declared bound with a single delta^r is reported separately.
+
+    ``toral`` comes from delta = ``reflection_defect`` alone.  ``bidisk.toral_check``
+    flags a cell with |den| < POLE_EXCLUSION * M (M the largest grid |den|) and
+    |num| > TORAL_NUMERATOR * max|num|.  As | |num| - |den| | <= delta on the
+    torus, |num| <= POLE_EXCLUSION * M + delta there and max|num| >= M - delta,
+    so a violation needs delta (1 + TORAL_NUMERATOR) > (TORAL_NUMERATOR -
+    POLE_EXCLUSION) M.  By Parseval the mean of |den|^2 on a midpoint grid
+    finer than the degree is ||den||_2^2, so M >= ||den||_2 and the verdict
+    (delta / ||den||_2 in place of delta / M) rules out every such violation.
     """
-    from .bidisk import restrict_balanced, toral_check
+    from .bidisk import restrict_balanced
 
     num2 = solution.numerator
     den2 = solution.denominator
-    N = problem.size
     statuses = check_interpolation(num2, den2, problem)
-    vals = np.array(
-        [solution(problem.nodes[i, 0], problem.nodes[i, 1]) for i in range(N)]
-    )
+    vals = solution(*node_coordinates(problem))
     residuals = np.abs(vals - problem.values)
     wmax = float(np.max(np.abs(problem.values)))
     defect = torus_unimodularity(num2, den2)
-    toral = toral_check(solution)
+    reflection = reflection_defect(num2, den2) / max(float(np.linalg.norm(den2.coeffs)), 1e-300)
+    toral = reflection * (1 + TORAL_NUMERATOR) <= TORAL_NUMERATOR - POLE_EXCLUSION
     (pi1, nu1, _), (pi2, nu2, _) = (inertia.as_tuple() for inertia in solution.inertias)
     d1, d2 = solution.deltas
     bound_constructive = (pi1 + nu1 + 2 * d1, pi2 + nu2 + 2 * d2)
@@ -274,7 +300,7 @@ def certify_bidisk(solution, problem) -> dict:
         "interpolation": bool(np.max(residuals) <= STRICT_TOL * (1.0 + wmax)),
         "unimodular": bool(defect <= UNIMODULAR_TOL),
         "bidegree": bidegree[0] <= bound_constructive[0] and bidegree[1] <= bound_constructive[1],
-        "toral": toral.passed,
+        "toral": toral,
         "balanced_restrictions": restrictions_ok,
     }
     return {
@@ -286,8 +312,7 @@ def certify_bidisk(solution, problem) -> dict:
         "bidegree_bound_declared": bound_declared,
         "bidegree_within_declared": bidegree[0] <= bound_declared[0]
         and bidegree[1] <= bound_declared[1],
-        "toral_violations": toral.violations,
-        "toral_singular_cells": toral.common_near_zero_cells,
+        "reflection_defect": reflection,
         "balanced_restriction_counts": restriction_counts,
         "verdicts": verdicts,
         "pass": all(verdicts.values()),

@@ -145,6 +145,27 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out_path)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "problem, failing",
+        [("problems/disk_basic.json", ["unimodular"]),
+         ("problems/bidisk_pair.json", ["unimodular", "toral"])],
+    )
+    def test_perturbed_numerator_coefficient_fails(self, problem, failing, tmp_path, capsys):
+        # One numerator coefficient moved by 1% of the largest: the pair is no
+        # longer num = c reflect(den, d), which the coefficient bound sees.
+        out_path = tmp_path / "result.json"
+        assert main(["solve", problem, "--out", str(out_path), "--seed", "0"]) == EXIT_OK
+        data = json.loads(out_path.read_text())
+        num = np.array(data["numerator"])
+        num[(0,) * (num.ndim - 1)] += 0.01 * np.max(np.hypot(num[..., 0], num[..., 1]))
+        data["numerator"] = num.tolist()
+        dump_json(data, str(out_path))
+        capsys.readouterr()
+        assert main(["verify", str(out_path)]) == EXIT_CERTIFICATE
+        out = capsys.readouterr().out
+        for name in failing:
+            assert f"{name}: FAIL" in out
+
     @pytest.mark.parametrize("inertia", [[0, 0, 3], [3, 0, 0]])
     def test_disk_inertia_is_recomputed(self, inertia, tmp_path, capsys):
         # The stored inertia is informational; the degree window and the

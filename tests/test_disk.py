@@ -18,7 +18,7 @@ from takagi.disk import (
 )
 from takagi.linalg import Inertia
 from takagi.pick import DiskProblem, pick_matrix
-from takagi.polynomials import Poly, Rational, poly_reflect, vacuous_node_factor
+from takagi.polynomials import Poly, Rational, pad_coeffs, poly_reflect, vacuous_node_factor
 
 # Nodes and targets of problems/disk_basic.json; every shift solves.
 BASIC = DiskProblem(
@@ -166,6 +166,26 @@ class TestShiftedFamily:
                 assert abs(num(lam) - w * den(lam)) <= 1e-7 * scale * (1 + abs(w))
 
 
+class TestProjection:
+    def test_commutes_with_a_real_combination(self):
+        # The shifted denominators, each moved off the weak identity by a 1e-5
+        # coefficient perturbation, so that every projection corrects visibly.
+        rng = np.random.default_rng(3)
+        fam = solve_all_shifts(BASIC)
+        d = fam.refl_degree
+        dens = [Poly(pad_coeffs(p.coeffs, (d,)) + 1e-5 * p.norm() * (
+            rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))) for p in fam.dens]
+        t = rng.normal(size=len(dens))
+        projected = [disk_module._project_weak(p, d, BASIC) for p in dens]
+        for p, q in zip(dens, projected):
+            assert np.linalg.norm(pad_coeffs(q.coeffs, (d,)) - pad_coeffs(p.coeffs, (d,))) > 1e-7
+        combined = sum((tj * p for tj, p in zip(t, dens)), start=Poly())
+        once = disk_module._project_weak(combined, d, BASIC)
+        each = sum((tj * q for tj, q in zip(t, projected)), start=Poly())
+        diff = pad_coeffs(once.coeffs, (d,)) - pad_coeffs(each.coeffs, (d,))
+        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(each.coeffs)
+
+
 class TestCombine:
     def test_no_combination_avoiding_a_node(self):
         # Every candidate vanishes at the node 0.3.
@@ -299,6 +319,24 @@ class TestSolve:
         values = rng.uniform(0.2, 3.0, 16) * np.exp(2j * np.pi * rng.uniform(0, 1, 16))
         sol = solve(DiskProblem(nodes=nodes, values=values), seed=22)
         assert sol.inertia.zero == 0
+        assert sol.certificates["pass"]
+
+    def test_disk_node_stress_problem_certifies(self):
+        # A disk-node stress problem (N = 24, k = 0): nodes uniform in the disk
+        # of radius 0.85, at least 0.05 apart, targets of modulus 0.2 to 3.
+        # Projecting each shift kept 6 of the 16 shifts unprojected (the
+        # projection's guards), and their combination was weak at most nodes
+        # ("combination is not strict"); the combination projected once is strict.
+        rng = np.random.default_rng([777, 24, 0, 4])
+        while True:
+            radii = 0.85 * np.sqrt(rng.uniform(0, 1, 24))
+            nodes = radii * np.exp(2j * np.pi * rng.uniform(0, 1, 24))
+            gaps = np.abs(nodes[:, None] - nodes[None, :]) + np.eye(24)
+            if gaps.min() > 0.05:
+                break
+        values = rng.uniform(0.2, 3.0, 24) * np.exp(2j * np.pi * rng.uniform(0, 1, 24))
+        sol = solve(DiskProblem(nodes=nodes, values=values), seed=0)
+        assert sol.inertia.as_tuple() == (11, 13, 0)
         assert sol.certificates["pass"]
 
     def test_deterministic_for_fixed_seed(self):

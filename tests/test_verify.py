@@ -7,8 +7,18 @@ from takagi.disk import enforce_weak_interpolation, solve
 from takagi.io import load_problem
 from takagi.linalg import Inertia, hermitian_inertia
 from takagi.pick import DiskProblem, pick_matrix
-from takagi.polynomials import BlaschkeProduct, Poly, poly_reflect
+from takagi.bidisk import toral_check
+from takagi.polynomials import (
+    BlaschkeProduct,
+    Poly,
+    Rational,
+    boundary_values,
+    midpoint_angles,
+    poly_reflect,
+)
 from takagi.verify import (
+    POLE_EXCLUSION,
+    TORAL_NUMERATOR,
     OracleError,
     augmented_inertia,
     certify_disk,
@@ -17,7 +27,9 @@ from takagi.verify import (
     count_zeros_poles,
     lemma_inertia_oracle,
     node_status,
+    near_pole,
     pick_matrix_of_function,
+    reflection_defect,
     sampled_kernel_inertia,
 )
 
@@ -89,6 +101,64 @@ class TestUnimodularCheck:
     def test_contraction_flagged(self):
         defect = check_unimodular(Poly(np.array([0.5])), Poly(np.array([1.0])))
         assert defect > 0.4
+
+
+def grid_defect(num, den, samples):
+    """max | |num/den| - 1 | on the boundary grid, off the points near a pole."""
+    qv = boundary_values(den, samples)
+    keep = ~near_pole(qv)
+    return float(np.max(np.abs(np.abs(boundary_values(num, samples)[keep] / qv[keep]) - 1.0)))
+
+
+def coefficient_toral(num, den):
+    """The certificate's ``toral`` rule, from the coefficients alone."""
+    reflection = reflection_defect(num, den) / np.linalg.norm(den.coeffs)
+    return reflection * (1 + TORAL_NUMERATOR) <= TORAL_NUMERATOR - POLE_EXCLUSION
+
+
+def random_coeffs(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestCoefficientBound:
+    @pytest.mark.parametrize("degrees", [(3,), (6,), (2, 3), (4, 4)])
+    def test_bound_covers_the_grid_defect(self, degrees):
+        rng = np.random.default_rng(sum(degrees))
+        samples = 256 if len(degrees) == 1 else 64
+        shape = tuple(k + 1 for k in degrees)
+        for trial in range(20):
+            den = Poly(random_coeffs(rng, shape))
+            if trial < 5:  # an unrelated numerator
+                num = Poly(random_coeffs(rng, shape))
+            else:  # a reflective numerator moved by 10^-9 to 10^-1
+                eps = 10.0 ** -rng.uniform(1, 9)
+                c = np.exp(2j * np.pi * rng.uniform())
+                num = c * poly_reflect(den, degrees) + Poly(eps * random_coeffs(rng, shape))
+            assert check_unimodular(num, den, samples) >= grid_defect(num, den, samples) - 1e-12
+
+    def test_exact_reflection_has_zero_defect(self):
+        den = Poly(random_coeffs(np.random.default_rng(1), (4, 3)))
+        assert reflection_defect(poly_reflect(den, (3, 2)), den) == 0.0
+
+    def test_coefficient_toral_pass_implies_grid_pass(self):
+        # den vanishes on the line z1 = zeta through a column of the 256 grid,
+        # and so does its reflection; a perturbation eps of the numerator
+        # leaves |num| = eps there, which the grid scan flags once it is large.
+        rng = np.random.default_rng(5)
+        zeta = np.exp(1j * midpoint_angles(256)[0])
+        line = Poly(np.array([[1.0], [-np.conj(zeta)]]))
+        checked = passed = flagged = 0
+        for eps in np.logspace(-5, -1, 17):
+            for _ in range(3):
+                den = line * Poly(random_coeffs(rng, (2, 3)) + 4.0)
+                num = poly_reflect(den, den.degrees) + Poly(eps * random_coeffs(rng, (1, 1)))
+                grid = toral_check(Rational(numerator=num, denominator=den), grid=256)
+                checked += 1
+                flagged += not grid.passed
+                if coefficient_toral(num, den):
+                    passed += 1
+                    assert grid.passed
+        assert 0 < passed < checked and flagged > 0
 
 
 class TestCounts:
