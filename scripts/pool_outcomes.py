@@ -7,18 +7,22 @@ Solves the first-pass pool of each benchmark workload (the first
 problem gets one row: workload, seed, index, class label, pass or fail, the
 failure cause, the degrees (deg f and deg g on the disk, the bidegree on the
 bidisk), the sha256 of the result file that ``takagi.io.dump_json`` writes
-(of the error text when the solve raised) and the sha256 of the solution
+(of the error text when the solve raised), the sha256 of the solution
 polynomials alone, the file's ``numerator`` and ``denominator`` (null when the
-solve raised).
+solve raised), and the path: ``shifts`` when the solve ran the per-node
+shifted solves (``takagi.disk.solve_all_shifts`` or
+``takagi.bidisk.solve_bidisk_shifts``, counted by wrapping them), ``single``
+when it did not.
 
 ``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
 are imported, so one copy of this script can run any checkout, such as an
 exported parent commit.  ``--compare A B`` lists every problem whose row
 differs between two outcome files, tallies the differences per workload and
-seed (gains, losses, degree rises and falls, cause changes, rows that differ
-only in bytes, and rows whose polynomials are unchanged, so that a change of
-the certificate block alone is told apart from a change of the solution) and
-exits 1 if there is any.
+seed (gains, losses, degree rises and falls, cause changes, path changes,
+rows that differ only in bytes or path, and rows whose polynomials are
+unchanged, so that a change of the certificate block alone is told apart from
+a change of the solution) and exits 1 if there is any.  A file written before
+rows had a ``path`` compares with the ``path`` left out.
 
     python3 scripts/pool_outcomes.py --out change.json
     python3 scripts/pool_outcomes.py --tree ../parent --out parent.json
@@ -56,6 +60,27 @@ def load_bench(tree: Path):
     return run
 
 
+SHIFT_STAGES = (("disk", "solve_all_shifts"), ("bidisk", "solve_bidisk_shifts"))
+
+
+def count_shift_calls() -> list[int]:
+    """Wrap the imported takagi's shifted-solve stages; the one-item list counts their calls."""
+    import importlib
+
+    calls = [0]
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module_name, name in SHIFT_STAGES:
+        module = importlib.import_module(f"takagi.{module_name}")
+        setattr(module, name, counted(getattr(module, name)))
+    return calls
+
+
 def outcome(run, item, k: int, path: Path) -> dict:
     try:
         sol = run.solve(item, k)
@@ -81,6 +106,7 @@ def solve_pools(cfg: PoolConfig) -> list[dict]:
     run = load_bench(Path(cfg.tree).resolve())
     from workloads import Stream
 
+    shift_calls = count_shift_calls()
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "result.json"
@@ -89,13 +115,16 @@ def solve_pools(cfg: PoolConfig) -> list[dict]:
                 stream = Stream(workload, seed)
                 for k in range(run.POOL_SIZE[workload][0]):
                     item = stream[k]
+                    before = shift_calls[0]
+                    row = outcome(run, item, k, path)
                     rows.append({"workload": workload, "seed": seed, "index": k,
-                                 "label": item.label, **outcome(run, item, k, path)})
+                                 "label": item.label, **row,
+                                 "path": "shifts" if shift_calls[0] > before else "single"})
     return rows
 
 
-TALLY = ("gains", "losses", "degree rises", "degree falls", "cause changes", "bytes only",
-         "polynomials unchanged")
+TALLY = ("gains", "losses", "degree rises", "degree falls", "cause changes", "path changes",
+         "bytes only", "polynomials unchanged")
 HASHES = ("sha256", "poly_sha256")
 
 
@@ -111,7 +140,9 @@ def difference_kinds(ra: dict, rb: dict) -> list[str]:
             kinds.append("degree falls")
     if ra["cause"] != rb["cause"] and ra["cause"] and rb["cause"]:
         kinds.append("cause changes")
-    if all(ra.get(f) == rb.get(f) for f in ra.keys() | rb.keys() if f not in HASHES):
+    if ra.get("path") != rb.get("path"):
+        kinds.append("path changes")
+    if all(ra.get(f) == rb.get(f) for f in ra.keys() | rb.keys() if f not in HASHES + ("path",)):
         kinds.append("bytes only")
     if ra.get("poly_sha256") is not None and ra.get("poly_sha256") == rb.get("poly_sha256"):
         kinds.append("polynomials unchanged")
@@ -126,6 +157,9 @@ def compare(a_path: str, b_path: str) -> int:
         return {(r["workload"], r["seed"], r["index"]): r for r in data["rows"]}
 
     a, b = rows(a_path), rows(b_path)
+    if not all("path" in r for r in [*a.values(), *b.values()]):
+        for r in [*a.values(), *b.values()]:
+            r.pop("path", None)
     differ = 0
     tally: dict[tuple[str, int], dict[str, int]] = {}
     for key in sorted(a.keys() | b.keys()):

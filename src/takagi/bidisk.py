@@ -9,9 +9,10 @@ From a Gram split of each term the disk's lurking-isometry construction
 (``realization.lurking_colligation``, here with two state blocks) assembles a
 J-unitary colligation whose transfer function in two variables,
 phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
-is unimodular on the torus off a finite set and interpolates the data.
-Per-node Moebius re-centering in both coordinates plus a real combination
-upgrades weak interpolation to strict, as in the one-variable pipeline.  The
+is unimodular on the torus off a finite set and interpolates the data;
+``solve_bidisk`` returns it when it is strict at every node.  Otherwise
+per-node Moebius re-centering in both coordinates plus a real combination
+upgrades weak interpolation to strict, as on the disk.  The
 polynomials are two-variable ``polynomials.Poly``s and the quotients
 ``polynomials.Rational``s.  Only the per-node solve (``_shifted_denominator``)
 is the bidisk's own; the reflective-pair rule, the pull-back, the vacuous node
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .disk import (
+    BREAKDOWNS,
     ShiftedFamily,
     SolveError,
     best_reflective_pair,
@@ -523,6 +525,15 @@ class BidiskSolution(Rational):
     certificates: dict = field(default_factory=dict)
 
 
+def _strict_bidisk(den: Poly, d: tuple[int, int], problem: BidiskProblem, stage: str,
+                   inertias: tuple[Inertia, Inertia], deltas: tuple[int, int]) -> BidiskSolution:
+    """reflect(den, d)/den; SolveError naming ``stage`` unless it is strict at every node."""
+    num = poly_reflect(den, d)
+    statuses = require_strict(num, den, problem, stage)
+    return BidiskSolution(numerator=num, denominator=den, bidegree=d, inertias=inertias,
+                          deltas=deltas, node_status=statuses)
+
+
 def combine_bidisk(
     family: ShiftedFamily,
     problem: BidiskProblem,
@@ -534,16 +545,8 @@ def combine_bidisk(
     over the kept shifts.
     """
     q = combine_shifts(family, problem, rng)
-    p = poly_reflect(q, family.refl_degree)
-    statuses = require_strict(p, q, problem, "combination")
-    return BidiskSolution(
-        numerator=p,
-        denominator=q,
-        bidegree=family.refl_degree,
-        inertias=family.infos[-1][0],
-        deltas=tuple(map(max, zip(*(deltas for _, deltas in family.infos)))),
-        node_status=statuses,
-    )
+    deltas = tuple(map(max, zip(*(deltas for _, deltas in family.infos))))
+    return _strict_bidisk(q, family.refl_degree, problem, "combination", family.infos[-1][0], deltas)
 
 
 def solve_bidisk(
@@ -552,19 +555,26 @@ def solve_bidisk(
     seed: int = 0,
     certify: bool = True,
 ) -> BidiskSolution:
-    """Full pipeline: validate/regularize the pair, re-centered solves, combination.
+    """Full pipeline: validate/regularize the pair, the single solve, certification.
 
-    When no pair is given, the one-variable embedding with all weight on the
-    first coordinate is used.
+    The single solve takes the pair's uncentered realization as reflect(den, d)/den,
+    with ``regularize_pair``'s inertias and rank budgets; only when it breaks
+    down do the re-centered solves answer (``solve_bidisk_shifts``, ``combine_bidisk``).
+    ``weak_solution`` is the realization's pair either way.  With no pair, the
+    one-variable embedding with all weight on the first coordinate is used.
     """
     if pair is None:
         pair = one_variable_pair(problem, 0)
     validate_pair(problem, pair)
     pair, gram = regularize_pair(problem, pair, seed=seed + 7)
     weak_br = to_birational(build_bidisk_realization(problem, pair, gram))
-    family = solve_bidisk_shifts(problem, pair)
-    combined = combine_bidisk(family, problem, rng=np.random.default_rng(seed))
-    solution = replace(combined, weak_solution=weak_br)
+    try:
+        _, den, d = best_reflective_pair(weak_br.numerator, weak_br.denominator)
+        solution = _strict_bidisk(den, d, problem, "single solve", gram.inertias, gram.deltas)
+    except BREAKDOWNS:
+        family = solve_bidisk_shifts(problem, pair)
+        solution = combine_bidisk(family, problem, rng=np.random.default_rng(seed))
+    solution = replace(solution, weak_solution=weak_br)
     if certify:
         solution.certificates.update(certify_bidisk(solution, problem))
     return solution

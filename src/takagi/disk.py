@@ -1,15 +1,15 @@
 """Unimodular rational interpolation on the disk with indefinite Pick matrices.
 
-General path: a centered solve through a J-unitary colligation (strict at the
-origin, weak elsewhere), one Moebius-shifted solve per node, then a real
-combination of the shifted denominators into a solution that interpolates
-strictly everywhere.  Rank-degree path (``solve_positive``): one colligation
-from the Gram vectors alone, of degrees (pi, nu) even for a singular Pick
-matrix.  ``solve`` tries the rank-degree path first when nu = 0 and the
-general path first otherwise, each the other's fallback, and both end in
-``_strict_solution``: every answer is reflect(den, d)/den with den projected
-once onto the weak identity.  Zero/pole counts inside the disk are certified
-against the inertia of the Pick matrix.
+Rank-degree path (``solve_positive``): one colligation from the Gram vectors
+alone, of degrees (pi, nu) even for a singular Pick matrix; for a nonsingular
+one it is the paper's step 1, the uncentered lurking colligation.  General
+path (step 2): a centered solve through a J-unitary colligation (strict at
+the origin, weak elsewhere), one Moebius-shifted solve per node and a real
+combination of the shifted denominators, strict everywhere.  ``solve`` tries
+the rank-degree path first unless the Pick matrix is singular and indefinite;
+each path is the other's fallback.  Both end in ``_strict_solution``: every
+answer is reflect(den, d)/den with den projected once onto the weak identity.
+The certificate counts zeros and poles against the Pick matrix's inertia.
 
 The shifted-solve stage (``solve_shifts``, ``combine_shifts``,
 ``require_strict``), the reflective-pair rule (``best_reflective_pair``) and
@@ -351,20 +351,20 @@ def solve(
     seed: int = 0,
     certify: bool = True,
 ) -> TakagiSolution:
-    """Full pipeline: the general path and the rank-degree path, then certification.
+    """Full pipeline: the rank-degree path and the general path, then certification.
 
-    The general path is the shifted solves and the real combination.  With a
-    positive semi-definite Pick matrix (nu = 0) the rank-degree solve goes
-    first and the general path is its fallback; otherwise the general path
-    goes first and the rank-degree solve is its fallback.  When both break
-    down, the general path's error is raised.
+    The general path is the shifted solves and the real combination.  The
+    rank-degree solve goes first, with the general path as its fallback,
+    unless the Pick matrix is singular and indefinite (nu > 0 and zeta > 0);
+    then the order is reversed.  When both break down, the general path's
+    error is raised.
     """
     dec = gram_decompose(pick_matrix(problem))
 
     def general() -> TakagiSolution:
         return combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
 
-    if dec.inertia.negative == 0:
+    if dec.inertia.negative == 0 or dec.inertia.zero == 0:
         try:
             solution = solve_positive(problem, dec)
         except BREAKDOWNS:

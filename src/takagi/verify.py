@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import Inertia, hermitian_inertia, inertia_of
 from .pick import DiskProblem, pick_matrix, pick_matrix_of_function
 from .polynomials import (
+    DISK_INTERIOR,
     BlaschkeProduct,
     MoebiusMap,
     Poly,
@@ -158,11 +159,12 @@ def interior_points(n_points: int, rng: np.random.Generator, poles: np.ndarray) 
 
 
 def sampled_kernel_inertia(
-    num: Poly, den: Poly, n_points: int, rng: np.random.Generator
+    num: Poly, den: Poly, n_points: int, rng: np.random.Generator, poles: np.ndarray | None = None
 ) -> Inertia:
-    """Inertia of the Pick kernel of phi sampled at random interior points."""
-    roots = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
-    pts = interior_points(n_points, rng, roots)
+    """Inertia of the Pick kernel of phi at random interior points off ``poles`` (den's roots)."""
+    if poles is None:
+        poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
+    pts = interior_points(n_points, rng, poles)
     vals = num(pts) / den(pts)
     inertia, _, _ = hermitian_inertia(pick_matrix_of_function(vals, pts), 1e-8)
     return inertia
@@ -329,10 +331,10 @@ def certify_disk(solution, problem: DiskProblem) -> dict:
     vals = num(problem.nodes) / den(problem.nodes)
     residuals = np.abs(vals - problem.values)
     defect = check_unimodular(num, den)
-    zf, zg = count_zeros_poles(num, den)
-    rng = np.random.default_rng(CERTIFICATE_SEED)
-    kernel = sampled_kernel_inertia(num, den, 2 * N, rng)
     poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
+    zf, zg = roots_in_disk(num).size, int(np.sum(np.abs(poles) < DISK_INTERIOR))
+    rng = np.random.default_rng(CERTIFICATE_SEED)
+    kernel = sampled_kernel_inertia(num, den, 2 * N, rng, poles)
     circle_gap = float(np.min(np.abs(np.abs(poles) - 1.0))) if poles.size else np.inf
     wmax = float(np.max(np.abs(problem.values)))
     verdicts = {

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from takagi.bidisk import (
     toral_check,
     validate_pair,
 )
+from takagi.io import bidisk_result_to_dict, dump_json, load_problem
 from takagi.linalg import hermitize
 from takagi.polynomials import (
     MoebiusMap,
@@ -410,3 +412,52 @@ class TestSolveBidisk:
             z1 = np.exp(2j * np.pi * rng.uniform())
             z2 = np.exp(2j * np.pi * rng.uniform())
             assert abs(abs(sol.numerator(z1, z2)) - abs(sol.denominator(z1, z2))) < 1e-7 * sol.denominator.norm()
+
+
+PAIR_FILE = Path(__file__).resolve().parent.parent / "problems" / "bidisk_pair.json"
+
+
+class TestSingleSolve:
+    @staticmethod
+    def _problem():
+        problem, pair, _ = load_problem(str(PAIR_FILE))
+        return problem, pair
+
+    def test_single_solve_answers_without_shifts(self, monkeypatch):
+        def shifts_not_run(problem, pair):
+            raise AssertionError("the shifted solves ran")
+
+        monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", shifts_not_run)
+        problem, pair = self._problem()
+        sol = solve_bidisk(problem, pair, seed=0)
+        assert sol.certificates["pass"]
+        assert sol.node_status == ["strict"] * problem.size
+
+    def test_shifts_answer_when_single_solve_breaks_down(self, monkeypatch):
+        require_strict, shifts, calls = bidisk_module.require_strict, solve_bidisk_shifts, []
+
+        def single_breaks_down(num, den, problem, stage):
+            if stage == "single solve":
+                raise SolveError("single solve is not strict at all nodes: forced")
+            return require_strict(num, den, problem, stage)
+
+        def counted(problem, pair):
+            calls.append(problem.size)
+            return shifts(problem, pair)
+
+        monkeypatch.setattr(bidisk_module, "require_strict", single_breaks_down)
+        monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", counted)
+        problem, pair = self._problem()
+        sol = solve_bidisk(problem, pair, seed=0)
+        assert calls == [problem.size]
+        assert sol.weak_solution is not None
+        assert sol.certificates["pass"]
+
+    def test_repeated_solves_byte_identical(self, tmp_path):
+        problem, pair = self._problem()
+        texts = []
+        for name in ("first.json", "second.json"):
+            sol = solve_bidisk(problem, pair, seed=0)
+            dump_json(bidisk_result_to_dict(sol, problem, pair), str(tmp_path / name))
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1]

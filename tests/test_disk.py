@@ -17,7 +17,7 @@ from takagi.disk import (
     solve_centered,
 )
 from takagi.linalg import Inertia
-from takagi.pick import DiskProblem, pick_matrix
+from takagi.pick import DiskProblem, gram_decompose, pick_matrix
 from takagi.polynomials import Poly, Rational, pad_coeffs, poly_reflect, vacuous_node_factor
 
 # Nodes and targets of problems/disk_basic.json; every shift solves.
@@ -349,6 +349,59 @@ class TestSolve:
         assert np.allclose(
             s1.interpolant.denominator.coeffs, s2.interpolant.denominator.coeffs
         )
+
+
+class TestSolveOrder:
+    # BASIC has a nonsingular indefinite Pick matrix, inertia (2, 1, 0).
+    def test_rank_degree_solve_answers_first(self, monkeypatch):
+        def shifts_not_run(problem):
+            raise AssertionError("the shifted solves ran")
+
+        monkeypatch.setattr(disk_module, "solve_all_shifts", shifts_not_run)
+        sol = solve(BASIC, seed=0)
+        assert sol.inertia.as_tuple() == (2, 1, 0)
+        assert sol.certificates["pass"]
+
+    def test_shifts_answer_when_rank_degree_solve_breaks_down(self, monkeypatch):
+        shifts, calls = disk_module.solve_all_shifts, []
+
+        def rank_degree_fails(problem, dec):
+            raise SolveError("rank-degree solve failed")
+
+        def counted(problem):
+            calls.append(problem.size)
+            return shifts(problem)
+
+        monkeypatch.setattr(disk_module, "solve_positive", rank_degree_fails)
+        monkeypatch.setattr(disk_module, "solve_all_shifts", counted)
+        sol = solve(BASIC, seed=0)
+        assert calls == [BASIC.size]
+        assert sol.inertia.as_tuple() == (2, 1, 0)
+        assert sol.certificates["pass"]
+
+    def test_general_error_raised_when_both_fail_on_a_singular_indefinite_problem(
+        self, monkeypatch
+    ):
+        # Inertia (1, 1, 2): the general path goes first, the rank-degree solve second.
+        order = []
+
+        def general_fails(problem):
+            order.append("general")
+            raise SolveError("general path failed")
+
+        def rank_degree_fails(problem, dec):
+            order.append("rank-degree")
+            raise SolveError("rank-degree solve failed")
+
+        monkeypatch.setattr(disk_module, "solve_all_shifts", general_fails)
+        monkeypatch.setattr(disk_module, "solve_positive", rank_degree_fails)
+        phi = lambda z: np.exp(0.6j) * (z - 0.3) / (1 - 0.3 * z) * (1 + 0.2j * z) / (z - 0.2j)  # noqa: E731
+        nodes = np.array([0.1, -0.4 + 0.2j, 0.5j, -0.3 - 0.5j])
+        problem = DiskProblem(nodes=nodes, values=phi(nodes))
+        assert gram_decompose(pick_matrix(problem)).inertia.as_tuple() == (1, 1, 2)
+        with pytest.raises(SolveError, match="general path failed"):
+            solve(problem, seed=0)
+        assert order == ["general", "rank-degree"]
 
 
 class TestInterpolantCallable:
