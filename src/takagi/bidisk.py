@@ -434,7 +434,12 @@ def restrict_balanced(br: Rational, m: MoebiusMap) -> tuple[Poly, Poly]:
     """One-variable numerator/denominator of z -> phi(z, m(z)), reduced.
 
     Clears the Moebius denominator at the common second-variable degree, which
-    cancels in the ratio, then divides out near-common roots.
+    cancels in the ratio, then divides out near-common roots.  The reduction
+    stays: a root the pair shares is no zero or pole of the restriction, but
+    left in, one inside the disk would count once as a zero and once as a pole
+    and could break the pi + delta and nu + delta bounds.  The weak pair can
+    share roots (some test pairs do); when no root pairs, the reduction costs
+    one distance matrix per tolerance.
     """
     d2 = max(br.numerator.degrees[1], br.denominator.degrees[1], 0)
     M2 = moebius_matrix(m.a, d2)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,15 @@ class Poly:
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Roots in one variable, found once: none for a constant, ValueError for zero."""
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no well-defined roots")
+        roots = np.roots(self.coeffs[::-1]) if self.degree > 0 else np.zeros(0, dtype=complex)
+        roots.setflags(write=False)
+        return roots
+
     def __call__(self, *z):
         """p(z) in one variable, p(z1, z2) in two; arguments broadcast."""
         if len(z) != self.coeffs.ndim:
@@ -167,12 +177,8 @@ class Rational:
 
 
 def poly_roots(p: Poly) -> np.ndarray:
-    """Roots (with multiplicity) via the companion matrix."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no well-defined roots")
-    if p.degree == 0:
-        return np.zeros(0, dtype=complex)
-    return np.roots(p.coeffs[::-1])
+    """Roots (with multiplicity) via the companion matrix: ``p.roots``, found once, read-only."""
+    return p.roots
 
 
 def roots_in_disk(p: Poly) -> np.ndarray:
@@ -274,12 +280,15 @@ def poly_gcd_numeric(p: Poly, q: Poly, tol: float = 1e-8) -> tuple[Poly, Poly, P
 
     Roots of p and q within ``tol`` of each other are paired greedily and
     divided out.  Returns (reduced p, reduced q, common factor); the common
-    factor is monic with roots taken from p's side of each pair.
+    factor is monic with roots taken from p's side of each pair.  When no
+    pair of roots is within ``tol`` (one distance matrix), nothing pairs and
+    the result is (p, q, 1) with p and q themselves.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("numeric GCD requires nonzero polynomials")
-    rp = list(poly_roots(p))
-    rq = list(poly_roots(q))
+    rp, rq = poly_roots(p), list(poly_roots(q))
+    if not rp.size or not rq or np.min(np.abs(np.subtract.outer(rp, rq))) > tol:
+        return p, q, Poly.one()
     common = []
     kept_p = []
     for r in rp:

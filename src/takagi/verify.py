@@ -27,7 +27,6 @@ import numpy as np
 from .linalg import Inertia, hermitian_inertia, inertia_of
 from .pick import DiskProblem, pick_matrix, pick_matrix_of_function
 from .polynomials import (
-    DISK_INTERIOR,
     BlaschkeProduct,
     MoebiusMap,
     Poly,
@@ -159,12 +158,10 @@ def interior_points(n_points: int, rng: np.random.Generator, poles: np.ndarray) 
 
 
 def sampled_kernel_inertia(
-    num: Poly, den: Poly, n_points: int, rng: np.random.Generator, poles: np.ndarray | None = None
+    num: Poly, den: Poly, n_points: int, rng: np.random.Generator
 ) -> Inertia:
-    """Inertia of the Pick kernel of phi at random interior points off ``poles`` (den's roots)."""
-    if poles is None:
-        poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
-    pts = interior_points(n_points, rng, poles)
+    """Inertia of the Pick kernel of phi at random interior points off den's roots."""
+    pts = interior_points(n_points, rng, poly_roots(den))
     vals = num(pts) / den(pts)
     inertia, _, _ = hermitian_inertia(pick_matrix_of_function(vals, pts), 1e-8)
     return inertia
@@ -203,13 +200,9 @@ def augmented_inertia(
         candidates = (
             [complex(c)]
             if c is not None
-            else [
-                mag * np.exp(2j * np.pi * k / 8)
-                for mag in (1.3, 0.7)
-                for k in range(8)
-            ]
+            else [mag * np.exp(2j * np.pi * k / 8) for mag in (1.3, 0.7) for k in range(8)]
         )
-        poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
+        poles = poly_roots(den)
         found = None
         for cand in candidates:
             if abs(abs(cand) - 1.0) < 1e-3:
@@ -292,8 +285,7 @@ def certify_bidisk(solution, problem) -> dict:
     for _ in range(BALANCED_RESTRICTIONS):
         a = (rng.uniform(-0.85, 0.85) + 1j * rng.uniform(-0.85, 0.85)) * 0.7
         rnum, rden = restrict_balanced(br, MoebiusMap(complex(a)))
-        zeros = roots_in_disk(rnum).size
-        poles = roots_in_disk(rden).size
+        zeros, poles = count_zeros_poles(rnum, rden)
         restriction_counts.append((zeros, poles))
         if zeros > pi_tot + delta_tot or poles > nu_tot + delta_tot:
             restrictions_ok = False
@@ -331,10 +323,10 @@ def certify_disk(solution, problem: DiskProblem) -> dict:
     vals = num(problem.nodes) / den(problem.nodes)
     residuals = np.abs(vals - problem.values)
     defect = check_unimodular(num, den)
-    poles = poly_roots(den) if den.degree > 0 else np.zeros(0, dtype=complex)
-    zf, zg = roots_in_disk(num).size, int(np.sum(np.abs(poles) < DISK_INTERIOR))
+    zf, zg = count_zeros_poles(num, den)
     rng = np.random.default_rng(CERTIFICATE_SEED)
-    kernel = sampled_kernel_inertia(num, den, 2 * N, rng, poles)
+    kernel = sampled_kernel_inertia(num, den, 2 * N, rng)
+    poles = poly_roots(den)
     circle_gap = float(np.min(np.abs(np.abs(poles) - 1.0))) if poles.size else np.inf
     wmax = float(np.max(np.abs(problem.values)))
     verdicts = {

@@ -31,13 +31,14 @@ from takagi.linalg import hermitize
 from takagi.polynomials import (
     MoebiusMap,
     Poly,
+    Rational,
     moebius_pullback,
     poly_reflect,
     roots_in_disk,
     vacuous_node_factor,
 )
 from takagi.realization import eval_realization, kernel_forms
-from takagi.verify import check_unimodular, torus_unimodularity
+from takagi.verify import BALANCED_RESTRICTIONS, certify_bidisk, check_unimodular, torus_unimodularity
 
 
 def random_bidisk_problem(rng, n_max=4):
@@ -461,3 +462,35 @@ class TestSingleSolve:
             dump_json(bidisk_result_to_dict(sol, problem, pair), str(tmp_path / name))
             texts.append((tmp_path / name).read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestRestrictionRoots:
+    @pytest.mark.parametrize("f1, f2", [([1.0, -0.3], [1.0, 0.2]), ([-0.3, 1.0], [0.2, 1.0])],
+                             ids=["roots-outside", "roots-inside"])
+    @pytest.mark.parametrize("a", [0.0, 0.4 - 0.3j, -0.55j])
+    def test_common_factor_gives_same_counts(self, f1, f2, a):
+        """A shared (1 - 0.3 z1)(1 + 0.2 z2), or (z1 - 0.3)(z2 + 0.2) whose restriction
+        has its roots inside the disk, cancels: the counts are those of the pair without it."""
+        den = Poly(np.array([[1.0, -0.3], [-0.4, 0.0]]))
+        base = Rational(poly_reflect(den, (1, 1)), den)
+        common = Poly(np.array(f1)[:, None]) * Poly(np.array(f2)[None, :])
+        shared = Rational(base.numerator * common, base.denominator * common)
+        m = MoebiusMap(a)
+        num0, den0 = restrict_balanced(base, m)
+        num1, den1 = restrict_balanced(shared, m)
+        assert (num1.degree, den1.degree) == (num0.degree, den0.degree)
+        assert (roots_in_disk(num1).size, roots_in_disk(den1).size) == (
+            roots_in_disk(num0).size, roots_in_disk(den0).size)
+
+    def test_certificate_finds_each_restriction_root_once(self, monkeypatch):
+        problem, pair, _ = load_problem(str(PAIR_FILE))
+        sol = solve_bidisk(problem, pair, seed=0, certify=False)
+        roots, calls = np.roots, []
+
+        def counted(coeffs):
+            calls.append(len(coeffs))
+            return roots(coeffs)
+
+        monkeypatch.setattr(np, "roots", counted)
+        assert certify_bidisk(sol, problem)["pass"]
+        assert 0 < len(calls) <= 2 * BALANCED_RESTRICTIONS

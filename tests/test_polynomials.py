@@ -14,6 +14,7 @@ from takagi.polynomials import (
     poly_gcd_numeric,
     poly_reflect,
     poly_roots,
+    reduce_common_roots,
 )
 
 
@@ -191,6 +192,74 @@ class TestGcd:
         assert rp.degree == 1
         assert rq.degree == 0
         assert common.degree == 1
+
+
+class TestRootsOnce:
+    def test_roots_found_once_and_read_only(self):
+        p = Poly.from_roots([0.5, -0.25j, 2.0])
+        roots = poly_roots(p)
+        assert poly_roots(p) is roots
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
+        assert poly_roots(Poly(np.array([3.0]))).size == 0
+        with pytest.raises(ValueError):
+            poly_roots(Poly())
+
+    def test_coprime_returns_inputs(self):
+        p = Poly.from_roots([0.3, 0.1j])
+        q = Poly.from_roots([0.9])
+        rp, rq, common = poly_gcd_numeric(p, q, 1e-8)
+        assert rp is p and rq is q
+        assert common.degree == 0
+        num, den = reduce_common_roots(p, q)
+        assert num is p and den is q
+
+    def test_constant_side_returns_inputs(self):
+        p, q = Poly.from_roots([0.3]), Poly(np.array([2.0]))
+        rp, rq, common = poly_gcd_numeric(p, q)
+        assert rp is p and rq is q and common.degree == 0
+
+
+def _greedy_pairs(rp, rq, tol):
+    """The pairing loop of ``poly_gcd_numeric``: (kept roots of p, left roots of q, pairs)."""
+    rq, kept_p, common = list(rq), [], []
+    for r in rp:
+        if rq:
+            dist = [abs(r - s) for s in rq]
+            k = int(np.argmin(dist))
+            if dist[k] <= tol:
+                common.append(0.5 * (r + rq[k]))
+                del rq[k]
+                continue
+        kept_p.append(r)
+    return kept_p, rq, common
+
+
+_root = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(_root, min_size=0, max_size=5),
+    st.lists(_root, min_size=0, max_size=5),
+    st.sampled_from([None, 0.5, 2.0]),
+    st.sampled_from([1e-9, 1e-7, 1e-5]),
+    st.floats(0.0, 2 * np.pi),
+)
+@settings(max_examples=150, deadline=None)
+def test_early_exit_exactly_when_nothing_pairs(roots_p, roots_q, planted, tol, phase):
+    """Planted near-coincidences at 0.5 tol and 2 tol: the exit fires iff the greedy loop pairs nothing."""
+    if planted is not None and roots_p:
+        roots_q = roots_q + [roots_p[0] + planted * tol * np.exp(1j * phase)]
+    p, q = Poly.from_roots(roots_p, 1.5), Poly.from_roots(roots_q, -0.5j)
+    kept_p, left_q, common = _greedy_pairs(poly_roots(p), poly_roots(q), tol)
+    rp, rq, factor = poly_gcd_numeric(p, q, tol)
+    assert (rp is p and rq is q) == (not common)
+    if common:
+        assert np.array_equal(rp.coeffs, Poly.from_roots(kept_p, p.coeffs[-1]).coeffs)
+        assert np.array_equal(rq.coeffs, Poly.from_roots(left_q, q.coeffs[-1]).coeffs)
+        assert np.array_equal(factor.coeffs, Poly.from_roots(common).coeffs)
+    else:
+        assert factor.degree == 0
 
 
 class TestMoebius:
