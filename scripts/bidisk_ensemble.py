@@ -4,7 +4,7 @@
 Mixes one-variable embeddings (all decomposition weight on a single
 coordinate) with genuinely two-variable pairs, solves each problem, and
 verifies torus unimodularity, the toral certificate, and zero/pole bounds on
-balanced-disk restrictions of the weak solution.
+balanced-disk restrictions of the answer.
 """
 
 from __future__ import annotations
@@ -80,13 +80,13 @@ def run(cfg: BidiskEnsembleConfig) -> dict:
         sol = solve_bidisk(problem, pair, seed=trial)
         ok = bool(sol.certificates["pass"])
         failures += 0 if ok else 1
-        (i1, i2), (d1, d2) = sol.inertias, sol.deltas
-        zero_bound = i1.positive + i2.positive + d1 + d2
-        pole_bound = i1.negative + i2.negative + d1 + d2
+        i1, i2 = sol.inertias
+        zero_bound = i1.positive + i2.positive
+        pole_bound = i1.negative + i2.negative
         bad_maps = 0
         for _ in range(cfg.n_restriction_maps):
             a = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
-            num, den = restrict_balanced(sol.weak_solution, MoebiusMap(a))
+            num, den = restrict_balanced(sol, MoebiusMap(a))
             good = (
                 check_unimodular(num, den) < 1e-6
                 and roots_in_disk(num).size <= zero_bound
@@ -101,7 +101,6 @@ def run(cfg: BidiskEnsembleConfig) -> dict:
                 "pair_kind": trial % 3,
                 "bidegree": list(sol.bidegree),
                 "inertias": [list(i1.as_tuple()), list(i2.as_tuple())],
-                "deltas": [d1, d2],
                 "pass": ok,
                 "bad_restriction_maps": bad_maps,
             }

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Stress ensemble past the benchmark pool: bidisk problems at N = 6 to 20.
+
+Each cell is one N and one pair kind, with ``PROBLEMS`` problems.  Problem k
+of a cell is drawn from ``default_rng([888, N, k, kind])`` with the body of
+the benchmark's ``bidisk`` generator (``perfbench/workloads.py``): node pairs
+uniform in the bidisk square of half-width 0.5, at least 0.05 apart, targets
+of modulus 0.3 to 2.5, and the pair of the kind
+(``bidisk_ensemble.random_pair``): all weight on the first (kind 0) or the
+second (kind 1) coordinate, or a random Hermitian first term with the second
+solved from the identity (kind 2).  Kind 2 is left out at N = 20.  Each problem is solved with ``seed=k`` and certified.  Per cell the
+script prints the certified count, the certificate FAILs, the solver errors
+by cause, the indices of the problems not certified, and the time; the last
+line counts the errors whose class is not one of ``takagi``'s own.  It
+reports; it is not a gate.
+
+``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
+are imported, so the same script can measure an exported parent commit.
+
+    python3 scripts/bidisk_stress.py
+    python3 scripts/bidisk_stress.py --tree ../parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+# One BLAS thread, as in the benchmark; it must be set before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+REPO = Path(__file__).resolve().parent.parent
+
+SIZES = (6, 8, 10, 12, 16, 20)
+KINDS = (0, 1, 2)
+PROBLEMS = 12
+
+
+def cells() -> list[tuple[int, int]]:
+    return [(n, kind) for n in SIZES for kind in KINDS if not (n == 20 and kind == 2)]
+
+
+def stress_problem(n: int, kind: int, k: int):
+    """(problem, pair) k of the cell (n, kind); needs the tree's takagi and perfbench importable."""
+    from bidisk_ensemble import random_pair
+    from takagi.bidisk import BidiskProblem
+    from workloads import _separated, _targets
+
+    rng = np.random.default_rng([888, n, k, kind])
+    while True:
+        nodes = (rng.uniform(-1, 1, (n, 2)) + 1j * rng.uniform(-1, 1, (n, 2))) * 0.5
+        if _separated(nodes, 0.05):
+            break
+    problem = BidiskProblem(nodes=nodes, values=_targets(rng, n, 0.3, 2.5))
+    return problem, random_pair(problem, kind, rng)
+
+
+def run(tree: Path) -> None:
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from takagi.bidisk import solve_bidisk
+
+    total, total_fail, untyped = 0, 0, 0
+    for n, kind in cells():
+        start = time.perf_counter()
+        certified, cert_fail, missed, causes = 0, 0, [], Counter()
+        for k in range(PROBLEMS):
+            problem, pair = stress_problem(n, kind, k)
+            try:
+                sol = solve_bidisk(problem, pair, seed=k)
+            except Exception as exc:  # every solver failure is a recorded outcome
+                causes[f"{type(exc).__name__}: {re.split(r'[:(]', str(exc))[0].strip()}"] += 1
+                untyped += not type(exc).__module__.startswith("takagi")
+                missed.append(k)
+                continue
+            if sol.certificates["pass"]:
+                certified += 1
+            else:
+                cert_fail += 1
+                missed.append(k)
+        total, total_fail = total + certified, total_fail + cert_fail
+        print(f"N={n:2} kind {kind}: certified {certified}/{PROBLEMS}, "
+              f"certificate FAIL {cert_fail}, errors {dict(sorted(causes.items()))}, "
+              f"missed {missed} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"certified {total}/{PROBLEMS * len(cells())}, certificate FAIL {total_fail}, "
+          f"untyped errors {untyped}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", default=str(REPO), help="source checkout to import")
+    run(Path(parser.parse_args().tree).resolve())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,9 @@ phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data;
 ``solve_bidisk`` returns it when it is strict at every node.  Otherwise
 per-node Moebius re-centering in both coordinates plus a real combination
-upgrades weak interpolation to strict, as on the disk.  The
+upgrades weak interpolation to strict, as on the disk.  The pair is used as
+given: a singular term makes the lurking isometry's domain vectors
+dependent, which ``krein.extend_j_isometry`` handles as on the disk.  The
 polynomials are two-variable ``polynomials.Poly``s and the quotients
 ``polynomials.Rational``s.  Only the per-node solve (``_shifted_denominator``)
 is the bidisk's own; the reflective-pair rule, the pull-back, the vacuous node
@@ -24,7 +26,7 @@ bidisk error is a ``disk.SolveError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .linalg import (
     check_finite,
     check_hermitian,
     hermitize,
-    rank_with_tol,
     resolvent_stack,
     sample_grid,
     transfer_coefficients,
@@ -66,8 +67,6 @@ from .realization import Realization, lurking_colligation
 from .verify import TORAL_NUMERATOR, certify_bidisk, near_pole
 
 PAIR_RESIDUAL_TOL = 1e-9
-# Relative singular-value threshold of the rank conditions.
-RANK_TOL = 1e-8
 
 
 class BidiskError(SolveError):
@@ -78,10 +77,6 @@ class PairValidationError(BidiskError):
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(f"decomposition identity residual {residual:.3e} beyond tolerance")
-
-
-class RegularizationError(BidiskError):
-    pass
 
 
 class BirationalExtractionError(BidiskError):
@@ -131,16 +126,10 @@ class BidiskProblem:
 
 @dataclass(frozen=True)
 class AglerPair:
-    """Hermitian pair splitting 1 - w_i conj(w_j) across the two coordinates.
-
-    Optional positive semi-definite regularizers Y1, Y2 widen the Gram vectors
-    when the rank conditions fail for the bare pair.
-    """
+    """Hermitian pair splitting 1 - w_i conj(w_j) across the two coordinates."""
 
     gamma1: np.ndarray
     gamma2: np.ndarray
-    y1: np.ndarray | None = None
-    y2: np.ndarray | None = None
 
     def __post_init__(self):
         g1 = np.asarray(self.gamma1, dtype=complex)
@@ -152,13 +141,6 @@ class AglerPair:
             raise ValueError("the two matrices must have equal shape")
         object.__setattr__(self, "gamma1", hermitize(g1))
         object.__setattr__(self, "gamma2", hermitize(g2))
-        for name in ("y1", "y2"):
-            y = getattr(self, name)
-            if y is not None:
-                y = np.asarray(y, dtype=complex)
-                check_finite(name, y)
-                check_hermitian(y)
-                object.__setattr__(self, name, hermitize(y))
 
     @property
     def size(self) -> int:
@@ -166,9 +148,6 @@ class AglerPair:
 
     def gammas(self) -> tuple[np.ndarray, np.ndarray]:
         return self.gamma1, self.gamma2
-
-    def regularizers(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        return self.y1, self.y2
 
 
 def one_variable_pair(problem: BidiskProblem, variable: int = 0) -> AglerPair:
@@ -190,77 +169,17 @@ def pair_residual(problem: BidiskProblem, pair: AglerPair) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def _psd_factor(Y: np.ndarray | None, tol: float = 1e-10) -> np.ndarray:
-    """Tall factor L with Y = L L*; columns = rank of the positive part."""
-    if Y is None or Y.size == 0:
-        n = 0 if Y is None else Y.shape[0]
-        return np.zeros((n, 0), dtype=complex)
-    evals, evecs = np.linalg.eigh(hermitize(Y))
-    cutoff = tol * max(1.0, float(np.max(np.abs(evals))) if evals.size else 0.0)
-    if np.any(evals < -cutoff):
-        raise ValueError("regularizer is not positive semi-definite")
-    keep = evals > cutoff
-    return evecs[:, keep] * np.sqrt(evals[keep])
-
-
 @dataclass(frozen=True)
 class PairGram:
-    """Per-term Gram vectors, regularizer columns absorbed into both sides."""
+    """Per-term Gram vectors of the pair: Gamma^r = u^r u^r* - v^r v^r*."""
 
-    u: tuple[np.ndarray, np.ndarray]  # N x (pi^r + delta^r)
-    v: tuple[np.ndarray, np.ndarray]  # N x (nu^r + delta^r)
+    u: tuple[np.ndarray, np.ndarray]  # N x pi^r
+    v: tuple[np.ndarray, np.ndarray]  # N x nu^r
     inertias: tuple[Inertia, Inertia]
-    deltas: tuple[int, int]
 
     @property
     def kappas(self) -> tuple[int, int]:
         return (self.u[0].shape[1] + self.v[0].shape[1], self.u[1].shape[1] + self.v[1].shape[1])
-
-
-def pair_gram(pair: AglerPair) -> PairGram:
-    """Eigen-based split of each term, widened by the regularizer factors.
-
-    Appending the same columns to the positive and negative sides leaves the
-    difference of Grams (hence the decomposition identity) unchanged while
-    raising the rank of the sum of Grams.
-    """
-    us, vs, inertias, deltas = [], [], [], []
-    for G, Y in zip(pair.gammas(), pair.regularizers()):
-        dec = gram_decompose(G)
-        L = _psd_factor(Y)
-        if L.shape[0] not in (0, G.shape[0]):
-            raise ValueError("regularizer dimension mismatch")
-        if L.shape[0] == 0:
-            L = np.zeros((G.shape[0], 0), dtype=complex)
-        us.append(np.hstack([dec.u, L]))
-        vs.append(np.hstack([dec.v, L]))
-        inertias.append(dec.inertia)
-        deltas.append(L.shape[1])
-    return PairGram(u=(us[0], us[1]), v=(vs[0], vs[1]), inertias=(inertias[0], inertias[1]),
-                    deltas=(deltas[0], deltas[1]))
-
-
-def _rank_conditions(problem: BidiskProblem, gram: PairGram) -> tuple[bool, bool]:
-    """Rank-N tests for the value-side and node-side Gram matrices.
-
-    With Delta^r the sum of Grams of the widened vectors, condition (a) asks
-    for full rank of W + Delta^1 + Delta^2 (range vectors independent) and (b)
-    for full rank of the all-ones matrix plus the node-scaled Deltas (domain
-    vectors independent).
-    """
-    N = problem.size
-    lam = problem.nodes
-    W = np.outer(problem.values, problem.values.conj())
-    ones = np.ones((N, N), dtype=complex)
-    a_mat = W.copy()
-    b_mat = ones.copy()
-    for r in range(2):
-        delta = gram.u[r] @ gram.u[r].conj().T + gram.v[r] @ gram.v[r].conj().T
-        a_mat = a_mat + delta
-        b_mat = b_mat + np.outer(lam[:, r], lam[:, r].conj()) * delta
-    ra = rank_with_tol(hermitize(a_mat), RANK_TOL)
-    rb = rank_with_tol(hermitize(b_mat), RANK_TOL)
-    return ra == N, rb == N
 
 
 def validate_pair(problem: BidiskProblem, pair: AglerPair) -> float:
@@ -273,43 +192,16 @@ def validate_pair(problem: BidiskProblem, pair: AglerPair) -> float:
     return residual
 
 
-def regularize_pair(
-    problem: BidiskProblem, pair: AglerPair, seed: int = 7
-) -> tuple[AglerPair, PairGram]:
-    """Populate positive semi-definite regularizers until the rank conditions hold.
+def regularize_pair(pair: AglerPair) -> PairGram:
+    """Gram split of each term of the pair (``pick.gram_decompose``).
 
-    Returns the pair (the given one when its rank conditions already hold)
-    together with its ``PairGram``, the input of ``build_bidisk_realization``.
-    Searches rank budgets in increasing total order; each candidate is a seeded
-    random Gram factor scaled well below the decomposition matrices so the
-    identity (which the regularizers never enter) keeps its meaning.
+    The split alone feeds the realization: when the Gram data are singular,
+    ``krein.extend_j_isometry`` extends on a maximal independent subset of
+    the dependent domain vectors.  The name is the historical one of this
+    pipeline stage and its benchmark span; ROADMAP item 7 renames both.
     """
-    gram = pair_gram(pair)
-    if all(_rank_conditions(problem, gram)):
-        return pair, gram
-    N = problem.size
-    rho = 1e-2 * max(1.0, float(np.linalg.norm(pair.gamma1) + np.linalg.norm(pair.gamma2)))
-    rng = np.random.default_rng(seed)
-    budgets = sorted(
-        ((d1, d2) for d1 in range(N + 1) for d2 in range(N + 1)),
-        key=lambda p: (p[0] + p[1], p),
-    )
-    for d1, d2 in budgets:
-        if d1 == 0 and d2 == 0:
-            continue
-        for _ in range(4):
-            ys = []
-            for d in (d1, d2):
-                if d == 0:
-                    ys.append(None)
-                else:
-                    G = rng.normal(size=(N, d)) + 1j * rng.normal(size=(N, d))
-                    ys.append(rho * (G @ G.conj().T))
-            candidate = AglerPair(gamma1=pair.gamma1, gamma2=pair.gamma2, y1=ys[0], y2=ys[1])
-            gram = pair_gram(candidate)
-            if all(_rank_conditions(problem, gram)):
-                return candidate, gram
-    raise RegularizationError("no regularizer up to full rank restored the rank conditions")
+    d1, d2 = (gram_decompose(G) for G in pair.gammas())
+    return PairGram(u=(d1.u, d2.u), v=(d1.v, d2.v), inertias=(d1.inertia, d2.inertia))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +213,11 @@ def build_bidisk_realization(
 ) -> Realization:
     """The lurking-isometry colligation of the pair, with two state blocks.
 
-    ``gram`` is the pair's ``PairGram`` as ``regularize_pair`` returns it,
-    with the rank conditions already decided.  Block r holds term r's widened
-    Gram vectors, u^r over v^r with signature (+, -), and E_lam scales it by
-    the coordinate lam^r (``realization.lurking_colligation``).  Raises
-    PairValidationError when the pair misses the decomposition identity.
+    ``gram`` is the pair's ``PairGram`` as ``regularize_pair`` returns it.
+    Block r holds term r's Gram vectors, u^r over v^r with signature (+, -),
+    and E_lam scales it by the coordinate lam^r
+    (``realization.lurking_colligation``).  Raises PairValidationError when
+    the pair misses the decomposition identity.
     """
     validate_pair(problem, pair)
     rows, signs = [], []
@@ -437,9 +329,8 @@ def restrict_balanced(br: Rational, m: MoebiusMap) -> tuple[Poly, Poly]:
     cancels in the ratio, then divides out near-common roots.  The reduction
     stays: a root the pair shares is no zero or pole of the restriction, but
     left in, one inside the disk would count once as a zero and once as a pole
-    and could break the pi + delta and nu + delta bounds.  The weak pair can
-    share roots (some test pairs do); when no root pairs, the reduction costs
-    one distance matrix per tolerance.
+    and could break the pi and nu bounds of ``verify.certify_bidisk``.  When no
+    root pairs, the reduction costs one distance matrix per tolerance.
     """
     d2 = max(br.numerator.degrees[1], br.denominator.degrees[1], 0)
     M2 = moebius_matrix(m.a, d2)
@@ -476,16 +367,13 @@ def _transport_pair(problem: BidiskProblem, pair: AglerPair, j: int) -> tuple[Bi
     new_nodes = np.column_stack([maps[0](problem.nodes[:, 0]), maps[1](problem.nodes[:, 1])])
     shifted_problem = BidiskProblem(nodes=new_nodes, values=problem.values)
 
-    def congruence(r: int, G: np.ndarray | None) -> np.ndarray | None:
-        if G is None:
-            return None
+    def congruence(r: int, G: np.ndarray) -> np.ndarray:
         a = maps[r].a
         d = 1.0 - np.conj(a) * problem.nodes[:, r]
         return hermitize(np.outer(d, d.conj()) * G / (1.0 - abs(a) ** 2))
 
     g1, g2 = (congruence(r, G) for r, G in enumerate(pair.gammas()))
-    y1, y2 = (congruence(r, Y) for r, Y in enumerate(pair.regularizers()))
-    return shifted_problem, AglerPair(gamma1=g1, gamma2=g2, y1=y1, y2=y2), maps
+    return shifted_problem, AglerPair(gamma1=g1, gamma2=g2), maps
 
 
 class BidiskSolveError(BidiskError):
@@ -494,23 +382,21 @@ class BidiskSolveError(BidiskError):
 
 def _shifted_denominator(
     problem: BidiskProblem, pair: AglerPair, j: int
-) -> tuple[Poly, tuple[int, int], tuple[tuple[Inertia, Inertia], tuple[int, int]]]:
+) -> tuple[Poly, tuple[int, int], tuple[Inertia, Inertia]]:
     """Centered solve at node j pulled back to the original coordinates.
 
-    Returns (denominator, bidegree, (inertias, deltas)), the per-node solve
-    of ``disk.solve_shifts``.
+    Returns (denominator, bidegree, inertias), the per-node solve of
+    ``disk.solve_shifts``.
     """
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
-    # The diagonal congruence can cost the shifted pair its rank conditions;
-    # top up the regularizers for this shift when that happens.
-    shifted_pair, gram = regularize_pair(shifted, shifted_pair, seed=1234 + j)
+    gram = regularize_pair(shifted_pair)
     br = to_birational(build_bidisk_realization(shifted, shifted_pair, gram))
-    _, den, d = best_reflective_pair(br.numerator, br.denominator)
+    den, d = best_reflective_pair(br.numerator, br.denominator)
     den = moebius_pullback(den, [m.a for m in maps], d)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[j] != "strict":
         raise BidiskSolveError(f"lost strict interpolation at the re-centered node {j}")
-    return den, d, (gram.inertias, gram.deltas)
+    return den, d, gram.inertias
 
 
 def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair) -> ShiftedFamily:
@@ -524,19 +410,17 @@ class BidiskSolution(Rational):
 
     bidegree: tuple[int, int]
     inertias: tuple[Inertia, Inertia]
-    deltas: tuple[int, int]
     node_status: list[str]
-    weak_solution: Rational | None = None
     certificates: dict = field(default_factory=dict)
 
 
 def _strict_bidisk(den: Poly, d: tuple[int, int], problem: BidiskProblem, stage: str,
-                   inertias: tuple[Inertia, Inertia], deltas: tuple[int, int]) -> BidiskSolution:
+                   inertias: tuple[Inertia, Inertia]) -> BidiskSolution:
     """reflect(den, d)/den; SolveError naming ``stage`` unless it is strict at every node."""
     num = poly_reflect(den, d)
     statuses = require_strict(num, den, problem, stage)
     return BidiskSolution(numerator=num, denominator=den, bidegree=d, inertias=inertias,
-                          deltas=deltas, node_status=statuses)
+                          node_status=statuses)
 
 
 def combine_bidisk(
@@ -546,12 +430,10 @@ def combine_bidisk(
 ) -> BidiskSolution:
     """Real combination of the shifted denominators (``disk.combine_shifts``), strict at every node.
 
-    The inertias are the last kept shift's; the rank budgets the largest
-    over the kept shifts.
+    The inertias are the last kept shift's.
     """
     q = combine_shifts(family, problem, rng)
-    deltas = tuple(map(max, zip(*(deltas for _, deltas in family.infos))))
-    return _strict_bidisk(q, family.refl_degree, problem, "combination", family.infos[-1][0], deltas)
+    return _strict_bidisk(q, family.refl_degree, problem, "combination", family.infos[-1])
 
 
 def solve_bidisk(
@@ -560,26 +442,25 @@ def solve_bidisk(
     seed: int = 0,
     certify: bool = True,
 ) -> BidiskSolution:
-    """Full pipeline: validate/regularize the pair, the single solve, certification.
+    """Full pipeline: the pair's Gram split, the single solve, certification.
 
     The single solve takes the pair's uncentered realization as reflect(den, d)/den,
-    with ``regularize_pair``'s inertias and rank budgets; only when it breaks
-    down do the re-centered solves answer (``solve_bidisk_shifts``, ``combine_bidisk``).
-    ``weak_solution`` is the realization's pair either way.  With no pair, the
-    one-variable embedding with all weight on the first coordinate is used.
+    with ``regularize_pair``'s inertias; only when it breaks down do the
+    re-centered solves answer (``solve_bidisk_shifts``, ``combine_bidisk``).
+    With no pair, the one-variable embedding with all weight on the first
+    coordinate is used.  PairValidationError when the pair misses the
+    decomposition identity.
     """
     if pair is None:
         pair = one_variable_pair(problem, 0)
-    validate_pair(problem, pair)
-    pair, gram = regularize_pair(problem, pair, seed=seed + 7)
-    weak_br = to_birational(build_bidisk_realization(problem, pair, gram))
+    gram = regularize_pair(pair)
+    br = to_birational(build_bidisk_realization(problem, pair, gram))
     try:
-        _, den, d = best_reflective_pair(weak_br.numerator, weak_br.denominator)
-        solution = _strict_bidisk(den, d, problem, "single solve", gram.inertias, gram.deltas)
+        den, d = best_reflective_pair(br.numerator, br.denominator)
+        solution = _strict_bidisk(den, d, problem, "single solve", gram.inertias)
     except BREAKDOWNS:
         family = solve_bidisk_shifts(problem, pair)
         solution = combine_bidisk(family, problem, rng=np.random.default_rng(seed))
-    solution = replace(solution, weak_solution=weak_br)
     if certify:
         solution.certificates.update(certify_bidisk(solution, problem))
     return solution

@@ -69,8 +69,8 @@ class CombinationError(SolveError):
 BREAKDOWNS = (SolveError, ExtensionError, NonFiniteCoefficientError)
 
 
-def best_reflective_pair(num: Poly, den: Poly) -> tuple[Poly, Poly, int | tuple[int, ...]]:
-    """The pair (num, den rotated so that num = reflect(den, d)) and its declared degree d.
+def best_reflective_pair(num: Poly, den: Poly) -> tuple[Poly, int | tuple[int, ...]]:
+    """den rotated so that num = reflect(den, d), and the declared degree d.
 
     ``d`` is the larger of the two degrees in each variable (an int on one
     variable).  The pair must satisfy num = c * reflect(den, d) with |c| = 1,
@@ -81,7 +81,7 @@ def best_reflective_pair(num: Poly, den: Poly) -> tuple[Poly, Poly, int | tuple[
     d = d[0] if len(d) == 1 else d
     c, defect = reflective_constant(num, den, d)
     if defect <= REFLECTIVE_DEFECT and abs(abs(c) - 1.0) <= 1e-6:
-        return num, rotate_reflective(den, c), d
+        return rotate_reflective(den, c), d
     raise ReflectiveStructureError(
         f"no reflective representation found (raw defect {defect:.3e})"
     )
@@ -132,7 +132,7 @@ def solve_centered(problem: DiskProblem) -> CenteredSolution:
     assert kappa == 2 * N - pi - nu
     J1 = SignatureMatrix.blocks((pi + zeta, 1), (nu + zeta, -1))
     real = lurking_colligation(problem.nodes[:, None], problem.values, X, J1, (kappa,))
-    _, den, d = best_reflective_pair(*realization_to_rational(real))
+    den, d = best_reflective_pair(*realization_to_rational(real))
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[0] != "strict":
         raise SolveError("lost strict interpolation at the centered node")
@@ -144,8 +144,7 @@ class ShiftedFamily:
     """Per-node shifted denominators, padded to a common declared degree.
 
     ``infos`` holds, per kept shift, what its solve reported besides the
-    denominator: the inertia on the disk, the pair's inertias and rank
-    budgets on the bidisk.
+    denominator: the inertia on the disk, the pair's inertias on the bidisk.
     """
 
     dens: list[Poly]
@@ -322,23 +321,13 @@ def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSoluti
     """
     pi, nu, _ = dec.inertia.as_tuple()
     X = np.vstack([dec.u.T, dec.v.T])  # (pi + nu) x N
-    domain = np.vstack([np.ones((1, problem.size)), problem.nodes[None, :] * X])
-    # With a singular matrix the domain columns are dependent; a maximal
-    # independent subset determines the isometry and the rest follow from the
-    # exact Gram identity.
-    keep: list[int] = []
-    basis = np.zeros((pi + nu + 1, 0), dtype=complex)
-    for j in range(domain.shape[1]):
-        col = domain[:, j]
-        resid = col - basis @ (basis.conj().T @ col)
-        if np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(col)):
-            keep.append(j)
-            basis = np.hstack([basis, (resid / np.linalg.norm(resid))[:, None]])
+    # With a singular matrix the domain columns are dependent, which
+    # ``krein.extend_j_isometry`` handles.
     real = lurking_colligation(
-        problem.nodes[keep][:, None], problem.values[keep], X[:, keep],
+        problem.nodes[:, None], problem.values, X,
         SignatureMatrix.blocks((pi, 1), (nu, -1)), (pi + nu,),
     )
-    _, den, d = best_reflective_pair(*realization_to_rational(real))
+    den, d = best_reflective_pair(*realization_to_rational(real))
     solution = _strict_solution(den, d, problem, "rank-degree solve", dec.inertia)
     top = max(solution.interpolant.numerator.degree, solution.interpolant.denominator.degree)
     if (solution.f.degree, solution.g.degree, top) != (pi, nu, pi + nu):

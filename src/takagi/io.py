@@ -204,7 +204,7 @@ def disk_result_to_dict(solution: TakagiSolution, problem: DiskProblem) -> dict:
 def bidisk_result_to_dict(
     solution: BidiskSolution, problem: BidiskProblem, pair: AglerPair | None = None
 ) -> dict:
-    out = {
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "bidisk",
         "problem": problem_to_dict(problem, pair),
@@ -212,14 +212,9 @@ def bidisk_result_to_dict(
         "denominator": encode_matrix(solution.denominator.coeffs),
         "bidegree": list(solution.bidegree),
         "inertias": [list(i.as_tuple()) for i in solution.inertias],
-        "deltas": list(solution.deltas),
         "node_status": list(solution.node_status),
         "certificate": _jsonable(solution.certificates),
     }
-    if solution.weak_solution is not None:
-        out["weak_numerator"] = encode_matrix(solution.weak_solution.numerator.coeffs)
-        out["weak_denominator"] = encode_matrix(solution.weak_solution.denominator.coeffs)
-    return out
 
 
 def _decode_poly(data: dict, key: str, decode) -> Poly:
@@ -230,15 +225,27 @@ def _decode_poly(data: dict, key: str, decode) -> Poly:
         raise ProblemFileError(f"{key}: {exc}") from exc
 
 
+def _decode_quotient(data: dict, decode) -> tuple[Poly, Poly]:
+    """The stored numerator and denominator; a zero denominator is an input error."""
+    num = _decode_poly(data, "numerator", decode)
+    den = _decode_poly(data, "denominator", decode)
+    if den.is_zero:
+        raise ProblemFileError("denominator: the zero polynomial")
+    return num, den
+
+
 def result_to_solution(data: dict):
-    """Rebuild (solution, problem) from a result dictionary for re-certification."""
+    """Rebuild (solution, problem) from a result dictionary for re-certification.
+
+    Keys it does not read, such as the ``deltas`` and the weak pair of older
+    bidisk files, are ignored.
+    """
     if not isinstance(data, dict):
         raise ProblemFileError("top level must be an object")
     kind = _require(data, "kind")
     problem, pair = problem_from_dict(_require(data, "problem"))
     if kind == "disk":
-        num = _decode_poly(data, "numerator", decode_vector)
-        den = _decode_poly(data, "denominator", decode_vector)
+        num, den = _decode_quotient(data, decode_vector)
         bl = _require(data, "blaschke")
         constant = decode_complex(_require(bl, "constant"), "blaschke.constant")
         f_zeros = tuple(decode_vector(bl.get("f_zeros", []), "blaschke.f_zeros"))
@@ -254,27 +261,17 @@ def result_to_solution(data: dict):
         )
         return solution, problem, pair
     if kind == "bidisk":
-        num = _decode_poly(data, "numerator", decode_matrix)
-        den = _decode_poly(data, "denominator", decode_matrix)
+        num, den = _decode_quotient(data, decode_matrix)
         rows = _require(data, "inertias")
         if not (isinstance(rows, list) and len(rows) == 2):
             raise ProblemFileError(f"inertias: expected two inertias, got {rows!r}")
         inertias = [Inertia(*_decode_ints(v, 3, f"inertias[{r}]")) for r, v in enumerate(rows)]
-        deltas = _decode_ints(_require(data, "deltas"), 2, "deltas")
-        weak = None
-        if "weak_numerator" in data and "weak_denominator" in data:
-            weak = Rational(
-                numerator=_decode_poly(data, "weak_numerator", decode_matrix),
-                denominator=_decode_poly(data, "weak_denominator", decode_matrix),
-            )
         solution = BidiskSolution(
             numerator=num,
             denominator=den,
             bidegree=den.degrees,
             inertias=tuple(inertias),
-            deltas=tuple(deltas),
             node_status=list(data.get("node_status", [])),
-            weak_solution=weak,
         )
         return solution, problem, pair
     raise ProblemFileError(f"unknown result kind {kind!r}")

@@ -7,6 +7,11 @@ partners to both sides, match J-orthonormalized bases of the two
 J-orthogonal complements sign by sign, polish both bases onto their shared
 Gram S and take V1 = Br S^-1 Bd* J.  The radical, and a degenerate
 complement, are decided by the one zero rule ``linalg.zero_cutoff``.
+
+Dependent domain vectors, which a singular Gram gives on the disk and on the
+bidisk alike, are handled here once: the extension runs on a maximal
+independent subset (``_independent_columns``), and the dropped columns must
+then follow, V1 d_i = r_i.
 """
 
 from __future__ import annotations
@@ -129,29 +134,60 @@ def _j_orthonormal_complement(span: np.ndarray, signs: np.ndarray):
     return basis, np.sign(evals[order])
 
 
+def _independent_columns(D: np.ndarray) -> list[int]:
+    """Greedy maximal independent subset: in column order, keep a column whose
+    residual against the kept ones exceeds 1e-9 of max(1, its norm)."""
+    keep: list[int] = []
+    basis = np.zeros((D.shape[0], 0), dtype=complex)
+    for j in range(D.shape[1]):
+        col = D[:, j]
+        resid = col - basis @ (basis.conj().T @ col)
+        if np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(col)):
+            keep.append(j)
+            basis = np.hstack([basis, (resid / np.linalg.norm(resid))[:, None]])
+    return keep
+
+
 def extend_j_isometry(partial: PartialJIsometry) -> np.ndarray:
     """Extend the prescribed action to an n x n J-unitary matrix V1.
 
     Raises GramMismatchError when the J-Grams of domain and range disagree
-    beyond ``GRAM_MISMATCH_TOL`` (relative), ExtensionError when the domain
-    columns are dependent or the geometry degenerates.
+    beyond ``GRAM_MISMATCH_TOL`` (relative).  Dependent domain columns are
+    extended on ``_independent_columns`` alone; ExtensionError when the
+    dropped columns' images then miss their prescribed values beyond
+    1e-8 * N * max(1, ||R||), or when the geometry degenerates.
     """
     J, D, R = partial.J, partial.domain, partial.range_
-    signs = J.signs
     n, N = D.shape
     if N == 0:
         return np.eye(n, dtype=complex)
     Gd = j_gram(J, D)
     Gr = j_gram(J, R)
-    scale = max(1.0, float(np.linalg.norm(Gd)))
     mismatch = float(np.linalg.norm(Gd - Gr))
-    if mismatch > GRAM_MISMATCH_TOL * scale * N:
+    if mismatch > GRAM_MISMATCH_TOL * max(1.0, float(np.linalg.norm(Gd))) * N:
         raise GramMismatchError(mismatch)
-    if np.linalg.matrix_rank(D, tol=1e-10 * max(1.0, np.linalg.norm(D))) < N:
-        raise ExtensionError("domain vectors are linearly dependent")
+    if np.linalg.matrix_rank(D, tol=1e-10 * max(1.0, np.linalg.norm(D))) == N:
+        return _extend_independent(J, D, R, Gd, Gr)
+    keep = _independent_columns(D)
+    Dk, Rk = D[:, keep], R[:, keep]
+    V1 = _extend_independent(J, Dk, Rk, j_gram(J, Dk), j_gram(J, Rk))
+    residual = float(np.linalg.norm(V1 @ D - R))
+    if residual > 1e-8 * N * max(1.0, float(np.linalg.norm(R))):
+        raise ExtensionError(
+            f"dependent domain vectors do not map consistently (residual {residual:.3e})"
+        )
+    return V1
+
+
+def _extend_independent(
+    J: SignatureMatrix, D: np.ndarray, R: np.ndarray, Gd: np.ndarray, Gr: np.ndarray
+) -> np.ndarray:
+    """The extension for independent domain columns with J-Grams Gd and Gr."""
+    signs = J.signs
+    n, N = D.shape
     if N == n:
         return np.linalg.solve(D.conj().T, R.conj().T).conj().T
-
+    scale = max(1.0, float(np.linalg.norm(Gd)))
     G = hermitize(0.5 * (Gd + Gr))
     evals, evecs = np.linalg.eigh(G)
     radical = np.abs(evals) <= zero_cutoff(evals)

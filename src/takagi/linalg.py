@@ -97,14 +97,6 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def rank_with_tol(M: np.ndarray, tol: float = 1e-9) -> int:
-    """Numerical rank via singular values relative to the largest."""
-    s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 def real_combination(
     vals: np.ndarray, scale: float, rng: np.random.Generator, retries: int
 ) -> tuple[np.ndarray | None, list[list[float]]]:

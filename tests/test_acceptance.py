@@ -273,16 +273,15 @@ def test_criterion_7_bidisk_end_to_end(bidisk_ensemble):
         res = float(np.max(np.abs(vals - problem.values)))
         ok = res <= 1e-7 * (1.0 + float(np.max(np.abs(problem.values))))
         ok &= bool(sol.certificates["verdicts"]["unimodular"])
-        (i1, i2), (d1, d2) = sol.inertias, sol.deltas
-        ok &= sol.bidegree[0] <= i1.positive + i1.negative + 2 * d1
-        ok &= sol.bidegree[1] <= i2.positive + i2.negative + 2 * d2
+        i1, i2 = sol.inertias
+        ok &= sol.bidegree[0] <= i1.positive + i1.negative
+        ok &= sol.bidegree[1] <= i2.positive + i2.negative
         failures += 0 if ok else 1
-        zero_bound = i1.positive + i2.positive + d1 + d2
-        pole_bound = i1.negative + i2.negative + d1 + d2
-        br = sol.weak_solution
+        zero_bound = i1.positive + i2.positive
+        pole_bound = i1.negative + i2.negative
         for _ in range(25):
             a = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
-            num, den = restrict_balanced(br, MoebiusMap(a))
+            num, den = restrict_balanced(sol, MoebiusMap(a))
             good = (
                 check_unimodular(num, den) < 1e-6
                 and roots_in_disk(num).size <= zero_bound

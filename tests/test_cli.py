@@ -247,13 +247,16 @@ class TestMalformedResult:
     # Each case corrupts one field of a solved result file.
     CASES = {
         "bidisk-no-inertias": ("problems/bidisk_pair.json", "inertias", []),
-        "bidisk-one-delta": ("problems/bidisk_pair.json", "deltas", [1]),
         "disk-short-inertia": ("problems/disk_basic.json", "inertia", [1, 2]),
         "disk-text-inertia": ("problems/disk_basic.json", "inertia", ["x", 0, 0]),
         "disk-zero-outside": ("problems/disk_basic.json", "blaschke", {
             "constant": [1.0, 0.0], "f_zeros": [[2.0, 0.0]], "g_zeros": []}),
         "disk-nan-numerator": ("problems/disk_basic.json", "numerator", [[1.0, 0.0], ["nan", 0.0]]),
-        "bidisk-inf-weak": ("problems/bidisk_pair.json", "weak_numerator", [[["inf", 0.0]]]),
+        "bidisk-inf-numerator": ("problems/bidisk_pair.json", "numerator", [[["inf", 0.0]]]),
+        "disk-zero-denominator": ("problems/disk_basic.json", "denominator",
+                                  [[0.0, 0.0], [0.0, 0.0]]),
+        "bidisk-zero-denominator": ("problems/bidisk_pair.json", "denominator",
+                                    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
     }
 
     @pytest.mark.parametrize("command", ["verify", "boundary-samples"])

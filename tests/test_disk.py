@@ -49,9 +49,9 @@ class TestReflectiveStructure:
     def test_best_pair_recovers_degree(self):
         den = Poly(np.array([1.0, 0.3 - 0.1j, 0.2]))
         num = poly_reflect(den, 2)
-        n2, d2, d = best_reflective_pair(num, den)
+        d2, d = best_reflective_pair(num, den)
         assert d == 2
-        c, defect = reflective_constant(n2, d2, d)
+        c, defect = reflective_constant(num, d2, d)
         assert defect < 1e-10
         assert abs(abs(c) - 1.0) < 1e-10
 

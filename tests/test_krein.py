@@ -91,11 +91,27 @@ class TestExtension:
         with pytest.raises(GramMismatchError):
             extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
 
-    def test_dependent_domain_rejected(self):
-        J = SignatureMatrix(np.ones(3))
-        D = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
-        R = D.copy()
-        with pytest.raises(ExtensionError):
+    def test_consistent_dependent_domain_extends(self):
+        """Dependent columns whose images follow: every column is mapped."""
+        rng = np.random.default_rng(6)
+        signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+        J = SignatureMatrix(signs)
+        U = random_j_unitary(signs, rng)
+        D = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        D = np.hstack([D, D @ np.array([[2.0, 0.5j], [-1.0, 1.0]]), D[:, :1]])
+        R = U @ D
+        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+        assert np.linalg.norm(V1 @ D - R) < 1e-8 * np.linalg.norm(R)
+        assert j_unitarity_defect(J, V1) < 1e-8 * 5
+
+    def test_inconsistent_dependent_domain_rejected(self):
+        """d2 = 2 d1 with r2 = 3 r1: equal J-Grams, but r2 does not follow."""
+        J = SignatureMatrix(np.array([1.0, -1.0, 1.0]))
+        d1 = np.array([1.0, 1.0, 0.0])
+        D = np.column_stack([d1, 2 * d1])
+        R = np.column_stack([d1, 3 * d1])
+        assert np.allclose(j_gram(J, D), j_gram(J, R))
+        with pytest.raises(ExtensionError, match="dependent"):
             extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
 
     def test_isotropic_domain_vector(self):

@@ -11,7 +11,6 @@ from takagi.linalg import (
     hermitian_inertia,
     hermitize,
     inertia_of,
-    rank_with_tol,
     real_combination,
     sample_grid,
     transfer_coefficients,
@@ -114,12 +113,6 @@ def test_zero_rule_keeps_the_singular_reference():
     evals = np.linalg.eigvalsh(pick_matrix(problem))
     reference = inertia_60_digits(problem.nodes, problem.values)
     assert inertia_of(evals).as_tuple() == reference == (1, 1, 2)
-
-
-def test_rank_with_tol():
-    M = np.diag([1.0, 1e-14, 0.0])
-    assert rank_with_tol(M, 1e-9) == 1
-    assert rank_with_tol(np.zeros((3, 3))) == 0
 
 
 def test_real_combination_single_candidate_takes_unit_weight():

@@ -172,7 +172,7 @@ def one_block_data(rng, N=4):
 
 
 def two_block_data(rng, N=3):
-    """Bidisk nodes, targets, widened Gram vectors and signature of a generic pair."""
+    """Bidisk nodes, targets, Gram vectors and signature of a generic pair."""
     nodes = (rng.uniform(-1, 1, (N, 2)) + 1j * rng.uniform(-1, 1, (N, 2))) * 0.5
     values = rng.uniform(0.3, 2.5, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
     problem = BidiskProblem(nodes=nodes, values=values)
@@ -180,7 +180,7 @@ def two_block_data(rng, N=3):
     g2 = (1.0 - np.outer(values, values.conj())
           - (1.0 - np.outer(nodes[:, 0], nodes[:, 0].conj())) * g1) / (
         1.0 - np.outer(nodes[:, 1], nodes[:, 1].conj()))
-    _, gram = regularize_pair(problem, AglerPair(gamma1=g1, gamma2=hermitize(g2)))
+    gram = regularize_pair(AglerPair(gamma1=g1, gamma2=hermitize(g2)))
     X = np.vstack([gram.u[0].T, gram.v[0].T, gram.u[1].T, gram.v[1].T])
     J1 = SignatureMatrix.blocks(*[(w.shape[1], s) for r in range(2)
                                   for w, s in ((gram.u[r], 1), (gram.v[r], -1))])
