@@ -51,7 +51,7 @@ from .linalg import (
     transfer_coefficients,
     transfer_samples,
 )
-from .pick import MIN_NODE_SEPARATION, DiskProblem, gram_decompose, pick_matrix
+from .pick import DiskProblem, check_distinct_nodes, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
     Poly,
@@ -112,10 +112,7 @@ class BidiskProblem:
         check_finite("nodes and values", nodes, values)
         if np.any(np.abs(nodes) >= 1.0):
             raise ValueError("both coordinates of every node must lie strictly inside the disk")
-        for i in range(nodes.shape[0]):
-            for j in range(i + 1, nodes.shape[0]):
-                if np.max(np.abs(nodes[i] - nodes[j])) <= MIN_NODE_SEPARATION:
-                    raise ValueError(f"nodes {i} and {j} coincide")
+        check_distinct_nodes(nodes)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -337,10 +334,12 @@ def restrict_balanced(br: Rational, m: MoebiusMap) -> tuple[Poly, Poly]:
 
     def compose(p: Poly) -> Poly:
         # Row k1 of C @ M2.T holds the cleared composition of z1**k1's slice;
-        # after z1 = z, coefficient n of the result sums the antidiagonal k1 + j = n.
+        # after z1 = z, coefficient n of the result sums the antidiagonal k1 + j = n,
+        # k1 ascending.
         B = pad_coeffs(p.coeffs, (p.coeffs.shape[0] - 1, d2)) @ M2.T
         out = np.zeros(B.shape[0] + d2, dtype=complex)
-        np.add.at(out, np.add.outer(np.arange(B.shape[0]), np.arange(d2 + 1)), B)
+        for k1, row in enumerate(B):
+            out[k1:k1 + d2 + 1] += row
         return Poly(out)
 
     num = compose(br.numerator)

@@ -45,9 +45,28 @@ def encode_vector(v) -> list[list[float]]:
     return [encode_complex(z) for z in np.asarray(v, dtype=complex)]
 
 
+def _complex_view(v: list, ndim: int) -> np.ndarray | None:
+    """``v`` decoded in one ``np.array`` call, when it is a numeric array of ``ndim`` axes of [re, im] pairs.
+
+    The complex view of the float pairs is bit-equal to ``decode_complex`` entry
+    by entry.  Anything else (ragged or non-numeric entries, wrong pair lengths)
+    gives None, and the caller decodes entry by entry, with its messages.
+    """
+    try:
+        a = np.array(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or a.dtype.kind not in "iuf":
+        return None
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
 def decode_vector(v: Any, where: str) -> np.ndarray:
     if not isinstance(v, list):
         raise ProblemFileError(f"{where}: expected a list")
+    fast = _complex_view(v, 1)
+    if fast is not None:
+        return fast
     return np.array([decode_complex(z, f"{where}[{k}]") for k, z in enumerate(v)], dtype=complex)
 
 
@@ -59,6 +78,9 @@ def encode_matrix(M) -> list[list[list[float]]]:
 def decode_matrix(v: Any, where: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ProblemFileError(f"{where}: expected a non-empty list of rows")
+    fast = _complex_view(v, 2) if all(isinstance(row, list) for row in v) else None
+    if fast is not None:
+        return fast
     rows = [decode_vector(row, f"{where}[{k}]") for k, row in enumerate(v)]
     width = {r.size for r in rows}
     if len(width) != 1:

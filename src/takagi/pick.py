@@ -11,6 +11,20 @@ from .linalg import Inertia, check_finite, hermitian_inertia, hermitize
 MIN_NODE_SEPARATION = 1e-9
 
 
+def check_distinct_nodes(nodes: np.ndarray) -> None:
+    """Raise ValueError naming the first pair (row-major) of nodes within MIN_NODE_SEPARATION.
+
+    ``nodes`` holds one node per row, or one complex node per entry; two nodes
+    coincide when every coordinate does.  One distance matrix tests every pair;
+    its diagonal, each node against itself, is zero.
+    """
+    pts = nodes.reshape(nodes.shape[0], -1)
+    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2) <= MIN_NODE_SEPARATION
+    if np.count_nonzero(close) > len(close):
+        i, j = np.argwhere(np.triu(close, 1))[0]
+        raise ValueError(f"nodes {i} and {j} coincide")
+
+
 @dataclass(frozen=True)
 class DiskProblem:
     """Interpolation data on the unit disk: distinct nodes, arbitrary values."""
@@ -28,10 +42,7 @@ class DiskProblem:
         check_finite("nodes and values", nodes, values)
         if np.any(np.abs(nodes) >= 1.0):
             raise ValueError("all nodes must lie strictly inside the unit disk")
-        for i in range(nodes.size):
-            for j in range(i + 1, nodes.size):
-                if abs(nodes[i] - nodes[j]) <= MIN_NODE_SEPARATION:
-                    raise ValueError(f"nodes {i} and {j} coincide")
+        check_distinct_nodes(nodes)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 

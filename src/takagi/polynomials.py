@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -351,14 +351,24 @@ def moebius_matrix(a: complex, d: int) -> np.ndarray:
     The (d+1) x (d+1) matrix acts on ascending coefficient vectors; column k
     holds ``(a - z)**k (1 - conj(a) z)**(d - k)``.  Column 0 is the cleared
     denominator ``(1 - conj(a) z)**d``.  Since m is self-inverse,
-    ``M @ M = (1 - |a|**2)**d I``.
+    ``M @ M = (1 - |a|**2)**d I``.  It is built once per (a, d) while in the
+    cache of the most recent ones, and is read-only; the key is the bits of a,
+    so 0.0 and -0.0 stay apart.
     """
+    return _moebius_matrix(np.complex128(a).tobytes(), int(d))
+
+
+@lru_cache(maxsize=256)
+def _moebius_matrix(a_bits: bytes, d: int) -> np.ndarray:
+    a = np.frombuffer(a_bits, dtype=complex)[0]
     num_pows = [np.ones(1, dtype=complex)]
     den_pows = [np.ones(1, dtype=complex)]
     for _ in range(d):
         num_pows.append(np.convolve(num_pows[-1], [a, -1.0]))
         den_pows.append(np.convolve(den_pows[-1], [1.0, -np.conj(a)]))
-    return np.column_stack([np.convolve(num_pows[k], den_pows[d - k]) for k in range(d + 1)])
+    M = np.column_stack([np.convolve(num_pows[k], den_pows[d - k]) for k in range(d + 1)])
+    M.setflags(write=False)
+    return M
 
 
 def moebius_pullback(p: Poly, a, d) -> Poly:

@@ -16,6 +16,12 @@ reads them from the solution.
 Unimodularity comes from the coefficients: reflect(den, d) has the modulus of
 den on the circle (torus), so with delta = ||num - c reflect(den, d)||_1 and
 |c| = 1 (``reflection_defect``), ||phi(z)| - 1| <= delta / |den(z)| there.
+
+``interior_points`` draws its candidates in rounds from the same stream as a
+one-at-a-time loop, with the same points and the generator left in the same
+state.  Where only an inertia is read (the sampled kernel, the augmented
+matrix, the lemma oracle), it comes from the eigenvalues alone, as for the
+Pick matrix in ``certify_disk``: those matrices are Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Inertia, hermitian_inertia, inertia_of
+from .linalg import Inertia, inertia_of
 from .pick import DiskProblem, pick_matrix, pick_matrix_of_function
 from .polynomials import (
     BlaschkeProduct,
@@ -80,14 +86,27 @@ def node_coordinates(problem) -> np.ndarray:
     return problem.nodes.reshape(problem.size, -1).T
 
 
-def check_interpolation(num: Poly, den: Poly, problem) -> list[str]:
+def node_values(num: Poly, den: Poly, problem) -> tuple[np.ndarray, np.ndarray]:
+    """num and den at the nodes, in one or two variables."""
+    coords = node_coordinates(problem)
+    return num(*coords), den(*coords)
+
+
+def check_interpolation(num: Poly, den: Poly, problem, at_nodes=None) -> list[str]:
     """Per-node ``node_status`` of phi = num/den, in one or two variables.
 
-    The scale is the largest coefficient of the pair.
+    The scale is the largest coefficient of the pair.  ``at_nodes`` is
+    ``node_values(num, den, problem)`` when the caller has it already.
     """
-    coords = node_coordinates(problem)
+    qv, pv = node_values(num, den, problem) if at_nodes is None else at_nodes
     scale = max(num.norm(), den.norm(), 1e-300)
-    return node_status(num(*coords), den(*coords), problem.values, scale)
+    return node_status(qv, pv, problem.values, scale)
+
+
+def _statuses_and_residuals(num: Poly, den: Poly, problem) -> tuple[list[str], np.ndarray]:
+    """``check_interpolation`` and the residuals |num/den - w|, from one evaluation at the nodes."""
+    qv, pv = node_values(num, den, problem)
+    return check_interpolation(num, den, problem, (qv, pv)), np.abs(qv / pv - problem.values)
 
 
 def near_pole(values: np.ndarray) -> np.ndarray:
@@ -105,16 +124,19 @@ def reflection_defect(num: Poly, den: Poly) -> float:
     return float(np.sum(np.abs(nc - c * rc)))
 
 
-def check_unimodular(num: Poly, den: Poly, samples: int = 512) -> float:
+def check_unimodular(num: Poly, den: Poly, samples: int = 512, defect: float | None = None) -> float:
     """``reflection_defect`` over the least |den| on the ``samples``-point grid, off ``near_pole``.
 
     A bound on | |phi| - 1 | where |den| is no smaller: at every point of the grid.
+    ``defect`` is ``reflection_defect(num, den)`` when the caller has it already.
     """
     qv = boundary_values(den, samples)
     keep = ~near_pole(qv)
     if not np.any(keep):
         return np.inf
-    return reflection_defect(num, den) / float(np.min(np.abs(qv[keep])))
+    if defect is None:
+        defect = reflection_defect(num, den)
+    return defect / float(np.min(np.abs(qv[keep])))
 
 
 def count_zeros_poles(num: Poly, den: Poly) -> tuple[int, int]:
@@ -140,31 +162,48 @@ def lemma_inertia_oracle(
         for zg in g.zeros:
             if abs(p - zg) <= 1e-8:
                 raise OracleError("sample point touches a pole of f/g")
-    inertia, _, _ = hermitian_inertia(pick_matrix_of_function(f(points) / g(points), points), tol)
-    return inertia
+    return inertia_of(np.linalg.eigvalsh(pick_matrix_of_function(f(points) / g(points), points)), tol)
 
 
 def interior_points(n_points: int, rng: np.random.Generator, poles: np.ndarray) -> np.ndarray:
-    """Random points in the square of half-width 0.665, 1e-3 off the poles and each other."""
-    pts = []
-    while len(pts) < n_points:
-        z = (rng.uniform(-0.95, 0.95) + 1j * rng.uniform(-0.95, 0.95)) * 0.7
-        if poles.size and np.min(np.abs(z - poles)) < 1e-3:
-            continue
-        if pts and min(abs(z - p) for p in pts) < 1e-3:
-            continue
-        pts.append(z)
-    return np.array(pts)
+    """Random points in the square of half-width 0.665, 1e-3 off the poles and each other.
+
+    The points are those of drawing one candidate at a time (x, then y) and
+    keeping it when it is 1e-3 off the poles and the points kept before it.
+    Candidates come in rounds of as many as are still missing, one draw each,
+    so no round draws a candidate the one-at-a-time loop would not, and ``rng``
+    ends where that loop leaves it.  A round tests the poles and the earlier
+    points with one distance matrix each; only a round with two candidates
+    closer than 1e-3 keeps its candidates one at a time.
+    """
+    pts = np.zeros(0, dtype=complex)
+    while pts.size < n_points:
+        xy = rng.uniform(-0.95, 0.95, size=(n_points - pts.size, 2))
+        z = (xy[:, 0] + 1j * xy[:, 1]) * 0.7
+        for near in (poles, pts):
+            if near.size:
+                z = z[~(np.min(np.abs(np.subtract.outer(z, near)), axis=1) < 1e-3)]
+        close = np.abs(np.subtract.outer(z, z)) < 1e-3
+        if np.any(np.triu(close, 1)):
+            kept = []
+            for i in range(z.size):
+                if not np.any(close[i, kept]):
+                    kept.append(i)
+            z = z[kept]
+        pts = np.concatenate((pts, z))
+    return pts
 
 
 def sampled_kernel_inertia(
     num: Poly, den: Poly, n_points: int, rng: np.random.Generator
 ) -> Inertia:
-    """Inertia of the Pick kernel of phi at random interior points off den's roots."""
+    """Inertia of the Pick kernel of phi at random interior points off den's roots.
+
+    The kernel matrix is Hermitian by construction, so its eigenvalues alone decide.
+    """
     pts = interior_points(n_points, rng, poly_roots(den))
     vals = num(pts) / den(pts)
-    inertia, _, _ = hermitian_inertia(pick_matrix_of_function(vals, pts), 1e-8)
-    return inertia
+    return inertia_of(np.linalg.eigvalsh(pick_matrix_of_function(vals, pts)), 1e-8)
 
 
 @dataclass(frozen=True)
@@ -232,15 +271,15 @@ def augmented_inertia(
     pts = np.array(nodes)
     vals = num(pts) / den(pts)
     # Values at the original nodes are the interpolation targets by construction.
-    inertia, _, _ = hermitian_inertia(pick_matrix_of_function(vals, pts), tol)
+    inertia = inertia_of(np.linalg.eigvalsh(pick_matrix_of_function(vals, pts)), tol)
     return AugmentedInertiaResult(
         inertia=inertia, constant=used_c, level_points=level, n_appended=max(eta, 0)
     )
 
 
-def torus_unimodularity(num2, den2, grid: int = 128) -> float:
+def torus_unimodularity(num2, den2, grid: int = 128, defect: float | None = None) -> float:
     """``check_unimodular`` on the torus, ``grid`` points per variable."""
-    return check_unimodular(num2, den2, grid)
+    return check_unimodular(num2, den2, grid, defect)
 
 
 def certify_bidisk(solution, problem) -> dict:
@@ -263,12 +302,11 @@ def certify_bidisk(solution, problem) -> dict:
 
     num2 = solution.numerator
     den2 = solution.denominator
-    statuses = check_interpolation(num2, den2, problem)
-    vals = solution(*node_coordinates(problem))
-    residuals = np.abs(vals - problem.values)
+    statuses, residuals = _statuses_and_residuals(num2, den2, problem)
     wmax = float(np.max(np.abs(problem.values)))
-    defect = torus_unimodularity(num2, den2)
-    reflection = reflection_defect(num2, den2) / max(float(np.linalg.norm(den2.coeffs)), 1e-300)
+    delta = reflection_defect(num2, den2)
+    defect = torus_unimodularity(num2, den2, defect=delta)
+    reflection = delta / max(float(np.linalg.norm(den2.coeffs)), 1e-300)
     toral = reflection * (1 + TORAL_NUMERATOR) <= TORAL_NUMERATOR - POLE_EXCLUSION
     (pi1, nu1, _), (pi2, nu2, _) = (inertia.as_tuple() for inertia in solution.inertias)
     bound = (pi1 + nu1, pi2 + nu2)
@@ -310,9 +348,7 @@ def certify_disk(solution, problem: DiskProblem) -> dict:
     den = solution.interpolant.denominator
     pi, nu, zeta = inertia_of(np.linalg.eigvalsh(pick_matrix(problem))).as_tuple()
     N = problem.size
-    statuses = check_interpolation(num, den, problem)
-    vals = num(problem.nodes) / den(problem.nodes)
-    residuals = np.abs(vals - problem.values)
+    statuses, residuals = _statuses_and_residuals(num, den, problem)
     defect = check_unimodular(num, den)
     zf, zg = count_zeros_poles(num, den)
     rng = np.random.default_rng(CERTIFICATE_SEED)

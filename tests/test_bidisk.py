@@ -94,6 +94,12 @@ class TestProblemAndPair:
                 nodes=np.array([[0.1, 0.2], [0.1, 0.2]]), values=np.array([0.0, 1.0])
             )
 
+    def test_first_coincident_pair_in_row_major_order_is_named(self):
+        # Pairs (0, 3) and (1, 2) coincide; (1, 4) agrees in z1 only and stays apart.
+        nodes = np.array([[0.1, 0.2], [0.3j, -0.1], [0.3j, -0.1], [0.1, 0.2], [0.3j, 0.4]])
+        with pytest.raises(ValueError, match=r"^nodes 0 and 3 coincide$"):
+            BidiskProblem(nodes=nodes, values=np.zeros(5))
+
     @pytest.mark.parametrize(
         "nodes, values",
         [([[0.1, np.nan]], [0.5]), ([[0.1, 0.2]], [np.inf]), ([[0.1, 0.2], [0.3, -0.2]], [0.5, np.nan])],
@@ -514,3 +520,35 @@ class TestRestrictionRoots:
         monkeypatch.setattr(np, "roots", counted)
         assert certify_bidisk(sol, problem)["pass"]
         assert 0 < len(calls) <= 2 * BALANCED_RESTRICTIONS
+
+
+class TestCertificateWork:
+    def test_bidisk_certificate_computes_each_quantity_once(self, monkeypatch):
+        # One reflection defect feeds both the torus bound and the toral verdict,
+        # and one evaluation of num and den at the nodes feeds the statuses and
+        # the residuals; the torus bound still runs through its two checks.
+        import takagi.verify as verify_module
+
+        problem, pair, _ = load_problem(str(PAIR_FILE))
+        sol = solve_bidisk(problem, pair, seed=0, certify=False)
+        expected = certify_bidisk(sol, problem)
+        calls = {"reflection_defect": 0, "torus_unimodularity": 0, "check_unimodular": 0}
+        for name in calls:
+            original = getattr(verify_module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verify_module, name, counted)
+        node_shape, at_nodes, poly_call = (problem.size,), [], Poly.__call__
+
+        def recorded(self, *z):
+            if all(np.shape(x) == node_shape for x in z):
+                at_nodes.append(self)
+            return poly_call(self, *z)
+
+        monkeypatch.setattr(Poly, "__call__", recorded)
+        assert certify_bidisk(sol, problem) == expected
+        assert calls == {"reflection_defect": 1, "torus_unimodularity": 1, "check_unimodular": 1}
+        assert len(at_nodes) == 2 and at_nodes[0] is sol.numerator and at_nodes[1] is sol.denominator

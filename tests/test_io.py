@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -133,3 +136,54 @@ class TestResultRoundtrip:
         assert np.allclose(sol2.numerator.coeffs, sol.numerator.coeffs)
         assert np.allclose(sol2.denominator.coeffs, sol.denominator.coeffs)
         assert sol2.inertias == sol.inertias
+
+
+class TestDecodeFastPath:
+    """Numeric [re, im] lists decode in one array call; anything else keeps its entry-wise message."""
+
+    @pytest.fixture(scope="class")
+    def disk_result(self):
+        p = DiskProblem(nodes=np.array([0.2 + 0.1j, -0.4, 0.3j]), values=np.array([1.8, 0.4 - 0.2j, -0.9j]))
+        return json.loads(json.dumps(disk_result_to_dict(solve(p, seed=0), p)))
+
+    BIDISK_PROBLEM = {
+        "kind": "bidisk",
+        "nodes": [[[0.1, 0.0], [0.2, 0.0]], [[0.0, 0.3], [-0.1, 0.0]]],
+        "values": [[1.5, 0.0], [0.4, 0.2]],
+        "gamma1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "gamma2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    }
+
+    @pytest.mark.parametrize("numerator, message", [
+        ([[1.0, 0.0], None], "numerator[1]: complex numbers must be [re, im] pairs, got None"),
+        ([[None, 0.0], [1.0, 0.0]], "numerator[0]: non-numeric entry [None, 0.0]"),
+        ([[1.0, 0.0], True], "numerator[1]: complex numbers must be [re, im] pairs, got True"),
+        ([[1.0, 0.0, 0.0], [1.0, 0.0]],
+         "numerator[0]: complex numbers must be [re, im] pairs, got [1.0, 0.0, 0.0]"),
+    ], ids=["null-entry", "null-part", "boolean-entry", "three-element-pair"])
+    def test_malformed_coefficient_keeps_message(self, disk_result, numerator, message):
+        data = dict(disk_result, numerator=numerator)
+        with pytest.raises(ProblemFileError, match=f"^{re.escape(message)}$"):
+            result_to_solution(data)
+
+    def test_ragged_gamma1_row_keeps_message(self):
+        data = dict(self.BIDISK_PROBLEM, gamma1=[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
+        with pytest.raises(ProblemFileError, match="^gamma1: ragged rows$"):
+            problem_from_dict(data)
+
+    def test_wrong_pair_length_in_a_row_keeps_message(self):
+        data = dict(self.BIDISK_PROBLEM, gamma2=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0]]])
+        message = "gamma2[1][1]: complex numbers must be [re, im] pairs, got [1.0]"
+        with pytest.raises(ProblemFileError, match=f"^{re.escape(message)}$"):
+            problem_from_dict(data)
+
+    def test_numeric_pairs_match_entrywise_decoding_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        pairs = (rng.normal(size=(6, 2)) * 10.0 ** rng.integers(-300, 300, size=(6, 2))).tolist()
+        pairs += [[-0.0, 0.0], [0.0, -0.0], [3, -4], [2**53 + 1, 0.5], [float("nan"), float("inf")]]
+        expected = np.array([decode_complex(z, "x") for z in pairs], dtype=complex)
+        assert decode_vector(pairs, "x").tobytes() == expected.tobytes()
+        rows = [pairs[:5], pairs[5:10]]
+        expected = np.array([[decode_complex(z, "x") for z in row] for row in rows], dtype=complex)
+        decoded = decode_matrix(rows, "x")
+        assert decoded.shape == expected.shape and decoded.tobytes() == expected.tobytes()

@@ -18,6 +18,11 @@ class TestDiskProblem:
         with pytest.raises(ValueError):
             DiskProblem(nodes=np.array([0.1, 0.1]), values=np.array([0.0, 1.0]))
 
+    def test_first_coincident_pair_in_row_major_order_is_named(self):
+        # Pairs (0, 3) and (1, 2) coincide; row-major order meets (0, 3) first.
+        with pytest.raises(ValueError, match=r"^nodes 0 and 3 coincide$"):
+            DiskProblem(nodes=np.array([0.1, 0.2j, 0.2j, 0.1]), values=np.zeros(4))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DiskProblem(nodes=np.array([0.1]), values=np.array([0.0, 1.0]))

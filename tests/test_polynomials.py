@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takagi.polynomials import (
+    _moebius_matrix,
     BlaschkeProduct,
     MoebiusMap,
     NonFiniteCoefficientError,
@@ -305,6 +306,21 @@ class TestMoebius:
             target = (1.0 - abs(a) ** 2) ** d * np.eye(d + 1)
             tol = 1e-13 * max(1.0, float(np.max(np.abs(M)))) ** 2 * (d + 1)
             assert np.max(np.abs(M @ M - target)) < tol
+
+
+class TestMoebiusMatrixCache:
+    def test_read_only_and_equal_to_a_fresh_build(self):
+        a, d = 0.3 - 0.45j, 6
+        M = moebius_matrix(a, d)
+        assert moebius_matrix(complex(a), d) is M
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+        _moebius_matrix.cache_clear()
+        fresh = moebius_matrix(a, d)
+        assert fresh is not M and fresh.tobytes() == M.tobytes()
+
+    def test_signed_zeros_are_kept_apart(self):
+        assert moebius_matrix(complex(-0.5, 0.0), 3) is not moebius_matrix(complex(-0.5, -0.0), 3)
 
 
 class TestPullback:

@@ -25,6 +25,7 @@ from takagi.verify import (
     check_interpolation,
     check_unimodular,
     count_zeros_poles,
+    interior_points,
     lemma_inertia_oracle,
     node_status,
     near_pole,
@@ -216,6 +217,52 @@ class TestSampledKernel:
         )
         assert inertia.positive <= p.size - nu
         assert inertia.negative <= p.size - pi
+
+
+def scalar_interior_points(n_points, rng, poles):
+    """One candidate at a time: the reference that ``interior_points`` draws in rounds."""
+    pts = []
+    while len(pts) < n_points:
+        z = (rng.uniform(-0.95, 0.95) + 1j * rng.uniform(-0.95, 0.95)) * 0.7
+        if poles.size and np.min(np.abs(z - poles)) < 1e-3:
+            continue
+        if pts and min(abs(z - p) for p in pts) < 1e-3:
+            continue
+        pts.append(z)
+    return np.array(pts)
+
+
+class TestInteriorPoints:
+    """The rounds give the one-at-a-time loop's points and leave the generator where it does."""
+
+    GRID = np.linspace(-0.665, 0.665, 600)
+    CASES = {
+        "no-poles": (16, 3, np.zeros(0, dtype=complex)),
+        # About a tenth of the square lies within 1e-3 of a pole: most rounds reject a candidate.
+        "dense-poles": (32, 11, (GRID[:, None] + 1j * GRID[None, ::7]).ravel()),
+        # Seed found by search: two candidates of the first round lie within 1e-3.
+        "close-pair": (32, 2536, np.zeros(0, dtype=complex)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scalar_loop(self, case):
+        n_points, seed, poles = self.CASES[case]
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = scalar_interior_points(n_points, rng_ref, poles)
+        pts = interior_points(n_points, rng, poles)
+        assert pts.dtype == expected.dtype and pts.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_cases_exercise_rejections(self):
+        def first_round(case):
+            n_points, seed, _ = self.CASES[case]
+            xy = np.random.default_rng(seed).uniform(-0.95, 0.95, size=(n_points, 2))
+            return (xy[:, 0] + 1j * xy[:, 1]) * 0.7
+
+        poles = self.CASES["dense-poles"][2]
+        assert np.any(np.abs(np.subtract.outer(first_round("dense-poles"), poles)) < 1e-3)
+        z = first_round("close-pair")
+        assert np.any(np.triu(np.abs(np.subtract.outer(z, z)) < 1e-3, 1))
 
 
 class TestCertificateInertia:
