@@ -9,9 +9,12 @@ of modulus 0.3 to 2.5, and the pair of the kind
 (``bidisk_ensemble.random_pair``): all weight on the first (kind 0) or the
 second (kind 1) coordinate, or a random Hermitian first term with the second
 solved from the identity (kind 2).  Kind 2 is left out at N = 20.  Each problem is solved with ``seed=k`` and certified.  Per cell the
-script prints the certified count, the certificate FAILs, the solver errors
-by cause, the indices of the problems not certified, and the time; the last
-line counts the errors whose class is not one of ``takagi``'s own.  It
+script prints the certified count, the certificate FAILs, how many problems
+ran the per-node shifted solves (``shifts``: the single solve's fallback,
+counted as in ``scripts/pool_outcomes.py``) and how many of those the shifts
+certified, the solver errors by cause, the indices of the problems not
+certified, and the time; the last line adds up the shift counts and counts
+the errors whose class is not one of ``takagi``'s own.  It
 reports; it is not a gate.
 
 ``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
@@ -38,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
+from pool_outcomes import count_shift_calls  # noqa: E402
 
 SIZES = (6, 8, 10, 12, 16, 20)
 KINDS = (0, 1, 2)
@@ -67,12 +71,15 @@ def run(tree: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from takagi.bidisk import solve_bidisk
 
-    total, total_fail, untyped = 0, 0, 0
+    shift_calls = count_shift_calls()
+    total, total_fail, untyped, total_shifted, total_shift_certified = 0, 0, 0, 0, 0
     for n, kind in cells():
         start = time.perf_counter()
         certified, cert_fail, missed, causes = 0, 0, [], Counter()
+        shifted, shift_certified = 0, 0
         for k in range(PROBLEMS):
             problem, pair = stress_problem(n, kind, k)
+            before = shift_calls[0]
             try:
                 sol = solve_bidisk(problem, pair, seed=k)
             except Exception as exc:  # every solver failure is a recorded outcome
@@ -80,16 +87,24 @@ def run(tree: Path) -> None:
                 untyped += not type(exc).__module__.startswith("takagi")
                 missed.append(k)
                 continue
+            finally:
+                ran_shifts = shift_calls[0] > before
+                shifted += ran_shifts
             if sol.certificates["pass"]:
                 certified += 1
+                shift_certified += ran_shifts
             else:
                 cert_fail += 1
                 missed.append(k)
         total, total_fail = total + certified, total_fail + cert_fail
+        total_shifted += shifted
+        total_shift_certified += shift_certified
         print(f"N={n:2} kind {kind}: certified {certified}/{PROBLEMS}, "
-              f"certificate FAIL {cert_fail}, errors {dict(sorted(causes.items()))}, "
+              f"certificate FAIL {cert_fail}, shifts {shifted} (certified {shift_certified}), "
+              f"errors {dict(sorted(causes.items()))}, "
               f"missed {missed} ({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"certified {total}/{PROBLEMS * len(cells())}, certificate FAIL {total_fail}, "
+          f"shifts {total_shifted} (certified {total_shift_certified}), "
           f"untyped errors {untyped}")
 
 

@@ -12,7 +12,9 @@ phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data;
 ``solve_bidisk`` returns it when it is strict at every node.  Otherwise
 per-node Moebius re-centering in both coordinates plus a real combination
-upgrades weak interpolation to strict, as on the disk.  The pair is used as
+upgrades weak interpolation to strict, as on the disk: each shift hands on
+its denominator and bidegree only, and ``combine_bidisk`` takes the pair's
+inertias, which the transported pairs keep.  The pair is used as
 given: a singular term makes the lurking isometry's domain vectors
 dependent, which ``krein.extend_j_isometry`` handles as on the disk.  The
 polynomials are two-variable ``polynomials.Poly``s and the quotients
@@ -381,11 +383,10 @@ class BidiskSolveError(BidiskError):
 
 def _shifted_denominator(
     problem: BidiskProblem, pair: AglerPair, j: int
-) -> tuple[Poly, tuple[int, int], tuple[Inertia, Inertia]]:
+) -> tuple[Poly, tuple[int, int]]:
     """Centered solve at node j pulled back to the original coordinates.
 
-    Returns (denominator, bidegree, inertias), the per-node solve of
-    ``disk.solve_shifts``.
+    Returns (denominator, bidegree), the per-node solve of ``disk.solve_shifts``.
     """
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
     gram = regularize_pair(shifted_pair)
@@ -395,7 +396,7 @@ def _shifted_denominator(
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[j] != "strict":
         raise BidiskSolveError(f"lost strict interpolation at the re-centered node {j}")
-    return den, d, gram.inertias
+    return den, d
 
 
 def solve_bidisk_shifts(problem: BidiskProblem, pair: AglerPair) -> ShiftedFamily:
@@ -425,14 +426,16 @@ def _strict_bidisk(den: Poly, d: tuple[int, int], problem: BidiskProblem, stage:
 def combine_bidisk(
     family: ShiftedFamily,
     problem: BidiskProblem,
-    rng: np.random.Generator | None = None,
+    inertias: tuple[Inertia, Inertia],
+    rng: np.random.Generator,
 ) -> BidiskSolution:
     """Real combination of the shifted denominators (``disk.combine_shifts``), strict at every node.
 
-    The inertias are the last kept shift's.
+    ``inertias`` are the pair's (``PairGram.inertias``), which every
+    transported pair keeps (``_transport_pair``).
     """
     q = combine_shifts(family, problem, rng)
-    return _strict_bidisk(q, family.refl_degree, problem, "combination", family.infos[-1])
+    return _strict_bidisk(q, family.refl_degree, problem, "combination", inertias)
 
 
 def solve_bidisk(
@@ -445,10 +448,11 @@ def solve_bidisk(
 
     The single solve takes the pair's uncentered realization as reflect(den, d)/den,
     with ``regularize_pair``'s inertias; only when it breaks down do the
-    re-centered solves answer (``solve_bidisk_shifts``, ``combine_bidisk``).
-    With no pair, the one-variable embedding with all weight on the first
-    coordinate is used.  PairValidationError when the pair misses the
-    decomposition identity.
+    re-centered solves answer (``solve_bidisk_shifts``, ``combine_bidisk``);
+    when they break down too, their error is raised with the single solve's as
+    its ``__cause__``.  With no pair, the one-variable embedding with all
+    weight on the first coordinate is used.  PairValidationError when the pair
+    misses the decomposition identity.
     """
     if pair is None:
         pair = one_variable_pair(problem, 0)
@@ -457,9 +461,12 @@ def solve_bidisk(
     try:
         den, d = best_reflective_pair(br.numerator, br.denominator)
         solution = _strict_bidisk(den, d, problem, "single solve", gram.inertias)
-    except BREAKDOWNS:
-        family = solve_bidisk_shifts(problem, pair)
-        solution = combine_bidisk(family, problem, rng=np.random.default_rng(seed))
+    except BREAKDOWNS as single_error:
+        try:
+            family = solve_bidisk_shifts(problem, pair)
+            solution = combine_bidisk(family, problem, gram.inertias, np.random.default_rng(seed))
+        except BREAKDOWNS as shift_error:
+            raise shift_error from single_error
     if certify:
         solution.certificates.update(certify_bidisk(solution, problem))
     return solution

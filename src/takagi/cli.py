@@ -74,19 +74,12 @@ def cmd_inertia(args) -> int:
 def cmd_solve(args) -> int:
     problem, pair, _ = load_problem(args.file)
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        if isinstance(problem, DiskProblem):
-            solution = solve(problem, seed=seed)
-            result = disk_result_to_dict(solution, problem)
-        else:
-            solution = solve_bidisk(problem, pair, seed=seed)
-            result = bidisk_result_to_dict(solution, problem, pair)
-    except PairValidationError as exc:
-        print(f"decomposition identity violated: residual {exc.residual:.6e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SolveError, ExtensionError) as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if isinstance(problem, DiskProblem):
+        solution = solve(problem, seed=seed)
+        result = disk_result_to_dict(solution, problem)
+    else:
+        solution = solve_bidisk(problem, pair, seed=seed)
+        result = bidisk_result_to_dict(solution, problem, pair)
     cert = solution.certificates
     if args.out:
         dump_json(result, args.out)

@@ -5,8 +5,12 @@ alone, of degrees (pi, nu) even for a singular Pick matrix; for a nonsingular
 one it is the paper's step 1, the uncentered lurking colligation.  General
 path (step 2): a centered solve through a J-unitary colligation (strict at
 the origin, weak elsewhere), one Moebius-shifted solve per node and a real
-combination of the shifted denominators, strict everywhere.  ``solve`` tries
-the rank-degree path first unless the Pick matrix is singular and indefinite;
+combination of the shifted denominators, strict everywhere.  The shifts
+carry denominators only: ``solve_centered`` returns (den, d), a
+``ShiftedFamily`` holds the padded denominators and their common declared
+degree, and ``combine`` takes the Pick matrix's inertia from ``solve``, which
+every shifted Pick matrix shares (a congruence).  ``solve`` tries the
+rank-degree path first unless the Pick matrix is singular and indefinite;
 each path is the other's fallback.  Both end in ``_strict_solution``: every
 answer is reflect(den, d)/den with den projected once onto the weak identity.
 The certificate counts zeros and poles against the Pick matrix's inertia.
@@ -106,20 +110,11 @@ def enforce_weak_interpolation(
     return den, (d + added if np.ndim(d) == 0 else (d[0] + added, *d[1:])), statuses
 
 
-@dataclass(frozen=True)
-class CenteredSolution:
-    """Weak solution phi = reflect(den, refl_degree)/den, strict at the origin."""
+def solve_centered(problem: DiskProblem) -> tuple[Poly, int]:
+    """Step-1 solve for a problem whose first node is the origin.
 
-    den: Poly
-    refl_degree: int
-    inertia: Inertia
-
-    def numerator(self) -> Poly:
-        return poly_reflect(self.den, self.refl_degree)
-
-
-def solve_centered(problem: DiskProblem) -> CenteredSolution:
-    """Step-1 solve for a problem whose first node is the origin."""
+    Returns (den, d): the weak solution reflect(den, d)/den, strict at the origin.
+    """
     if abs(problem.nodes[0]) > 1e-14:
         raise ValueError("solve_centered requires the first node at the origin")
     N = problem.size
@@ -136,27 +131,22 @@ def solve_centered(problem: DiskProblem) -> CenteredSolution:
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[0] != "strict":
         raise SolveError("lost strict interpolation at the centered node")
-    return CenteredSolution(den=den, refl_degree=d, inertia=dec.inertia)
+    return den, d
 
 
 @dataclass(frozen=True)
 class ShiftedFamily:
-    """Per-node shifted denominators, padded to a common declared degree.
-
-    ``infos`` holds, per kept shift, what its solve reported besides the
-    denominator: the inertia on the disk, the pair's inertias on the bidisk.
-    """
+    """Per-node shifted denominators, padded to a common declared degree."""
 
     dens: list[Poly]
     refl_degree: int | tuple[int, ...]
-    infos: list
 
 
 def solve_shifts(problem, shift: Callable[[int], tuple]) -> ShiftedFamily:
     """One re-centered weak solve per node, on the disk or the bidisk.
 
     ``shift(j)`` returns the solve centered at node j, pulled back, as
-    (denominator, declared degree, info).  A shift that breaks down
+    (denominator, declared degree).  A shift that breaks down
     (``BREAKDOWNS``) or whose denominator vanishes at its own node is dropped;
     SolveError when none is left.  The rest are padded to the largest declared
     degree in each variable.
@@ -165,35 +155,28 @@ def solve_shifts(problem, shift: Callable[[int], tuple]) -> ShiftedFamily:
     kept, errors = [], []
     for j in range(problem.size):
         try:
-            den, d, info = shift(j)
+            den, d = shift(j)
         except BREAKDOWNS as exc:
             errors.append(f"node {j}: {exc}")
             continue
         if abs(den(*nodes[j])) <= 1e-10 * max(den.norm(), 1e-300):
             errors.append(f"node {j}: shifted denominator vanishes at its own node")
             continue
-        kept.append((den, d, info))
+        kept.append((den, d))
     if not kept:
         raise SolveError("every shifted solve failed: " + "; ".join(errors))
-    degrees = [d for _, d, _ in kept]
+    degrees = [d for _, d in kept]
     target = max(degrees) if np.ndim(degrees[0]) == 0 else tuple(map(max, zip(*degrees)))
-    return ShiftedFamily(
-        dens=[pad_to_degree(den, d, target) for den, d, _ in kept],
-        refl_degree=target,
-        infos=[info for _, _, info in kept],
-    )
+    return ShiftedFamily(dens=[pad_to_degree(den, d, target) for den, d in kept],
+                         refl_degree=target)
 
 
-def combine_shifts(
-    family: ShiftedFamily, problem, rng: np.random.Generator | None = None
-) -> Poly:
+def combine_shifts(family: ShiftedFamily, problem, rng: np.random.Generator) -> Poly:
     """A real combination q of the family, clear of zero at every node.
 
     CombinationError when COMBINATION_RETRIES random combinations all come
     near zero at some node.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     coords = node_coordinates(problem)
     vals = np.column_stack([p(*coords) for p in family.dens])
     t, residual_table = real_combination(
@@ -247,13 +230,13 @@ def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
     """One centered solve per node (``solve_shifts``), pulled back to the problem's nodes."""
     N = problem.size
 
-    def shift(j: int) -> tuple[Poly, int, Inertia]:
+    def shift(j: int) -> tuple[Poly, int]:
         m = MoebiusMap(problem.nodes[j])
         order = [j] + [i for i in range(N) if i != j]
-        sol = solve_centered(
+        den, d = solve_centered(
             DiskProblem(nodes=m(problem.nodes[order]), values=problem.values[order])
         )
-        return moebius_pullback(sol.den, m.a, sol.refl_degree), sol.refl_degree, sol.inertia
+        return moebius_pullback(den, m.a, d), d
 
     return solve_shifts(problem, shift)
 
@@ -300,13 +283,16 @@ def _strict_solution(
 
 
 def combine(
-    family: ShiftedFamily,
-    problem: DiskProblem,
-    rng: np.random.Generator | None = None,
+    family: ShiftedFamily, problem: DiskProblem, inertia: Inertia, rng: np.random.Generator
 ) -> TakagiSolution:
-    """Real combination of shifted denominators (``combine_shifts``) into a strict interpolant."""
+    """Real combination of shifted denominators (``combine_shifts``) into a strict interpolant.
+
+    ``inertia`` is the Pick matrix's.  Each shifted Pick matrix is congruent
+    to it (C Gamma C* with C = diag((1 - conj(a) lam_i) / sqrt(1 - |a|^2))),
+    so by Sylvester's law every shift has the same inertia.
+    """
     q = combine_shifts(family, problem, rng)
-    return _strict_solution(q, family.refl_degree, problem, "combination", family.infos[-1])
+    return _strict_solution(q, family.refl_degree, problem, "combination", inertia)
 
 
 def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSolution:
@@ -346,26 +332,29 @@ def solve(
     rank-degree solve goes first, with the general path as its fallback,
     unless the Pick matrix is singular and indefinite (nu > 0 and zeta > 0);
     then the order is reversed.  When both break down, the general path's
-    error is raised.
+    error is raised, with the rank-degree solve's as its ``__cause__``.
     """
     dec = gram_decompose(pick_matrix(problem))
 
     def general() -> TakagiSolution:
-        return combine(solve_all_shifts(problem), problem, rng=np.random.default_rng(seed))
+        return combine(solve_all_shifts(problem), problem, dec.inertia,
+                       np.random.default_rng(seed))
 
-    if dec.inertia.negative == 0 or dec.inertia.zero == 0:
+    def rank_degree() -> TakagiSolution:
+        return solve_positive(problem, dec)
+
+    paths = (rank_degree, general)
+    if dec.inertia.negative > 0 and dec.inertia.zero > 0:
+        paths = paths[::-1]
+    errors = {}
+    for path in paths:
         try:
-            solution = solve_positive(problem, dec)
-        except BREAKDOWNS:
-            solution = general()
+            solution = path()
+            break
+        except BREAKDOWNS as exc:
+            errors[path] = exc
     else:
-        try:
-            solution = general()
-        except BREAKDOWNS as general_error:
-            try:
-                solution = solve_positive(problem, dec)
-            except BREAKDOWNS:
-                raise general_error from None
+        raise errors[general] from errors[rank_degree]
     if certify:
         solution.certificates.update(certify_disk(solution, problem))
     return solution

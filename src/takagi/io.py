@@ -106,8 +106,7 @@ def problem_to_dict(problem, pair: AglerPair | None = None) -> dict:
         out = {
             "schema": SCHEMA_VERSION,
             "kind": "bidisk",
-            "nodes": [[encode_complex(problem.nodes[i, 0]), encode_complex(problem.nodes[i, 1])]
-                      for i in range(problem.size)],
+            "nodes": encode_matrix(problem.nodes),
             "values": encode_vector(problem.values),
         }
         if pair is not None:
@@ -133,18 +132,7 @@ def problem_from_dict(data: dict) -> tuple[Any, AglerPair | None]:
         except ValueError as exc:
             raise ProblemFileError(str(exc)) from exc
     if kind == "bidisk":
-        raw = _require(data, "nodes")
-        if not isinstance(raw, list):
-            raise ProblemFileError("nodes: expected a list")
-        nodes = np.array(
-            [
-                [decode_complex(p[0], f"nodes[{k}][0]"), decode_complex(p[1], f"nodes[{k}][1]")]
-                if isinstance(p, list) and len(p) == 2
-                else _bad_bidisk_node(k)
-                for k, p in enumerate(raw)
-            ],
-            dtype=complex,
-        )
+        nodes = decode_matrix(_require(data, "nodes"), "nodes")
         try:
             problem = BidiskProblem(nodes=nodes, values=values)
         except ValueError as exc:
@@ -169,10 +157,6 @@ def _decode_ints(v: Any, count: int, where: str) -> list[int]:
     ):
         raise ProblemFileError(f"{where}: expected {count} integers, got {v!r}")
     return v
-
-
-def _bad_bidisk_node(k: int):
-    raise ProblemFileError(f"nodes[{k}]: bidisk nodes must be pairs of [re, im] pairs")
 
 
 def load_problem(path: str) -> tuple[Any, AglerPair | None, dict]:

@@ -9,6 +9,7 @@ import takagi.disk as disk_module
 from takagi.disk import CombinationError, SolveError
 from takagi.bidisk import (
     _shifted_denominator,
+    _transport_pair,
     AglerPair,
     BidiskProblem,
     BidiskSolveError,
@@ -369,11 +370,37 @@ class TestShiftedSolves:
         d = (family.refl_degree[0] + 1, family.refl_degree[1])
         vanishing = replace(family, dens=[den * factor for den in family.dens], refl_degree=d)
         with pytest.raises(CombinationError) as info:
-            combine_bidisk(vanishing, p)
+            combine_bidisk(vanishing, p, regularize_pair(pair).inertias, np.random.default_rng(0))
         assert len(info.value.residuals) == 64
+
+    @pytest.mark.parametrize("kind", [0, 1, 2])
+    def test_transported_pair_keeps_both_inertias(self, kind):
+        # combine_bidisk takes the pair's inertias for every shift: the
+        # transport is a diagonal congruence of each term.
+        p, _, rng = self._setup()
+        pair = random_two_variable_pair(p, rng) if kind == 2 else one_variable_pair(p, kind)
+        inertias = regularize_pair(pair).inertias
+        for j in range(p.size):
+            _, shifted_pair, _ = _transport_pair(p, pair, j)
+            assert regularize_pair(shifted_pair).inertias == inertias
 
 
 class TestSolveBidisk:
+    def test_single_solve_error_kept_as_cause(self, monkeypatch):
+        p, pair, _ = TestShiftedSolves._setup()
+
+        def single_fails(den, d, problem, stage, inertias):
+            raise SolveError(f"{stage} is not strict at all nodes: forced")
+
+        def shifts_fail(problem, pair):
+            raise SolveError("every shifted solve failed: forced")
+
+        monkeypatch.setattr(bidisk_module, "_strict_bidisk", single_fails)
+        monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", shifts_fail)
+        with pytest.raises(SolveError, match="every shifted solve failed") as info:
+            solve_bidisk(p, pair, seed=0)
+        assert str(info.value.__cause__) == "single solve is not strict at all nodes: forced"
+
     def test_default_pair_strict(self):
         rng = np.random.default_rng(8)
         p = random_bidisk_problem(rng, n_max=3)

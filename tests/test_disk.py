@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,6 +22,28 @@ from takagi.polynomials import Poly, Rational, pad_coeffs, poly_reflect, vacuous
 BASIC = DiskProblem(
     nodes=np.array([0.2 + 0.1j, -0.4, 0.3j]), values=np.array([1.8, 0.4 - 0.2j, -0.9j])
 )
+
+
+def degree_one_one_problem():
+    """Data of a degree-(1, 1) Blaschke quotient at four nodes (as in TestSolveOrder).
+
+    Gamma is singular and indefinite, inertia (1, 1, 2), so the general path goes first.
+    """
+    nodes = np.array([0.1, -0.4 + 0.2j, 0.5j, -0.3 - 0.5j])
+    phi = np.exp(0.6j) * (nodes - 0.3) / (1 - 0.3 * nodes) * (1 + 0.2j * nodes) / (nodes - 0.2j)
+    return DiskProblem(nodes=nodes, values=phi)
+
+
+def square_stress_problem(n, k):
+    """Problem k of the square-node stress cell of size n (as in test_clustered_sixteen_nodes_certify)."""
+    rng = np.random.default_rng([777, n, k, 6])
+    while True:
+        nodes = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) * 0.5
+        gaps = np.abs(nodes[:, None] - nodes[None, :]) + np.eye(n)
+        if gaps.min() > 0.05:
+            break
+    values = rng.uniform(0.2, 3.0, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    return DiskProblem(nodes=nodes, values=values)
 
 
 def random_problem(rng, n_max=6):
@@ -69,16 +89,16 @@ def random_centered_problem(rng, n_max=5):
 class TestCenteredSolve:
     def test_single_node_at_origin(self):
         p = DiskProblem(nodes=np.array([0.0]), values=np.array([0.5]))
-        sol = solve_centered(p)
-        num, den = sol.numerator(), sol.den
+        den, d = solve_centered(p)
+        num = poly_reflect(den, d)
         assert abs(num(0.0) / den(0.0) - 0.5) < 1e-9
 
     def test_values_reproduced_weakly(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = random_centered_problem(rng, n_max=4)
-            sol = solve_centered(p)
-            num, den = sol.numerator(), sol.den
+            den, d = solve_centered(p)
+            num = poly_reflect(den, d)
             for lam, w in zip(p.nodes, p.values):
                 # Weak condition: the pair (1, w) is matched projectively.
                 assert abs(num(lam) - w * den(lam)) <= 1e-7 * (1.0 + abs(w)) * max(
@@ -88,9 +108,9 @@ class TestCenteredSolve:
     def test_denominator_is_reflective(self):
         rng = np.random.default_rng(1)
         p = random_centered_problem(rng, n_max=5)
-        sol = solve_centered(p)
-        c, defect = reflective_constant(sol.numerator(), sol.den, sol.refl_degree)
-        assert defect < 1e-7 * max(1.0, sol.den.norm())
+        den, d = solve_centered(p)
+        c, defect = reflective_constant(poly_reflect(den, d), den, d)
+        assert defect < 1e-7 * max(1.0, den.norm())
         assert abs(abs(c) - 1.0) < 1e-7
 
     def test_noncentered_rejected(self):
@@ -148,12 +168,11 @@ class TestShiftedFamily:
         degrees = []
 
         def first_raised(problem):
-            sol = centered(problem)
+            den, d = centered(problem)
             if not degrees:
-                sol = replace(sol, den=sol.den * vacuous_node_factor(problem.nodes[1]),
-                              refl_degree=sol.refl_degree + 2)
-            degrees.append(sol.refl_degree)
-            return sol
+                den, d = den * vacuous_node_factor(problem.nodes[1]), d + 2
+            degrees.append(d)
+            return den, d
 
         monkeypatch.setattr(disk_module, "solve_centered", first_raised)
         fam = solve_all_shifts(BASIC)
@@ -164,6 +183,26 @@ class TestShiftedFamily:
             scale = max(den.norm(), num.norm())
             for lam, w in zip(BASIC.nodes, BASIC.values):
                 assert abs(num(lam) - w * den(lam)) <= 1e-7 * scale * (1 + abs(w))
+
+
+class TestShiftInertia:
+    # combine takes the Pick matrix's inertia for every shift: a shifted Pick
+    # matrix is C Gamma C* with C diagonal, so Sylvester's law keeps the inertia.
+    @pytest.mark.parametrize("problem", [BASIC, degree_one_one_problem(), square_stress_problem(16, 22)],
+                             ids=["basic", "singular-indefinite", "clustered-sixteen"])
+    def test_every_shifted_pick_matrix_has_gammas_inertia(self, monkeypatch, problem):
+        centered, shifted = disk_module.solve_centered, []
+
+        def recorded(p):
+            shifted.append(p)
+            return centered(p)
+
+        monkeypatch.setattr(disk_module, "solve_centered", recorded)
+        solve_all_shifts(problem)
+        inertia = gram_decompose(pick_matrix(problem)).inertia
+        assert len(shifted) == problem.size
+        for p in shifted:
+            assert gram_decompose(pick_matrix(p)).inertia == inertia
 
 
 class TestProjection:
@@ -189,19 +228,18 @@ class TestProjection:
 class TestCombine:
     def test_no_combination_avoiding_a_node(self):
         # Every candidate vanishes at the node 0.3.
-        fam = ShiftedFamily(dens=[Poly(np.array([-0.3, 1.0]))], refl_degree=1,
-                            infos=[Inertia(1, 0, 0)])
+        fam = ShiftedFamily(dens=[Poly(np.array([-0.3, 1.0]))], refl_degree=1)
         p = DiskProblem(nodes=np.array([0.3, -0.2]), values=np.array([0.5, 0.5]))
         with pytest.raises(CombinationError) as info:
-            combine(fam, p)
+            combine(fam, p, Inertia(1, 0, 0), np.random.default_rng(0))
         assert len(info.value.residuals) == 64
 
     def test_combination_missing_a_target_is_not_strict(self):
         # The constant 1 avoids every node but interpolates neither target.
-        fam = ShiftedFamily(dens=[Poly.one()], refl_degree=0, infos=[Inertia(1, 0, 0)])
+        fam = ShiftedFamily(dens=[Poly.one()], refl_degree=0)
         p = DiskProblem(nodes=np.array([0.3, -0.2]), values=np.array([2.0, 0.5]))
         with pytest.raises(SolveError, match="combination is not strict at all nodes"):
-            combine(fam, p)
+            combine(fam, p, Inertia(1, 0, 0), np.random.default_rng(0))
 
 
 class TestSolve:
@@ -353,6 +391,21 @@ class TestSolve:
 
 class TestSolveOrder:
     # BASIC has a nonsingular indefinite Pick matrix, inertia (2, 1, 0).
+    @pytest.mark.parametrize("problem", [BASIC, degree_one_one_problem()],
+                             ids=["rank-degree-first", "general-first"])
+    def test_both_causes_kept_when_both_paths_fail(self, monkeypatch, problem):
+        def general_fails(problem):
+            raise SolveError("general path failed")
+
+        def rank_degree_fails(problem, dec):
+            raise SolveError("rank-degree solve failed")
+
+        monkeypatch.setattr(disk_module, "solve_all_shifts", general_fails)
+        monkeypatch.setattr(disk_module, "solve_positive", rank_degree_fails)
+        with pytest.raises(SolveError, match="general path failed") as info:
+            solve(problem, seed=0)
+        assert str(info.value.__cause__) == "rank-degree solve failed"
+
     def test_rank_degree_solve_answers_first(self, monkeypatch):
         def shifts_not_run(problem):
             raise AssertionError("the shifted solves ran")

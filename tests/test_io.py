@@ -177,6 +177,15 @@ class TestDecodeFastPath:
         with pytest.raises(ProblemFileError, match=f"^{re.escape(message)}$"):
             problem_from_dict(data)
 
+    @pytest.mark.parametrize("nodes", [
+        [[[0.1, 0.0], [0.2, 0.0]], 5],
+        [[[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [[0.0, 0.3], [-0.1, 0.0]]],
+        [[[0.1, 0.0], [0.2]], [[0.0, 0.3], [-0.1, 0.0]]],
+    ], ids=["non-list-row", "three-entry-row", "one-element-pair"])
+    def test_malformed_bidisk_node_row_names_nodes(self, nodes):
+        with pytest.raises(ProblemFileError, match="^nodes"):
+            problem_from_dict(dict(self.BIDISK_PROBLEM, nodes=nodes))
+
     def test_numeric_pairs_match_entrywise_decoding_bit_for_bit(self):
         rng = np.random.default_rng(7)
         pairs = (rng.normal(size=(6, 2)) * 10.0 ** rng.integers(-300, 300, size=(6, 2))).tolist()
