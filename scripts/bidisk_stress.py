@@ -13,9 +13,13 @@ script prints the certified count, the certificate FAILs, how many problems
 ran the per-node shifted solves (``shifts``: the single solve's fallback,
 counted as in ``scripts/pool_outcomes.py``) and how many of those the shifts
 certified, the solver errors by cause, the indices of the problems not
-certified, and the time; the last line adds up the shift counts and counts
-the errors whose class is not one of ``takagi``'s own.  It
-reports; it is not a gate.
+certified, and the time.  For kinds 0 and 1 it also solves the same data on
+the disk in the weighted coordinate (nodes[:, kind], ``disk.solve`` with
+``seed=k``) and prints how many problems the disk certifies (``disk``), a
+reference for the bidisk pipeline on one-variable pairs.  The last line adds
+up the shift counts, counts the errors whose class is not one of
+``takagi``'s own, and counts the problems that the disk certifies and the
+bidisk does not (``disk only``).  It reports; it is not a gate.
 
 ``--tree`` names the source checkout whose ``src/takagi`` and ``perfbench/``
 are imported, so the same script can measure an exported parent commit.
@@ -67,45 +71,65 @@ def stress_problem(n: int, kind: int, k: int):
     return problem, random_pair(problem, kind, rng)
 
 
+def disk_certifies(problem, kind: int, k: int) -> bool:
+    """Whether ``disk.solve`` certifies the data in coordinate ``kind`` with ``seed=k``."""
+    from takagi.disk import solve
+    from takagi.pick import DiskProblem
+
+    try:
+        sol = solve(DiskProblem(nodes=problem.nodes[:, kind], values=problem.values), seed=k)
+    except Exception:  # a failed disk solve certifies nothing
+        return False
+    return bool(sol.certificates["pass"])
+
+
 def run(tree: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from takagi.bidisk import solve_bidisk
 
     shift_calls = count_shift_calls()
     total, total_fail, untyped, total_shifted, total_shift_certified = 0, 0, 0, 0, 0
+    total_disk_only = 0
     for n, kind in cells():
         start = time.perf_counter()
         certified, cert_fail, missed, causes = 0, 0, [], Counter()
         shifted, shift_certified = 0, 0
+        disk_certified = 0
         for k in range(PROBLEMS):
             problem, pair = stress_problem(n, kind, k)
             before = shift_calls[0]
+            passed = False
             try:
                 sol = solve_bidisk(problem, pair, seed=k)
             except Exception as exc:  # every solver failure is a recorded outcome
                 causes[f"{type(exc).__name__}: {re.split(r'[:(]', str(exc))[0].strip()}"] += 1
                 untyped += not type(exc).__module__.startswith("takagi")
                 missed.append(k)
-                continue
-            finally:
-                ran_shifts = shift_calls[0] > before
-                shifted += ran_shifts
-            if sol.certificates["pass"]:
-                certified += 1
-                shift_certified += ran_shifts
             else:
-                cert_fail += 1
-                missed.append(k)
+                passed = sol.certificates["pass"]
+                if passed:
+                    certified += 1
+                else:
+                    cert_fail += 1
+                    missed.append(k)
+            ran_shifts = shift_calls[0] > before
+            shifted += ran_shifts
+            shift_certified += ran_shifts and passed
+            # After the shift count: the disk solve's own shifts are not the bidisk's.
+            if kind < 2 and disk_certifies(problem, kind, k):
+                disk_certified += 1
+                total_disk_only += not passed
         total, total_fail = total + certified, total_fail + cert_fail
         total_shifted += shifted
         total_shift_certified += shift_certified
+        disk = f"disk {disk_certified}/{PROBLEMS}, " if kind < 2 else ""
         print(f"N={n:2} kind {kind}: certified {certified}/{PROBLEMS}, "
               f"certificate FAIL {cert_fail}, shifts {shifted} (certified {shift_certified}), "
-              f"errors {dict(sorted(causes.items()))}, "
+              f"{disk}errors {dict(sorted(causes.items()))}, "
               f"missed {missed} ({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"certified {total}/{PROBLEMS * len(cells())}, certificate FAIL {total_fail}, "
           f"shifts {total_shifted} (certified {total_shift_certified}), "
-          f"untyped errors {untyped}")
+          f"untyped errors {untyped}, disk only {total_disk_only}")
 
 
 def main() -> None:

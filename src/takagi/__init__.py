@@ -3,7 +3,7 @@
 from .linalg import Inertia, hermitian_inertia
 from .pick import DiskProblem, gram_decompose, pick_matrix
 from .polynomials import BlaschkeProduct, MoebiusMap, Poly, Rational
-from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_gram
+from .krein import SignatureMatrix, extend_j_isometry, j_gram
 from .realization import (
     Realization,
     eval_realization,
@@ -48,7 +48,6 @@ __all__ = [
     "MoebiusMap",
     "BlaschkeProduct",
     "SignatureMatrix",
-    "PartialJIsometry",
     "j_gram",
     "extend_j_isometry",
     "Realization",

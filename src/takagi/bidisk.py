@@ -5,9 +5,11 @@ Hermitian matrices (Gamma1, Gamma2) satisfying
 
     1 - w_i conj(w_j) = sum_r (1 - lam_i^r conj(lam_j^r)) Gamma^r_ij.
 
-From a Gram split of each term the disk's lurking-isometry construction
-(``realization.lurking_colligation``, here with two state blocks) assembles a
-J-unitary colligation whose transfer function in two variables,
+``regularize_pair`` gives the Gram split of each term (two
+``pick.GramDecomposition``s, whose inertias the solve keeps), and the disk's
+lurking-isometry construction (``realization.lurking_colligation``, here
+with one state block per term) assembles from them a J-unitary colligation
+whose transfer function in two variables,
 phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data;
 ``solve_bidisk`` returns it when it is strict at every node.  Otherwise
@@ -42,7 +44,6 @@ from .disk import (
     require_strict,
     solve_shifts,
 )
-from .krein import SignatureMatrix
 from .linalg import (
     Inertia,
     check_finite,
@@ -53,7 +54,7 @@ from .linalg import (
     transfer_coefficients,
     transfer_samples,
 )
-from .pick import DiskProblem, check_distinct_nodes, gram_decompose, pick_matrix
+from .pick import DiskProblem, GramDecomposition, check_distinct_nodes, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
     Poly,
@@ -168,19 +169,6 @@ def pair_residual(problem: BidiskProblem, pair: AglerPair) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class PairGram:
-    """Per-term Gram vectors of the pair: Gamma^r = u^r u^r* - v^r v^r*."""
-
-    u: tuple[np.ndarray, np.ndarray]  # N x pi^r
-    v: tuple[np.ndarray, np.ndarray]  # N x nu^r
-    inertias: tuple[Inertia, Inertia]
-
-    @property
-    def kappas(self) -> tuple[int, int]:
-        return (self.u[0].shape[1] + self.v[0].shape[1], self.u[1].shape[1] + self.v[1].shape[1])
-
-
 def validate_pair(problem: BidiskProblem, pair: AglerPair) -> float:
     """Residual of the decomposition identity; PairValidationError beyond PAIR_RESIDUAL_TOL."""
     if pair.size != problem.size:
@@ -191,7 +179,7 @@ def validate_pair(problem: BidiskProblem, pair: AglerPair) -> float:
     return residual
 
 
-def regularize_pair(pair: AglerPair) -> PairGram:
+def regularize_pair(pair: AglerPair) -> tuple[GramDecomposition, GramDecomposition]:
     """Gram split of each term of the pair (``pick.gram_decompose``).
 
     The split alone feeds the realization: when the Gram data are singular,
@@ -199,8 +187,7 @@ def regularize_pair(pair: AglerPair) -> PairGram:
     the dependent domain vectors.  The name is the historical one of this
     pipeline stage and its benchmark span; ROADMAP item 7 renames both.
     """
-    d1, d2 = (gram_decompose(G) for G in pair.gammas())
-    return PairGram(u=(d1.u, d2.u), v=(d1.v, d2.v), inertias=(d1.inertia, d2.inertia))
+    return gram_decompose(pair.gamma1), gram_decompose(pair.gamma2)
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +195,17 @@ def regularize_pair(pair: AglerPair) -> PairGram:
 
 
 def build_bidisk_realization(
-    problem: BidiskProblem, pair: AglerPair, gram: PairGram
+    problem: BidiskProblem, pair: AglerPair, grams: tuple[GramDecomposition, GramDecomposition]
 ) -> Realization:
     """The lurking-isometry colligation of the pair, with two state blocks.
 
-    ``gram`` is the pair's ``PairGram`` as ``regularize_pair`` returns it.
-    Block r holds term r's Gram vectors, u^r over v^r with signature (+, -),
-    and E_lam scales it by the coordinate lam^r
-    (``realization.lurking_colligation``).  Raises PairValidationError when
-    the pair misses the decomposition identity.
+    ``grams`` are the terms' Gram splits as ``regularize_pair`` returns them;
+    block r holds term r's split (u^r, v^r) and E_lam scales it by the
+    coordinate lam^r (``realization.lurking_colligation``).  Raises
+    PairValidationError when the pair misses the decomposition identity.
     """
     validate_pair(problem, pair)
-    rows, signs = [], []
-    for u, v in zip(gram.u, gram.v):
-        rows += [u.T, v.T]
-        signs += [(u.shape[1], 1), (v.shape[1], -1)]
-    J1 = SignatureMatrix.blocks(*signs)
-    return lurking_colligation(problem.nodes, problem.values, np.vstack(rows), J1, gram.kappas)
+    return lurking_colligation(problem.nodes, problem.values, [(g.u, g.v) for g in grams])
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +370,8 @@ def _shifted_denominator(
     Returns (denominator, bidegree), the per-node solve of ``disk.solve_shifts``.
     """
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
-    gram = regularize_pair(shifted_pair)
-    br = to_birational(build_bidisk_realization(shifted, shifted_pair, gram))
+    grams = regularize_pair(shifted_pair)
+    br = to_birational(build_bidisk_realization(shifted, shifted_pair, grams))
     den, d = best_reflective_pair(br.numerator, br.denominator)
     den = moebius_pullback(den, [m.a for m in maps], d)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
@@ -431,7 +412,7 @@ def combine_bidisk(
 ) -> BidiskSolution:
     """Real combination of the shifted denominators (``disk.combine_shifts``), strict at every node.
 
-    ``inertias`` are the pair's (``PairGram.inertias``), which every
+    ``inertias`` are the pair's terms' (``regularize_pair``), which every
     transported pair keeps (``_transport_pair``).
     """
     q = combine_shifts(family, problem, rng)
@@ -456,15 +437,16 @@ def solve_bidisk(
     """
     if pair is None:
         pair = one_variable_pair(problem, 0)
-    gram = regularize_pair(pair)
-    br = to_birational(build_bidisk_realization(problem, pair, gram))
+    grams = regularize_pair(pair)
+    inertias = (grams[0].inertia, grams[1].inertia)
+    br = to_birational(build_bidisk_realization(problem, pair, grams))
     try:
         den, d = best_reflective_pair(br.numerator, br.denominator)
-        solution = _strict_bidisk(den, d, problem, "single solve", gram.inertias)
+        solution = _strict_bidisk(den, d, problem, "single solve", inertias)
     except BREAKDOWNS as single_error:
         try:
             family = solve_bidisk_shifts(problem, pair)
-            solution = combine_bidisk(family, problem, gram.inertias, np.random.default_rng(seed))
+            solution = combine_bidisk(family, problem, inertias, np.random.default_rng(seed))
         except BREAKDOWNS as shift_error:
             raise shift_error from single_error
     if certify:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .krein import ExtensionError, SignatureMatrix
+from .krein import ExtensionError
 from .linalg import Inertia, real_combination
 from .pick import DiskProblem, GramDecomposition, gram_decompose, pick_matrix
 from .polynomials import (
@@ -117,16 +117,17 @@ def solve_centered(problem: DiskProblem) -> tuple[Poly, int]:
     """
     if abs(problem.nodes[0]) > 1e-14:
         raise ValueError("solve_centered requires the first node at the origin")
-    N = problem.size
     G = pick_matrix(problem)
-    dec: GramDecomposition = gram_decompose(G)
-    pi, nu, zeta = dec.inertia.as_tuple()
-    # State vectors stack (u_i + y_i) over (v_i + y_i); dimension N + zeta.
-    X = np.vstack([dec.u.T, dec.y.T, dec.v.T, dec.y.T])
-    kappa = X.shape[0]
-    assert kappa == 2 * N - pi - nu
-    J1 = SignatureMatrix.blocks((pi + zeta, 1), (nu + zeta, -1))
-    real = lurking_colligation(problem.nodes[:, None], problem.values, X, J1, (kappa,))
+    dec = gram_decompose(G)
+    # The null vectors, scaled by sqrt(max(1, ||G||_2)), pad both sides of the
+    # split: (u y)(u y)* - (v y)(v y)* is still G, and the state dimension is
+    # N + zeta.  The 2-norm is an SVD, paid only when zeta > 0.
+    y = dec.y
+    if y.shape[1]:
+        y = y * np.sqrt(max(1.0, float(np.linalg.norm(G, 2))))
+    real = lurking_colligation(
+        problem.nodes[:, None], problem.values, [(np.hstack([dec.u, y]), np.hstack([dec.v, y]))]
+    )
     den, d = best_reflective_pair(*realization_to_rational(real))
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[0] != "strict":
@@ -299,20 +300,16 @@ def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSoluti
     """Rank-degree solve: an interpolant with deg f = pi and deg g = nu.
 
     ``dec`` is the Gram decomposition of the problem's Pick matrix.  The
-    colligation is built from the Gram vectors u over v alone, with
-    J1 = diag(I_pi, -I_nu) and no y block, so the transfer function has
+    colligation is built from the split (u, v) alone, with no null vectors,
+    so the transfer function has
     degree rank(Gamma) even when the matrix is singular; with nu = 0 it is the
     classical pole-free Blaschke product.  Raises SolveError when the extracted
     pair is not reflective, misses a node or does not reach the degrees (pi, nu).
     """
     pi, nu, _ = dec.inertia.as_tuple()
-    X = np.vstack([dec.u.T, dec.v.T])  # (pi + nu) x N
     # With a singular matrix the domain columns are dependent, which
     # ``krein.extend_j_isometry`` handles.
-    real = lurking_colligation(
-        problem.nodes[:, None], problem.values, X,
-        SignatureMatrix.blocks((pi, 1), (nu, -1)), (pi + nu,),
-    )
+    real = lurking_colligation(problem.nodes[:, None], problem.values, [(dec.u, dec.v)])
     den, d = best_reflective_pair(*realization_to_rational(real))
     solution = _strict_solution(den, d, problem, "rank-degree solve", dec.inertia)
     top = max(solution.interpolant.numerator.degree, solution.interpolant.denominator.degree)

@@ -60,9 +60,6 @@ class SignatureMatrix:
     def n_negative(self) -> int:
         return int(np.sum(self.signs < 0))
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.signs).astype(complex)
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self.signs[:, None] * X if X.ndim == 2 else self.signs * X
 
@@ -77,23 +74,6 @@ def j_gram(J: SignatureMatrix, vectors: np.ndarray) -> np.ndarray:
     if vectors.shape[0] != J.dimension:
         raise ValueError("vector dimension does not match signature dimension")
     return vectors.conj().T @ J.apply(vectors)
-
-
-@dataclass(frozen=True)
-class PartialJIsometry:
-    """Prescribed action d_i -> r_i (columns) with matching J-Grams."""
-
-    J: SignatureMatrix
-    domain: np.ndarray
-    range_: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.domain, dtype=complex)
-        r = np.asarray(self.range_, dtype=complex)
-        if d.shape != r.shape or d.shape[0] != self.J.dimension:
-            raise ValueError("domain/range shape mismatch")
-        object.__setattr__(self, "domain", d)
-        object.__setattr__(self, "range_", r)
 
 
 def _hyperbolic_partner(span: np.ndarray, idx: int, signs: np.ndarray) -> np.ndarray:
@@ -148,16 +128,20 @@ def _independent_columns(D: np.ndarray) -> list[int]:
     return keep
 
 
-def extend_j_isometry(partial: PartialJIsometry) -> np.ndarray:
-    """Extend the prescribed action to an n x n J-unitary matrix V1.
+def extend_j_isometry(J: SignatureMatrix, D: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Extend the prescribed action D[:, i] -> R[:, i] to an n x n J-unitary matrix V1.
 
-    Raises GramMismatchError when the J-Grams of domain and range disagree
+    ValueError unless D and R are both n x N with n = J.dimension.  Raises
+    GramMismatchError when the J-Grams of domain and range disagree
     beyond ``GRAM_MISMATCH_TOL`` (relative).  Dependent domain columns are
     extended on ``_independent_columns`` alone; ExtensionError when the
     dropped columns' images then miss their prescribed values beyond
     1e-8 * N * max(1, ||R||), or when the geometry degenerates.
     """
-    J, D, R = partial.J, partial.domain, partial.range_
+    D = np.asarray(D, dtype=complex)
+    R = np.asarray(R, dtype=complex)
+    if D.shape != R.shape or D.shape[0] != J.dimension:
+        raise ValueError("domain/range shape mismatch")
     n, N = D.shape
     if N == 0:
         return np.eye(n, dtype=complex)

@@ -65,10 +65,11 @@ def pick_matrix(problem: DiskProblem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramDecomposition:
-    """Split of a Hermitian G into Gram(u) - Gram(v), plus conditioning vectors y.
+    """Split of a Hermitian G into Gram(u) - Gram(v), plus its null vectors y.
 
-    Rows of u/v/y are the per-node vectors; ``G = u u* - v v*`` and
-    ``B = u u* + v v* + y y*`` is positive definite.
+    Rows of u/v/y are the per-node vectors; ``G = u u* - v v*``, and the
+    columns of y are orthonormal eigenvectors spanning the kernel of G, so
+    ``u u* + v v* + y y*`` is positive definite.
     """
 
     u: np.ndarray  # N x pi
@@ -82,15 +83,12 @@ def gram_decompose(G: np.ndarray) -> GramDecomposition:
 
     The ascending eigenpairs split by ``hermitian_inertia``'s counts: u from
     the positive ones scaled by sqrt(lam), v from the negative ones scaled by
-    sqrt(|lam|).  The y block is sqrt(max(1,||G||)) times the null
-    eigenvectors, which makes B strictly positive definite.
+    sqrt(|lam|), y the null eigenvectors unscaled (``disk.solve_centered``,
+    their one reader, scales them).
     """
     inertia, evals, evecs = hermitian_inertia(G)
     _, nu, zeta = inertia.as_tuple()
     u = evecs[:, nu + zeta:] * np.sqrt(evals[nu + zeta:])
     v = evecs[:, :nu] * np.sqrt(-evals[:nu])
     y = evecs[:, nu:nu + zeta]
-    if y.shape[1]:
-        # The 2-norm is an SVD; it scales the null vectors only.
-        y = y * np.sqrt(max(1.0, float(np.linalg.norm(G, 2))))
     return GramDecomposition(u=u, v=v, y=y, inertia=inertia)

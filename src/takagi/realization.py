@@ -7,9 +7,11 @@ has the transfer function
 
 where E_lam scales block r by the coordinate lam[r].  On the disk k = 1 and
 this is A + lam B (I - lam D)^-1 C; on the bidisk k = 2.  Both solvers build
-V1 the same way (``lurking_colligation``): the lurking isometry
-(1, E_lam_i x_i) -> (w_i, x_i), whose two sides have equal J-Grams by the
-interpolation identity, extended to a J-unitary matrix.  The evaluators
+V1 the same way (``lurking_colligation``), from one Gram split (u^r, v^r)
+per state block: the lurking isometry (1, E_lam_i x_i) -> (w_i, x_i), whose
+two sides have equal J-Grams by the interpolation identity, extended to a
+J-unitary matrix.  The state layout (x_i, J1 and the block sizes) is built
+there alone; callers pass only the splits.  The evaluators
 ``state_vector``, ``eval_realization`` and ``kernel_forms`` serve any k.
 
 The one-variable numerator/denominator polynomials, den = det(I - lam D) and
@@ -24,10 +26,11 @@ eigenvalues of D; it is kept as a reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .krein import PartialJIsometry, SignatureMatrix, extend_j_isometry, j_unitarity_defect
+from .krein import SignatureMatrix, extend_j_isometry, j_unitarity_defect
 from .linalg import resolvent_stack, transfer_coefficients
 from .polynomials import Poly
 
@@ -91,24 +94,28 @@ class Realization:
 
 
 def lurking_colligation(
-    nodes: np.ndarray, values: np.ndarray, X: np.ndarray, J1: SignatureMatrix,
-    blocks: tuple[int, ...],
+    nodes: np.ndarray, values: np.ndarray, splits: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> Realization:
     """J-unitary extension of the lurking isometry (1, E_lam_i x_i) -> (w_i, x_i).
 
-    ``nodes`` is N x k, row i holding the k coordinates of node i; the columns
-    of ``X`` are the state vectors x_i, split into blocks of the sizes in
-    ``blocks``, with state signature ``J1``.  The two sides have equal J-Grams
-    exactly when sum_r (1 - lam_i^r conj(lam_j^r)) <J1 x_i^r, x_j^r> equals
+    ``nodes`` is N x k, row i holding the k coordinates of node i.  ``splits``
+    holds one Gram split (u^r, v^r) per state block, each with one row per
+    node.  Block r of the state vector x_i is row i of u^r over row i of v^r,
+    with signature +1 on u^r's columns and -1 on v^r's, and E_lam scales it
+    by lam^r.  The two sides have equal J-Grams exactly when
+    sum_r (1 - lam_i^r conj(lam_j^r)) (u^r u^r* - v^r v^r*)_ij equals
     1 - w_i conj(w_j); ``krein.extend_j_isometry`` then extends the map.
     """
+    X = np.vstack([w.T for u, v in splits for w in (u, v)])
+    J1 = SignatureMatrix.blocks(*[(w.shape[1], s) for u, v in splits for w, s in ((u, 1), (v, -1))])
+    blocks = tuple(u.shape[1] + v.shape[1] for u, v in splits)
     # Nodes on the left of the product, as in linalg.resolvent_stack: its last
     # bit moves the degrees of some solutions for a singular Pick matrix.
     E = np.repeat(np.asarray(nodes).T, blocks, axis=0)
     domain = np.vstack([np.ones((1, values.size)), E * X])
     range_ = np.vstack([values[None, :], X])
     J = SignatureMatrix(np.concatenate([[1.0], J1.signs]))
-    V1 = extend_j_isometry(PartialJIsometry(J=J, domain=domain, range_=range_))
+    V1 = extend_j_isometry(J, domain, range_)
     return Realization.from_colligation(V1, J1, blocks)
 
 

@@ -19,7 +19,6 @@ from takagi.bidisk import (
 )
 from takagi.disk import solve
 from takagi.krein import (
-    PartialJIsometry,
     SignatureMatrix,
     extend_j_isometry,
     j_unitarity_defect,
@@ -326,7 +325,7 @@ def test_criterion_9_extension_suite():
         R = U @ D
         J = SignatureMatrix(signs)
         try:
-            V1 = extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+            V1 = extend_j_isometry(J, D, R)
         except Exception:
             failures += 1
             continue

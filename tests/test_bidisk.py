@@ -242,10 +242,10 @@ class TestBalancedRestrictions:
         rng = np.random.default_rng(7)
         p = random_bidisk_problem(rng, n_max=3)
         pair = random_two_variable_pair(p, rng)
-        gram = regularize_pair(pair)
-        r = build_bidisk_realization(p, pair, gram)
+        grams = regularize_pair(pair)
+        r = build_bidisk_realization(p, pair, grams)
         br = to_birational(r)
-        (i1, i2) = gram.inertias
+        (i1, i2) = (g.inertia for g in grams)
         for k in range(3):
             a = 0.5 * np.exp(2j * np.pi * k / 3)
             num, den = restrict_balanced(br, MoebiusMap(a))
@@ -369,8 +369,9 @@ class TestShiftedSolves:
         factor = Poly(np.array([[-p.nodes[1, 0]], [1.0]]))
         d = (family.refl_degree[0] + 1, family.refl_degree[1])
         vanishing = replace(family, dens=[den * factor for den in family.dens], refl_degree=d)
+        inertias = tuple(g.inertia for g in regularize_pair(pair))
         with pytest.raises(CombinationError) as info:
-            combine_bidisk(vanishing, p, regularize_pair(pair).inertias, np.random.default_rng(0))
+            combine_bidisk(vanishing, p, inertias, np.random.default_rng(0))
         assert len(info.value.residuals) == 64
 
     @pytest.mark.parametrize("kind", [0, 1, 2])
@@ -379,10 +380,10 @@ class TestShiftedSolves:
         # transport is a diagonal congruence of each term.
         p, _, rng = self._setup()
         pair = random_two_variable_pair(p, rng) if kind == 2 else one_variable_pair(p, kind)
-        inertias = regularize_pair(pair).inertias
+        inertias = [g.inertia for g in regularize_pair(pair)]
         for j in range(p.size):
             _, shifted_pair, _ = _transport_pair(p, pair, j)
-            assert regularize_pair(shifted_pair).inertias == inertias
+            assert [g.inertia for g in regularize_pair(shifted_pair)] == inertias
 
 
 class TestSolveBidisk:

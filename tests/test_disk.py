@@ -328,10 +328,11 @@ class TestSolve:
         assert sol.certificates["pass"]
 
     @pytest.mark.parametrize("problem", [BASIC, DiskProblem(
-        nodes=np.array([0.0, 0.4]), values=np.array([0.5, 0.2 + 0.1j]))])
+        nodes=np.array([0.0, 0.4]), values=np.array([0.5, 0.2 + 0.1j])), degree_one_one_problem()])
     def test_general_error_raised_when_both_paths_fail(self, monkeypatch, problem):
-        # BASIC is indefinite (general path first), the second problem
-        # positive definite (rank-degree solve first).
+        # BASIC (inertia (2, 1, 0)) and the positive definite second problem
+        # run the rank-degree solve first; the third, singular and indefinite
+        # (inertia (1, 1, 2)), runs the general path first.
         def general_fails(problem):
             raise SolveError("general path failed")
 

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 from takagi.krein import (
     ExtensionError,
     GramMismatchError,
-    PartialJIsometry,
     SignatureMatrix,
     extend_j_isometry,
     j_gram,
@@ -30,10 +29,6 @@ class TestSignatureMatrix:
     def test_invalid_signs_rejected(self):
         with pytest.raises(ValueError):
             SignatureMatrix(np.array([1.0, 0.5]))
-
-    def test_square_is_identity(self):
-        J = SignatureMatrix.blocks((2, 1), (2, -1))
-        assert np.allclose(J.matrix() @ J.matrix(), np.eye(4))
 
 
 class TestJGram:
@@ -61,7 +56,7 @@ class TestExtension:
         U = random_j_unitary(signs, rng)
         D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         R = U @ D
-        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+        V1 = extend_j_isometry(J, D, R)
         assert np.linalg.norm(V1 @ D - R) < 1e-8 * np.linalg.norm(R)
         assert j_unitarity_defect(J, V1) < 1e-8 * 3
 
@@ -70,7 +65,7 @@ class TestExtension:
         J = SignatureMatrix(np.ones(4))
         Q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
         Q2, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
-        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=Q, range_=Q2))
+        V1 = extend_j_isometry(J, Q, Q2)
         assert np.linalg.norm(V1.conj().T @ V1 - np.eye(4)) < 1e-8
 
     def test_random_indefinite_case(self):
@@ -80,7 +75,7 @@ class TestExtension:
         U = random_j_unitary(signs, rng)
         D = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         R = U @ D
-        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+        V1 = extend_j_isometry(J, D, R)
         assert np.linalg.norm(V1 @ D - R) < 1e-8 * max(1.0, np.linalg.norm(R))
         assert j_unitarity_defect(J, V1) < 1e-8 * 6
 
@@ -89,7 +84,14 @@ class TestExtension:
         D = np.array([[1.0], [0.0]])
         R = np.array([[0.0], [1.0]])  # J-norm +1 vs -1
         with pytest.raises(GramMismatchError):
-            extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+            extend_j_isometry(J, D, R)
+
+    @pytest.mark.parametrize("d_shape, r_shape", [((2, 1), (2, 2)), ((2, 1), (3, 1)), ((3, 1), (3, 1))])
+    def test_shape_mismatch_rejected(self, d_shape, r_shape):
+        """Domain and range must have the same shape, with J's dimension as rows."""
+        J = SignatureMatrix(np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            extend_j_isometry(J, np.ones(d_shape), np.ones(r_shape))
 
     def test_consistent_dependent_domain_extends(self):
         """Dependent columns whose images follow: every column is mapped."""
@@ -100,7 +102,7 @@ class TestExtension:
         D = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         D = np.hstack([D, D @ np.array([[2.0, 0.5j], [-1.0, 1.0]]), D[:, :1]])
         R = U @ D
-        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+        V1 = extend_j_isometry(J, D, R)
         assert np.linalg.norm(V1 @ D - R) < 1e-8 * np.linalg.norm(R)
         assert j_unitarity_defect(J, V1) < 1e-8 * 5
 
@@ -112,7 +114,7 @@ class TestExtension:
         R = np.column_stack([d1, 3 * d1])
         assert np.allclose(j_gram(J, D), j_gram(J, R))
         with pytest.raises(ExtensionError, match="dependent"):
-            extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=R))
+            extend_j_isometry(J, D, R)
 
     def test_isotropic_domain_vector(self):
         """Radical handling: a J-isotropic prescribed vector still extends."""
@@ -122,7 +124,7 @@ class TestExtension:
         U = random_j_unitary(signs, rng)
         iso = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)[:, None]  # J-norm 0
         R = U @ iso
-        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=iso, range_=R))
+        V1 = extend_j_isometry(J, iso, R)
         assert np.linalg.norm(V1 @ iso - R) < 1e-7 * np.linalg.norm(R)
         assert j_unitarity_defect(J, V1) < 1e-8 * 4
 
@@ -132,5 +134,5 @@ class TestExtension:
         J = SignatureMatrix(signs)
         U = random_j_unitary(signs, rng)
         D = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        V1 = extend_j_isometry(PartialJIsometry(J=J, domain=D, range_=U @ D))
+        V1 = extend_j_isometry(J, D, U @ D)
         assert abs(np.linalg.det(V1)) > 1e-8

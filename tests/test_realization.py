@@ -161,41 +161,59 @@ class TestStateVector:
 
 
 def one_block_data(rng, N=4):
-    """Disk nodes, targets, Gram vectors and signature of a nonsingular Pick matrix."""
+    """Disk nodes, targets and the Gram split of a nonsingular Pick matrix."""
     nodes = (rng.uniform(-1, 1, N) + 1j * rng.uniform(-1, 1, N)) * 0.6
     values = rng.uniform(0.2, 3.0, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
     dec = gram_decompose(pick_matrix(DiskProblem(nodes=nodes, values=values)))
     assert dec.inertia.zero == 0
-    X = np.vstack([dec.u.T, dec.v.T])
-    J1 = SignatureMatrix.blocks((dec.inertia.positive, 1), (dec.inertia.negative, -1))
-    return nodes[:, None], values, X, J1, (N,)
+    return nodes[:, None], values, [(dec.u, dec.v)]
 
 
 def two_block_data(rng, N=3):
-    """Bidisk nodes, targets, Gram vectors and signature of a generic pair."""
+    """Bidisk nodes, targets and the Gram splits of the two terms of a generic pair."""
     nodes = (rng.uniform(-1, 1, (N, 2)) + 1j * rng.uniform(-1, 1, (N, 2))) * 0.5
     values = rng.uniform(0.3, 2.5, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
-    problem = BidiskProblem(nodes=nodes, values=values)
     g1 = hermitize(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
     g2 = (1.0 - np.outer(values, values.conj())
           - (1.0 - np.outer(nodes[:, 0], nodes[:, 0].conj())) * g1) / (
         1.0 - np.outer(nodes[:, 1], nodes[:, 1].conj()))
-    gram = regularize_pair(AglerPair(gamma1=g1, gamma2=hermitize(g2)))
-    X = np.vstack([gram.u[0].T, gram.v[0].T, gram.u[1].T, gram.v[1].T])
-    J1 = SignatureMatrix.blocks(*[(w.shape[1], s) for r in range(2)
-                                  for w, s in ((gram.u[r], 1), (gram.v[r], -1))])
-    return nodes, values, X, J1, gram.kappas
+    grams = regularize_pair(AglerPair(gamma1=g1, gamma2=hermitize(g2)))
+    return nodes, values, [(g.u, g.v) for g in grams]
+
+
+def centered_singular_data(rng=None):
+    """Nodes and targets of problems/disk_degenerate.json, inertia (1, 1, 2) with
+    the first node at 0, and the centered split: the null vectors y pad both sides."""
+    nodes = np.array([0.0, 0.5, -0.5, 0.5j])
+    values = np.array([0.0, 1.0, 1.0, 1.0], dtype=complex)
+    dec = gram_decompose(pick_matrix(DiskProblem(nodes=nodes, values=values)))
+    assert dec.inertia.as_tuple() == (1, 1, 2)
+    return nodes[:, None], values, [(np.hstack([dec.u, dec.y]), np.hstack([dec.v, dec.y]))]
 
 
 class TestLurkingColligation:
-    @pytest.mark.parametrize("data", [one_block_data, two_block_data], ids=["one-block", "two-blocks"])
+    @pytest.mark.parametrize("data", [one_block_data, two_block_data, centered_singular_data],
+                             ids=["one-block", "two-blocks", "centered-singular"])
     def test_maps_lurking_pairs_and_is_j_unitary(self, data):
-        nodes, values, X, J1, blocks = data(np.random.default_rng(12))
-        r = lurking_colligation(nodes, values, X, J1, blocks)
-        assert r.blocks == tuple(blocks) and r.kappa == X.shape[0]
+        nodes, values, splits = data(np.random.default_rng(12))
+        r = lurking_colligation(nodes, values, splits)
+        # Block r of x_i is row i of u^r over row i of v^r, signed +1 then -1.
+        X = np.vstack([w.T for u, v in splits for w in (u, v)])
+        blocks = tuple(u.shape[1] + v.shape[1] for u, v in splits)
+        signs = np.concatenate([np.full(w.shape[1], s) for u, v in splits
+                                for w, s in ((u, 1.0), (v, -1.0))])
+        assert r.blocks == blocks and r.kappa == X.shape[0]
+        assert np.array_equal(r.J1.signs, signs)
         assert r.defect() < 1e-8
         V = r.colligation()
         for i in range(values.size):
             image = V @ np.concatenate([[1.0], np.repeat(nodes[i], blocks) * X[:, i]])
             expected = np.concatenate([[values[i]], X[:, i]])
             assert np.allclose(image, expected, rtol=0, atol=1e-9 * (1 + np.abs(X).max()))
+
+    def test_centered_singular_layout(self):
+        # N = 4 and (pi, nu, zeta) = (1, 1, 2): one block of N + zeta = 6,
+        # signed pi + zeta = 3 times +1, then nu + zeta = 3 times -1.
+        r = lurking_colligation(*centered_singular_data())
+        assert r.blocks == (6,)
+        assert np.array_equal(r.J1.signs, [1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
