@@ -86,7 +86,7 @@ def run(cfg: BidiskEnsembleConfig) -> dict:
         bad_maps = 0
         for _ in range(cfg.n_restriction_maps):
             a = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
-            num, den = restrict_balanced(sol, MoebiusMap(a))
+            num, den = restrict_balanced(sol, [MoebiusMap(a)])[0]
             good = (
                 check_unimodular(num, den) < 1e-6
                 and roots_in_disk(num).size <= zero_bound

@@ -60,6 +60,7 @@ from .polynomials import (
     Poly,
     Rational,
     boundary_values,
+    find_roots,
     moebius_matrix,
     moebius_pullback,
     pad_coeffs,
@@ -302,36 +303,38 @@ def toral_check(br: Rational, grid: int = 256) -> ToralReport:
                        violations=int(np.sum(q_small & p_large)))
 
 
-def restrict_balanced(br: Rational, m: MoebiusMap) -> tuple[Poly, Poly]:
-    """One-variable numerator/denominator of z -> phi(z, m(z)), reduced.
+def restrict_balanced(br: Rational, maps: list[MoebiusMap]) -> list[tuple[Poly, Poly]]:
+    """One-variable numerator/denominator of z -> phi(z, m(z)), reduced, for each map m.
 
     Clears the Moebius denominator at the common second-variable degree, which
-    cancels in the ratio, then divides out near-common roots.  The reduction
-    stays: a root the pair shares is no zero or pole of the restriction, but
-    left in, one inside the disk would count once as a zero and once as a pole
-    and could break the pi and nu bounds of ``verify.certify_bidisk``.  When no
-    root pairs, the reduction costs one distance matrix per tolerance.
+    cancels in the ratio, then divides out near-common roots.  The
+    compositions for all the maps are one stacked product per polynomial, and
+    the roots of every restricted numerator and denominator come from one
+    ``polynomials.find_roots`` call.  The reduction stays: a root the pair
+    shares is no zero or pole of the restriction, but left in, one inside the
+    disk would count once as a zero and once as a pole and could break the pi
+    and nu bounds of ``verify.certify_bidisk``.  When no root pairs, the
+    reduction costs one distance matrix per tolerance.
     """
     d2 = max(br.numerator.degrees[1], br.denominator.degrees[1], 0)
-    M2 = moebius_matrix(m.a, d2)
+    M2s = np.stack([moebius_matrix(m.a, d2) for m in maps])
 
-    def compose(p: Poly) -> Poly:
-        # Row k1 of C @ M2.T holds the cleared composition of z1**k1's slice;
-        # after z1 = z, coefficient n of the result sums the antidiagonal k1 + j = n,
-        # k1 ascending.
-        B = pad_coeffs(p.coeffs, (p.coeffs.shape[0] - 1, d2)) @ M2.T
-        out = np.zeros(B.shape[0] + d2, dtype=complex)
-        for k1, row in enumerate(B):
-            out[k1:k1 + d2 + 1] += row
-        return Poly(out)
+    def compose(p: Poly) -> list[Poly]:
+        # Row k1 of map i's C @ M2.T holds the cleared composition of z1**k1's
+        # slice; after z1 = z, coefficient n of the result sums the antidiagonal
+        # k1 + j = n, k1 ascending.
+        B = pad_coeffs(p.coeffs, (p.coeffs.shape[0] - 1, d2)) @ M2s.transpose(0, 2, 1)
+        out = np.zeros((len(maps), B.shape[1] + d2), dtype=complex)
+        for k1 in range(B.shape[1]):
+            out[:, k1:k1 + d2 + 1] += B[:, k1]
+        return [Poly(c) for c in out]
 
-    num = compose(br.numerator)
-    den = compose(br.denominator)
-    if den.is_zero or den.norm() <= 1e-12 * max(br.denominator.norm(), 1.0):
+    pairs = list(zip(compose(br.numerator), compose(br.denominator)))
+    floor = 1e-12 * max(br.denominator.norm(), 1.0)
+    if any(den.is_zero or den.norm() <= floor for _, den in pairs):
         raise RestrictionBreakdown("restricted denominator is numerically zero")
-    if num.is_zero:
-        return num, den
-    return reduce_common_roots(num, den)
+    find_roots([p for pair in pairs for p in pair if p.degree > 0])
+    return [(num, den) if num.is_zero else reduce_common_roots(num, den) for num, den in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -229,16 +229,21 @@ def _extend_independent(
 def _polish_to_gram(
     B: np.ndarray, signs: np.ndarray, S: np.ndarray, Sinv: np.ndarray, iterations: int = 10
 ) -> np.ndarray:
-    """Newton steps toward B* J B = S, kept only while the residual shrinks."""
+    """Newton steps toward B* J B = S, kept only while the residual shrinks.
+
+    The accepted candidate's Gram residual is the next step's, so each step
+    forms one Gram product.
+    """
     best = B
-    best_res = float(np.linalg.norm(best.conj().T @ (signs[:, None] * best) - S))
+    F = best.conj().T @ (signs[:, None] * best) - S
+    best_res = float(np.linalg.norm(F))
     for _ in range(iterations):
-        F = best.conj().T @ (signs[:, None] * best) - S
         cand = best - 0.5 * best @ (Sinv @ F)
-        res = float(np.linalg.norm(cand.conj().T @ (signs[:, None] * cand) - S))
+        Fc = cand.conj().T @ (signs[:, None] * cand) - S
+        res = float(np.linalg.norm(Fc))
         if res >= best_res:
             break
-        best, best_res = cand, res
+        best, best_res, F = cand, res, Fc
     return best
 
 

@@ -7,9 +7,9 @@ operation below (trim, evaluate, add, multiply, reflect, pad) is written once
 for any k, and a ``Rational`` is the quotient of two ``Poly``s, callable in
 the same k variables.  The zero polynomial has shape (0, ..., 0) and degree
 -1 in each variable.  Root finding (one variable) goes through the companion
-matrix (numpy.roots); the numeric GCD pairs roots of the two polynomials
-rather than running a Euclidean remainder sequence, which is unstable in
-floating point.
+matrix that numpy.roots builds, for several polys at once (``find_roots``);
+the numeric GCD pairs roots of the two polynomials rather than running a
+Euclidean remainder sequence, which is unstable in floating point.
 
 The coefficient-space kernels shared by the disk and bidisk solvers live
 here: Moebius composition as a matrix on coefficients (``moebius_matrix``),
@@ -105,12 +105,8 @@ class Poly:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """Roots in one variable, found once: none for a constant, ValueError for zero."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no well-defined roots")
-        roots = np.roots(self.coeffs[::-1]) if self.degree > 0 else np.zeros(0, dtype=complex)
-        roots.setflags(write=False)
-        return roots
+        """Roots in one variable, found once (``find_roots``): none for a constant, ValueError for zero."""
+        return find_roots([self])[0]
 
     def __call__(self, *z):
         """p(z) in one variable, p(z1, z2) in two; arguments broadcast."""
@@ -174,6 +170,45 @@ class Rational:
     def __call__(self, *z):
         """phi(z) in one variable, phi(z1, z2) in two; arguments broadcast."""
         return self.numerator(*z) / self.denominator(*z)
+
+
+def find_roots(polys) -> list[np.ndarray]:
+    """Roots (with multiplicity) of one-variable polys, cached read-only as each poly's ``roots``.
+
+    Each companion matrix is the one numpy.roots builds: first row -p[1:]/p[0]
+    over the coefficients p in descending order, ones below the diagonal, the
+    zero low coefficients left out and as many roots at 0 appended, so each
+    root array equals numpy.roots' bit for bit.  The polys without cached
+    roots are grouped by matrix size, and each group's stack goes to one
+    ``np.linalg.eigvals`` call.  A constant has no roots; the zero poly raises
+    ValueError.
+    """
+    groups: dict[int, list[tuple[Poly, int]]] = {}
+    for p in polys:
+        if "roots" in vars(p):
+            continue
+        if p.is_zero:
+            raise ValueError("the zero polynomial has no well-defined roots")
+        zeros = int(np.flatnonzero(p.coeffs)[0])
+        size = p.degree - zeros
+        if size:
+            groups.setdefault(size, []).append((p, zeros))
+        else:
+            _cache_roots(p, np.zeros(zeros, dtype=complex))
+    for size, group in groups.items():
+        A = np.zeros((len(group), size, size), dtype=complex)
+        A[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+        for row, (p, zeros) in zip(A, group):
+            c = p.coeffs[::-1][: p.coeffs.size - zeros]
+            row[0] = -c[1:] / c[0]
+        for (p, zeros), eig in zip(group, np.linalg.eigvals(A)):
+            _cache_roots(p, np.concatenate((eig, np.zeros(zeros, dtype=complex))))
+    return [vars(p)["roots"] for p in polys]
+
+
+def _cache_roots(p: Poly, roots: np.ndarray) -> None:
+    roots.setflags(write=False)
+    vars(p)["roots"] = roots
 
 
 def poly_roots(p: Poly) -> np.ndarray:
@@ -398,9 +433,21 @@ def midpoint_angles(n: int) -> np.ndarray:
 
 
 def boundary_values(p: Poly, n: int) -> np.ndarray:
-    """p at exp(i * midpoint_angles(n)) in each variable: shape (n,) or (n, n)."""
+    """p at exp(i * midpoint_angles(n)) in each variable: shape (n,) or (n, n).
+
+    On two variables one (n, n) buffer takes each Horner step in place
+    (``out *= z1; out += row(z2)``), the operations of ``p(z1, z2)`` on the
+    grid in the same order.  One variable stays out of place, as ``p(z)``.
+    """
     z = np.exp(1j * midpoint_angles(n))
-    return p(*np.meshgrid(*(z,) * p.coeffs.ndim, indexing="ij", sparse=True))
+    if p.coeffs.ndim == 1:
+        return p(z)
+    out = np.zeros((n, n), dtype=complex)
+    x, y = z[:, None], [z[None, :]]
+    for row in p.coeffs[::-1]:
+        out *= x
+        out += _horner(row, y)
+    return out
 
 
 def vacuous_node_factor(lam: complex) -> Poly:

@@ -16,6 +16,11 @@ reads them from the solution.
 Unimodularity comes from the coefficients: reflect(den, d) has the modulus of
 den on the circle (torus), so with delta = ||num - c reflect(den, d)||_1 and
 |c| = 1 (``reflection_defect``), ||phi(z)| - 1| <= delta / |den(z)| there.
+``check_unimodular`` reads |den| on its grid once, for both the near-pole mask
+and the minimum; d is the ``declared_degree``, which is also the bidegree the
+bidisk certificate bounds.  The bidisk certificate's balanced-disk
+restrictions are one ``bidisk.restrict_balanced`` call for all its Moebius
+maps, which finds all their roots at once (``polynomials.find_roots``).
 
 ``interior_points`` draws its candidates in rounds from the same stream as a
 one-at-a-time loop, with the same points and the generator left in the same
@@ -111,13 +116,22 @@ def _statuses_and_residuals(num: Poly, den: Poly, problem) -> tuple[list[str], n
 
 def near_pole(values: np.ndarray) -> np.ndarray:
     """Mask of the grid values below POLE_EXCLUSION times the largest of them."""
-    mags = np.abs(values)
+    return _near_pole_mags(np.abs(values))
+
+
+def _near_pole_mags(mags: np.ndarray) -> np.ndarray:
+    """``near_pole`` from the magnitudes of the grid values."""
     return mags < POLE_EXCLUSION * max(float(np.max(mags)), 1e-300)
 
 
+def declared_degree(num: Poly, den: Poly) -> tuple[int, ...]:
+    """The larger of num's and den's degrees in each variable (0 at least)."""
+    return tuple(max(a, b, 0) for a, b in zip(num.degrees, den.degrees))
+
+
 def reflection_defect(num: Poly, den: Poly) -> float:
-    """||num - c reflect(den, d)||_1, d the larger degree per variable, c the phase of one vdot."""
-    d = tuple(max(a, b, 0) for a, b in zip(num.degrees, den.degrees))
+    """||num - c reflect(den, d)||_1, d the ``declared_degree``, c the phase of one vdot."""
+    d = declared_degree(num, den)
     nc, rc = pad_coeffs(num.coeffs, d), reflect_coeffs(den.coeffs, d)
     s = np.vdot(rc, nc)
     c = s / abs(s) if s else 1.0
@@ -130,13 +144,13 @@ def check_unimodular(num: Poly, den: Poly, samples: int = 512, defect: float | N
     A bound on | |phi| - 1 | where |den| is no smaller: at every point of the grid.
     ``defect`` is ``reflection_defect(num, den)`` when the caller has it already.
     """
-    qv = boundary_values(den, samples)
-    keep = ~near_pole(qv)
+    mags = np.abs(boundary_values(den, samples))
+    keep = ~_near_pole_mags(mags)
     if not np.any(keep):
         return np.inf
     if defect is None:
         defect = reflection_defect(num, den)
-    return defect / float(np.min(np.abs(qv[keep])))
+    return defect / float(np.min(mags, where=keep, initial=np.inf))
 
 
 def count_zeros_poles(num: Poly, den: Poly) -> tuple[int, int]:
@@ -286,8 +300,11 @@ def certify_bidisk(solution, problem) -> dict:
     """Certificate block for a bidisk solution; all quantities recomputed.
 
     The bidegree bound is pi^r + nu^r per variable, from the inertias of the
-    pair's terms; each balanced-disk restriction of the answer has at most
-    pi^1 + pi^2 zeros and nu^1 + nu^2 poles in the disk.
+    pair's terms, and the bidegree checked against it is the
+    ``declared_degree`` of num and den, so a numerator of higher degree than
+    the denominator cannot pass.  Each balanced-disk restriction of the answer
+    has at most pi^1 + pi^2 zeros and nu^1 + nu^2 poles in the disk; the
+    ``BALANCED_RESTRICTIONS`` maps go to one ``bidisk.restrict_balanced`` call.
 
     ``toral`` comes from delta = ``reflection_defect`` alone.  ``bidisk.toral_check``
     flags a cell with |den| < POLE_EXCLUSION * M (M the largest grid |den|) and
@@ -310,17 +327,14 @@ def certify_bidisk(solution, problem) -> dict:
     toral = reflection * (1 + TORAL_NUMERATOR) <= TORAL_NUMERATOR - POLE_EXCLUSION
     (pi1, nu1, _), (pi2, nu2, _) = (inertia.as_tuple() for inertia in solution.inertias)
     bound = (pi1 + nu1, pi2 + nu2)
-    bidegree = den2.degrees
+    bidegree = declared_degree(num2, den2)
     rng = np.random.default_rng(CERTIFICATE_SEED)
-    restriction_counts = []
-    restrictions_ok = True
-    for _ in range(BALANCED_RESTRICTIONS):
-        a = (rng.uniform(-0.85, 0.85) + 1j * rng.uniform(-0.85, 0.85)) * 0.7
-        rnum, rden = restrict_balanced(solution, MoebiusMap(complex(a)))
-        zeros, poles = count_zeros_poles(rnum, rden)
-        restriction_counts.append((zeros, poles))
-        if zeros > pi1 + pi2 or poles > nu1 + nu2:
-            restrictions_ok = False
+    maps = [MoebiusMap(complex((rng.uniform(-0.85, 0.85) + 1j * rng.uniform(-0.85, 0.85)) * 0.7))
+            for _ in range(BALANCED_RESTRICTIONS)]
+    restriction_counts = [count_zeros_poles(rnum, rden)
+                          for rnum, rden in restrict_balanced(solution, maps)]
+    restrictions_ok = all(zeros <= pi1 + pi2 and poles <= nu1 + nu2
+                          for zeros, poles in restriction_counts)
     verdicts = {
         "strict_all_nodes": all(s == "strict" for s in statuses),
         "interpolation": bool(np.max(residuals) <= STRICT_TOL * (1.0 + wmax)),

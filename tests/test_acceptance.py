@@ -280,7 +280,7 @@ def test_criterion_7_bidisk_end_to_end(bidisk_ensemble):
         pole_bound = i1.negative + i2.negative
         for _ in range(25):
             a = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
-            num, den = restrict_balanced(sol, MoebiusMap(a))
+            num, den = restrict_balanced(sol, [MoebiusMap(a)])[0]
             good = (
                 check_unimodular(num, den) < 1e-6
                 and roots_in_disk(num).size <= zero_bound

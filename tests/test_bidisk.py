@@ -12,6 +12,7 @@ from takagi.bidisk import (
     _transport_pair,
     AglerPair,
     BidiskProblem,
+    BidiskSolution,
     BidiskSolveError,
     BirationalExtractionError,
     PairValidationError,
@@ -248,7 +249,7 @@ class TestBalancedRestrictions:
         (i1, i2) = (g.inertia for g in grams)
         for k in range(3):
             a = 0.5 * np.exp(2j * np.pi * k / 3)
-            num, den = restrict_balanced(br, MoebiusMap(a))
+            num, den = restrict_balanced(br, [MoebiusMap(a)])[0]
             assert check_unimodular(num, den) < 1e-6
             assert roots_in_disk(num).size <= i1.positive + i2.positive
             assert roots_in_disk(den).size <= i1.negative + i2.negative
@@ -261,7 +262,7 @@ class TestBalancedRestrictions:
         pair = random_two_variable_pair(p, rng)
         br = to_birational(build_bidisk_realization(p, pair, regularize_pair(pair)))
         m = MoebiusMap(a)
-        num, den = restrict_balanced(br, m)
+        num, den = restrict_balanced(br, [m])[0]
         checked = 0
         for _ in range(40):
             z = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
@@ -530,24 +531,71 @@ class TestRestrictionRoots:
         common = Poly(np.array(f1)[:, None]) * Poly(np.array(f2)[None, :])
         shared = Rational(base.numerator * common, base.denominator * common)
         m = MoebiusMap(a)
-        num0, den0 = restrict_balanced(base, m)
-        num1, den1 = restrict_balanced(shared, m)
+        num0, den0 = restrict_balanced(base, [m])[0]
+        num1, den1 = restrict_balanced(shared, [m])[0]
         assert (num1.degree, den1.degree) == (num0.degree, den0.degree)
         assert (roots_in_disk(num1).size, roots_in_disk(den1).size) == (
             roots_in_disk(num0).size, roots_in_disk(den0).size)
 
     def test_certificate_finds_each_restriction_root_once(self, monkeypatch):
+        # Every companion matrix goes to np.linalg.eigvals once, in one stack per size.
         problem, pair, _ = load_problem(str(PAIR_FILE))
         sol = solve_bidisk(problem, pair, seed=0, certify=False)
-        roots, calls = np.roots, []
+        eigvals, sizes, matrices = np.linalg.eigvals, [], []
 
-        def counted(coeffs):
-            calls.append(len(coeffs))
-            return roots(coeffs)
+        def counted(a):
+            sizes.append(a.shape[-1])
+            matrices.append(a.shape[0] if a.ndim == 3 else 1)
+            return eigvals(a)
 
-        monkeypatch.setattr(np, "roots", counted)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
         assert certify_bidisk(sol, problem)["pass"]
-        assert 0 < len(calls) <= 2 * BALANCED_RESTRICTIONS
+        assert 0 < sum(matrices) <= 2 * BALANCED_RESTRICTIONS
+        assert len(sizes) == len(set(sizes))
+
+    @pytest.mark.parametrize("source", ["pair-file", "generic"])
+    def test_all_maps_at_once_equal_each_alone(self, source):
+        if source == "pair-file":
+            problem, pair, _ = load_problem(str(PAIR_FILE))
+            br = solve_bidisk(problem, pair, seed=0, certify=False)
+        else:
+            rng = np.random.default_rng(15)
+            p = random_bidisk_problem(rng, n_max=3)
+            pair = random_two_variable_pair(p, rng)
+            br = to_birational(build_bidisk_realization(p, pair, regularize_pair(pair)))
+        assert min(br.denominator.degrees) > 0
+        maps = [MoebiusMap(a) for a in (0.0, 0.5, -0.3 + 0.6j, 0.9j, 0.2 - 0.55j)]
+        together = restrict_balanced(br, maps)
+        assert len(together) == len(maps)
+        for m, restricted in zip(maps, together):
+            for p, q in zip(restricted, restrict_balanced(br, [m])[0]):
+                assert p.coeffs.shape == q.coeffs.shape
+                assert p.coeffs.tobytes() == q.coeffs.tobytes()
+
+
+class TestBidegreeVerdict:
+    @staticmethod
+    def _certify(numerator):
+        # One node, phi(0.5, 0.5) = 0.5, all weight on the first coordinate:
+        # the inertias are (1, 0, 0) and (0, 0, 1), so the bidegree bound is (1, 0).
+        problem = BidiskProblem(nodes=np.array([[0.5, 0.5]]), values=np.array([0.5]))
+        inertias = tuple(g.inertia for g in regularize_pair(one_variable_pair(problem, 0)))
+        assert [i.as_tuple() for i in inertias] == [(1, 0, 0), (0, 0, 1)]
+        den = Poly(np.ones((1, 1)))
+        sol = BidiskSolution(numerator=Poly(np.array(numerator)), denominator=den,
+                             bidegree=(0, 0), inertias=inertias, node_status=["strict"])
+        return certify_bidisk(sol, problem)
+
+    def test_numerator_degree_counts(self):
+        # phi = z2 interpolates and is inner, but its bidegree (0, 1) exceeds the bound.
+        cert = self._certify([[0.0, 1.0]])
+        assert cert["bidegree"] == (0, 1) and cert["bidegree_bound"] == (1, 0)
+        assert not cert["verdicts"]["bidegree"] and not cert["pass"]
+        assert all(ok for name, ok in cert["verdicts"].items() if name != "bidegree")
+
+    def test_within_bound_passes(self):
+        cert = self._certify([[0.0], [1.0]])
+        assert cert["bidegree"] == (1, 0) and cert["pass"]
 
 
 class TestCertificateWork:

@@ -10,6 +10,7 @@ from takagi.polynomials import (
     NonFiniteCoefficientError,
     Poly,
     boundary_values,
+    find_roots,
     moebius_matrix,
     moebius_pullback,
     poly_gcd_numeric,
@@ -348,6 +349,49 @@ class TestBoundaryValues:
         z = np.exp(1j * 2.0 * np.pi * (np.arange(64) + 0.5) / 64)
         full = p(*np.meshgrid(*(z,) * k, indexing="ij"))
         assert np.array_equal(boundary_values(p, 64), full)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)], ids=["1x1", "1xk", "kx1"])
+    def test_thin_grids_match_full_grid(self, shape):
+        rng = np.random.default_rng(23)
+        p = Poly(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        z = np.exp(1j * 2.0 * np.pi * (np.arange(32) + 0.5) / 32)
+        assert p.coeffs.shape == shape
+        assert np.array_equal(boundary_values(p, 32), p(*np.meshgrid(z, z, indexing="ij")))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_poly(self, k):
+        values = boundary_values(Poly(np.zeros((3,) * k)), 16)
+        assert values.shape == (16,) * k and not np.any(values)
+
+
+class TestFindRoots:
+    # Descending, in np.roots' order: a zero constant coefficient (a root at 0),
+    # a monomial, degree 1 twice, and companion matrices of sizes 1 to 4, in one call.
+    CASES = [[2.0, -1.0 + 0.5j, 0.25, 0.0], [3.0 - 1.0j, 0.5j], [1.0, 0.3, -0.2j, 0.1],
+             [0.5j, 0.0, 0.0], [1.0, 2.0], [0.7, -0.1 + 0.4j, 0.2, -0.6j, 0.05]]
+
+    def test_matches_numpy_roots_bit_for_bit(self):
+        polys = [Poly(np.array(c[::-1], dtype=complex)) for c in self.CASES]
+        found = find_roots(polys)
+        for c, p, roots in zip(self.CASES, polys, found):
+            expected = np.roots(np.array(c, dtype=complex))
+            assert roots.shape == expected.shape
+            assert roots.astype(complex).tobytes() == expected.astype(complex).tobytes()
+            assert p.roots is roots
+
+    def test_one_eigvals_call_per_size(self, monkeypatch):
+        eigvals, sizes = np.linalg.eigvals, []
+
+        def counted(a):
+            sizes.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        polys = [Poly(np.array(c[::-1], dtype=complex)) for c in self.CASES]
+        find_roots(polys)
+        assert sorted(sizes) == [(1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 1, 1)]
+        find_roots(polys)
+        assert len(sizes) == 4
 
 
 class TestBlaschke:
