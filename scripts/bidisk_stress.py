@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stress ensemble past the benchmark pool: bidisk problems at N = 6 to 20.
+"""Stress ensemble past the benchmark pool: bidisk problems at N = 6 to 24.
 
 Each cell is one N and one pair kind, with ``PROBLEMS`` problems.  Problem k
 of a cell is drawn from ``default_rng([888, N, k, kind])`` with the body of
@@ -8,12 +8,13 @@ uniform in the bidisk square of half-width 0.5, at least 0.05 apart, targets
 of modulus 0.3 to 2.5, and the pair of the kind
 (``bidisk_ensemble.random_pair``): all weight on the first (kind 0) or the
 second (kind 1) coordinate, or a random Hermitian first term with the second
-solved from the identity (kind 2).  Kind 2 is left out at N = 20.  Each problem is solved with ``seed=k`` and certified.  Per cell the
-script prints the certified count, the certificate FAILs, how many problems
-ran the per-node shifted solves (``shifts``: the single solve's fallback,
-counted as in ``scripts/pool_outcomes.py``) and how many of those the shifts
-certified, the solver errors by cause, the indices of the problems not
-certified, and the time.  For kinds 0 and 1 it also solves the same data on
+solved from the identity (kind 2).  Each problem is solved with ``seed=k``
+and certified.  Per cell the script prints the certified count, the
+certificate FAILs, how many problems ran the per-node shifted solves
+(``shifts``: the single solve's fallback, counted as in
+``scripts/pool_outcomes.py``) and how many of those the shifts certified,
+the solver errors by cause, the indices of the problems not certified, and
+the time.  For kinds 0 and 1 it also solves the same data on
 the disk in the weighted coordinate (nodes[:, kind], ``disk.solve`` with
 ``seed=k``) and prints how many problems the disk certifies (``disk``), a
 reference for the bidisk pipeline on one-variable pairs.  The last line adds
@@ -47,13 +48,13 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 from pool_outcomes import count_shift_calls  # noqa: E402
 
-SIZES = (6, 8, 10, 12, 16, 20)
+SIZES = (6, 8, 10, 12, 16, 20, 24)
 KINDS = (0, 1, 2)
 PROBLEMS = 12
 
 
 def cells() -> list[tuple[int, int]]:
-    return [(n, kind) for n in SIZES for kind in KINDS if not (n == 20 and kind == 2)]
+    return [(n, kind) for n in SIZES for kind in KINDS]
 
 
 def stress_problem(n: int, kind: int, k: int):

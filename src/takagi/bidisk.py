@@ -11,8 +11,11 @@ lurking-isometry construction (``realization.lurking_colligation``, here
 with one state block per term) assembles from them a J-unitary colligation
 whose transfer function in two variables,
 phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
-is unimodular on the torus off a finite set and interpolates the data;
-``solve_bidisk`` returns it when it is strict at every node.  Otherwise
+is unimodular on the torus off a finite set and interpolates the data.  Its
+numerator and denominator are determinants sampled on the unit torus
+(``to_birational``), and ``solve_bidisk`` returns reflect(den, d)/den through
+the disk's strict tail (``disk.strict_tail``: den projected onto the weak
+identity, then strict at every node required).  When that breaks down,
 per-node Moebius re-centering in both coordinates plus a real combination
 upgrades weak interpolation to strict, as on the disk: each shift hands on
 its denominator and bidegree only, and ``combine_bidisk`` takes the pair's
@@ -22,7 +25,7 @@ dependent, which ``krein.extend_j_isometry`` handles as on the disk.  The
 polynomials are two-variable ``polynomials.Poly``s and the quotients
 ``polynomials.Rational``s.  Only the per-node solve (``_shifted_denominator``)
 is the bidisk's own; the reflective-pair rule, the pull-back, the vacuous node
-factors, the loop over the shifts, the real combination, the strict check and
+factors, the loop over the shifts, the real combination, the strict tail and
 the torus scan are the disk's (``disk.solve_shifts`` and its neighbours,
 ``polynomials.moebius_pullback``, ``polynomials.boundary_values``).  Every
 bidisk error is a ``disk.SolveError``.
@@ -41,8 +44,8 @@ from .disk import (
     best_reflective_pair,
     combine_shifts,
     enforce_weak_interpolation,
-    require_strict,
     solve_shifts,
+    strict_tail,
 )
 from .linalg import (
     Inertia,
@@ -50,7 +53,6 @@ from .linalg import (
     check_hermitian,
     hermitize,
     resolvent_stack,
-    sample_grid,
     transfer_coefficients,
     transfer_samples,
 )
@@ -64,7 +66,6 @@ from .polynomials import (
     moebius_matrix,
     moebius_pullback,
     pad_coeffs,
-    poly_reflect,
     reduce_common_roots,
 )
 from .realization import Realization, lurking_colligation
@@ -213,25 +214,6 @@ def build_bidisk_realization(
 # Polynomial extraction
 
 
-def _bidisk_radii(r: Realization) -> tuple[float, float]:
-    """Grid radii keeping the sampled determinant away from zero."""
-    candidates = [1.0, 0.9, 1.1, 0.8, 1.25, 0.7, 1.45, 0.55]
-    blocks = r.blocks
-    best = (candidates[0], candidates[0])
-    best_gap = -np.inf
-    for rad1 in candidates:
-        for rad2 in candidates:
-            grid = sample_grid(blocks, (rad1, rad2))
-            vals = np.abs(np.linalg.det(resolvent_stack(r.D, blocks, grid)))
-            gap = float(np.min(vals) / max(np.max(vals), 1e-300))
-            if gap > 1e-6:
-                return rad1, rad2
-            if gap > best_gap:
-                best_gap = gap
-                best = (rad1, rad2)
-    return best
-
-
 # Seeded points at which to_birational checks the extracted quotient against
 # the realization: moduli in [0.2, 1.2) in each coordinate, drawn as
 # (modulus1, turn1, modulus2, turn2) rows.
@@ -242,9 +224,11 @@ CHECK_CHUNK = 32
 
 
 def to_birational(r: Realization) -> Rational:
-    """Exact numerator and denominator det(I - D E_lam) from grid samples and a 2-D DFT.
+    """Exact numerator and denominator det(I - D E_lam) from torus samples and a 2-D DFT.
 
-    The result is checked against the realization at CHECK_POINTS seeded
+    Both come from determinants on the unit torus
+    (``linalg.transfer_coefficients``), so no sample divides by den.  The
+    result is checked against the realization at CHECK_POINTS seeded
     points that keep clear of the realization's singularities and of the
     denominator's zeros; BirationalExtractionError reports a disagreement
     beyond 1e-7.
@@ -252,7 +236,7 @@ def to_birational(r: Realization) -> Rational:
     if r.kappa == 0:
         return Rational(numerator=Poly(np.array([[r.A]])), denominator=Poly.one(2))
     blocks = r.blocks
-    num_c, den_c = transfer_coefficients(r.A, r.B, r.C, r.D, blocks, _bidisk_radii(r))
+    num_c, den_c = transfer_coefficients(r.A, r.B, r.C, r.D, blocks)
     num, den = Poly(num_c), Poly(den_c)
     draws = np.random.default_rng(CHECK_SEED).uniform(
         [0.2, 0.0, 0.2, 0.0], [1.2, 1.0, 1.2, 1.0], size=(CHECK_DRAWS, 4)
@@ -400,9 +384,8 @@ class BidiskSolution(Rational):
 
 def _strict_bidisk(den: Poly, d: tuple[int, int], problem: BidiskProblem, stage: str,
                    inertias: tuple[Inertia, Inertia]) -> BidiskSolution:
-    """reflect(den, d)/den; SolveError naming ``stage`` unless it is strict at every node."""
-    num = poly_reflect(den, d)
-    statuses = require_strict(num, den, problem, stage)
+    """``disk.strict_tail``'s num/den with the data the bidisk certificate reads."""
+    num, den, statuses = strict_tail(den, d, problem, stage)
     return BidiskSolution(numerator=num, denominator=den, bidegree=d, inertias=inertias,
                           node_status=statuses)
 
@@ -431,19 +414,21 @@ def solve_bidisk(
     """Full pipeline: the pair's Gram split, the single solve, certification.
 
     The single solve takes the pair's uncentered realization as reflect(den, d)/den,
-    with ``regularize_pair``'s inertias; only when it breaks down do the
-    re-centered solves answer (``solve_bidisk_shifts``, ``combine_bidisk``);
-    when they break down too, their error is raised with the single solve's as
-    its ``__cause__``.  With no pair, the one-variable embedding with all
-    weight on the first coordinate is used.  PairValidationError when the pair
+    with ``regularize_pair``'s inertias; only when it breaks down (in the
+    extension, the extraction or the strict tail) do the re-centered solves
+    answer (``solve_bidisk_shifts``, ``combine_bidisk``); when they break down
+    too, their error is raised with the single solve's as its ``__cause__``.
+    With no pair, the one-variable embedding with all weight on the first
+    coordinate is used.  PairValidationError, before any solve, when the pair
     misses the decomposition identity.
     """
     if pair is None:
         pair = one_variable_pair(problem, 0)
+    validate_pair(problem, pair)
     grams = regularize_pair(pair)
     inertias = (grams[0].inertia, grams[1].inertia)
-    br = to_birational(build_bidisk_realization(problem, pair, grams))
     try:
+        br = to_birational(build_bidisk_realization(problem, pair, grams))
         den, d = best_reflective_pair(br.numerator, br.denominator)
         solution = _strict_bidisk(den, d, problem, "single solve", inertias)
     except BREAKDOWNS as single_error:

@@ -11,19 +11,22 @@ carry denominators only: ``solve_centered`` returns (den, d), a
 degree, and ``combine`` takes the Pick matrix's inertia from ``solve``, which
 every shifted Pick matrix shares (a congruence).  ``solve`` tries the
 rank-degree path first unless the Pick matrix is singular and indefinite;
-each path is the other's fallback.  Both end in ``_strict_solution``: every
-answer is reflect(den, d)/den with den projected once onto the weak identity.
-The certificate counts zeros and poles against the Pick matrix's inertia.
+each path is the other's fallback.  Both end in ``_strict_solution``, the
+strict tail and a Blaschke split.  The certificate counts zeros and poles
+against the Pick matrix's inertia.
 
-The shifted-solve stage (``solve_shifts``, ``combine_shifts``,
-``require_strict``), the reflective-pair rule (``best_reflective_pair``) and
-the vacuous node factors (``enforce_weak_interpolation``) are written once
-here and serve the bidisk as well.
+The strict tail (``strict_tail``: reflect(den, d)/den, den projected once onto
+the weak identity, strict at every node), the shifted-solve stage
+(``solve_shifts``, ``combine_shifts``), the reflective-pair rule
+(``best_reflective_pair``) and the vacuous node factors
+(``enforce_weak_interpolation``) are written once here and serve the bidisk
+as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -188,27 +191,27 @@ def combine_shifts(family: ShiftedFamily, problem, rng: np.random.Generator) -> 
     return sum((tj * p for tj, p in zip(t, family.dens)), start=Poly())
 
 
-def require_strict(num: Poly, den: Poly, problem, stage: str) -> list[str]:
-    """Per-node statuses of num/den; SolveError naming ``stage`` unless all are strict."""
-    statuses = check_interpolation(num, den, problem)
-    if any(s != "strict" for s in statuses):
-        raise SolveError(f"{stage} is not strict at all nodes: {statuses}")
-    return statuses
-
-
-def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
+def _project_weak(den: Poly, d: int | tuple[int, ...], problem) -> Poly:
     """Minimum-norm coefficient correction making the weak identity exact.
 
-    The constraints reflect(den, d)(lam_i) = w_i den(lam_i) are real-linear in
-    the coefficients; the least-squares correction removes the residual left
-    by the realization arithmetic.  The original polynomial is kept when the
-    correction is large or does not help.  Inside those guards it is
-    real-linear (the residual is real-linear in the coefficients, and the
-    correction is one fixed pseudo-inverse applied to it), so projecting a real
-    combination sum_j t_j den_j once gives sum_j t_j times the projected den_j.
+    The constraints reflect(den, d)(lam_i) = w_i den(lam_i), in one variable
+    or two, are real-linear in the flattened coefficients: V is the row-wise
+    Kronecker product of one Vandermonde matrix per variable, and the
+    reflected side is ``V[:, ::-1]`` (flipping every axis reverses the
+    flattened array).  The least-squares correction removes the residual left
+    by the realization arithmetic; the original polynomial is kept when it is
+    large or does not help.  Inside those guards it is real-linear (the
+    residual is real-linear in the coefficients, and the correction is one
+    fixed pseudo-inverse applied to it), so projecting a real combination
+    sum_j t_j den_j once gives sum_j t_j times the projected den_j.
     """
-    c = pad_coeffs(den.coeffs, (d,))
-    V = np.vander(problem.nodes, d + 1, increasing=True)
+    degrees = tuple(np.atleast_1d(d))
+    padded = pad_coeffs(den.coeffs, degrees)
+    c = padded.ravel()
+    V = reduce(
+        lambda V1, V2: (V1[:, :, None] * V2[:, None, :]).reshape(len(V1), -1),
+        [np.vander(x, k + 1, increasing=True) for x, k in zip(node_coordinates(problem), degrees)],
+    )
     A_c = -(problem.values[:, None] * V)
     A_cbar = V[:, ::-1]
     r = A_c @ c + A_cbar @ np.conj(c)
@@ -219,12 +222,26 @@ def _project_weak(den: Poly, d: int, problem: DiskProblem) -> Poly:
         x, *_ = np.linalg.lstsq(A_real, rhs, rcond=None)
     except np.linalg.LinAlgError:
         return den
-    dc = x[: d + 1] + 1j * x[d + 1 :]
+    dc = x[: c.size] + 1j * x[c.size :]
     if np.linalg.norm(dc) > 1e-3 * max(1.0, np.linalg.norm(c)):
         return den
     c2 = c + dc
     r2 = A_c @ c2 + A_cbar @ np.conj(c2)
-    return Poly(c2) if np.linalg.norm(r2) < np.linalg.norm(r) else den
+    return Poly(c2.reshape(padded.shape)) if np.linalg.norm(r2) < np.linalg.norm(r) else den
+
+
+def strict_tail(den: Poly, d, problem, stage: str) -> tuple[Poly, Poly, list[str]]:
+    """(num, den, per-node statuses) of reflect(den, d)/den, den projected (``_project_weak``).
+
+    The tail of every disk and bidisk answer; raises SolveError naming
+    ``stage`` unless num/den is strict at every node.
+    """
+    den = _project_weak(den, d, problem)
+    num = poly_reflect(den, d)
+    statuses = check_interpolation(num, den, problem)
+    if any(s != "strict" for s in statuses):
+        raise SolveError(f"{stage} is not strict at all nodes: {statuses}")
+    return num, den, statuses
 
 
 def solve_all_shifts(problem: DiskProblem) -> ShiftedFamily:
@@ -263,13 +280,8 @@ def _inner_factor(p: Poly) -> BlaschkeProduct:
 def _strict_solution(
     den: Poly, d: int, problem: DiskProblem, stage: str, inertia: Inertia
 ) -> TakagiSolution:
-    """reflect(den, d)/den with den projected (``_project_weak``), split into Blaschke factors.
-
-    Raises SolveError naming ``stage`` unless num/den is strict at every node.
-    """
-    den = _project_weak(den, d, problem)
-    num = poly_reflect(den, d)
-    statuses = require_strict(num, den, problem, stage)
+    """``strict_tail``'s num/den split into Blaschke factors."""
+    num, den, statuses = strict_tail(den, d, problem, stage)
     f = _inner_factor(num)
     g = _inner_factor(den)
     interp = Rational(numerator=num, denominator=den)

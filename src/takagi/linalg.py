@@ -8,15 +8,15 @@ Numerical Linear Algebra*, 5.2).  ``inertia_of`` counts signs under it, and
 the J-isometry extension finds the radical of a J-Gram with it.
 
 Also holds the kernels that the disk and bidisk solvers share: the randomized
-real-combination search (``real_combination``) and the batched sampling of a
-transfer function, which turns a realization into numerator and denominator
-coefficients (``transfer_coefficients``).
+real-combination search (``real_combination``) and the extraction of a
+realization's numerator and denominator coefficients
+(``transfer_coefficients``): both are determinants, sampled on the unit
+circle or torus and read off by a forward DFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -152,32 +152,39 @@ def transfer_samples(
     return den, phi
 
 
-def sample_grid(blocks: tuple[int, ...], radii: tuple[float, ...]) -> np.ndarray:
-    """Tensor grid with ``blocks[r] + 1`` equispaced points on the circle of radius ``radii[r]``.
+def sample_grid(blocks: tuple[int, ...]) -> np.ndarray:
+    """Tensor grid with ``blocks[r] + 1`` equispaced points on the unit circle in axis r.
 
     Rows run over the grid in C order, one column per axis.
     """
-    axes = [
-        rad * np.exp(2j * np.pi * np.arange(k + 1) / (k + 1)) for k, rad in zip(blocks, radii)
-    ]
+    axes = [np.exp(2j * np.pi * np.arange(k + 1) / (k + 1)) for k in blocks]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(blocks))
 
 
 def transfer_coefficients(
-    A: complex, B: np.ndarray, C: np.ndarray, D: np.ndarray,
-    blocks: tuple[int, ...], radii: tuple[float, ...],
+    A: complex, B: np.ndarray, C: np.ndarray, D: np.ndarray, blocks: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient arrays (num, den) of ``phi = num / den`` with ``den = det(I - D E_z)``.
 
     Both are polynomials of degree at most ``blocks[r]`` in ``z[r]``, so their
-    values on ``sample_grid(blocks, radii)`` fix them: ``coeffs[k1, ..., kn]``
-    multiplies the monomial ``z1**k1 ... zn**kn``.  The radii should keep the
-    grid away from the zeros of ``den``.
+    values on ``sample_grid(blocks)`` fix them: ``coeffs[k1, ..., kn]``
+    multiplies the monomial ``z1**k1 ... zn**kn``.  By the Schur complement
+    ``num = den * phi`` is the bordered determinant
+    ``det([[I - D E_z, C], [-B E_z, A]])``, so no sample divides by ``den`` and
+    every sample is finite, even where ``I - D E_z`` is singular.
     """
     shape = tuple(k + 1 for k in blocks)
-    den, phi = transfer_samples(A, B, C, D, blocks, sample_grid(blocks, radii))
-    num = den * phi
-    # Samples sit at rad * exp(+2 pi i m / M), so coefficients come from the
-    # forward DFT (an inverse one would reconstruct them in reversed order).
-    scale = reduce(np.multiply.outer, [rad ** np.arange(m) for m, rad in zip(shape, radii)])
-    return tuple(np.fft.fftn(v.reshape(shape)) / v.size / scale for v in (num, den))
+    points = sample_grid(blocks)
+    M = resolvent_stack(D, blocks, points)
+    n = D.shape[0]
+    bordered = np.empty((len(points), n + 1, n + 1), dtype=complex)
+    bordered[:, :n, :n] = M
+    bordered[:, :n, n] = C
+    bordered[:, n, :n] = -(np.repeat(points, blocks, axis=1) * B)
+    bordered[:, n, n] = A
+    # Samples sit at exp(+2 pi i m / M), so coefficients come from the forward
+    # DFT (an inverse one would reconstruct them in reversed order); on the
+    # unit circle it is unitary up to the 1 / size.
+    return tuple(
+        np.fft.fftn(v.reshape(shape)) / v.size for v in (np.linalg.det(bordered), np.linalg.det(M))
+    )

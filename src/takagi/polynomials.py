@@ -310,6 +310,11 @@ def ratio_agreement(num0: Poly, den0: Poly, num1: Poly, den1: Poly) -> float:
     return worst
 
 
+# The common factor of a pair with no near-common root: one shared constant,
+# built once, since the early exit of poly_gcd_numeric is its common case.
+_UNIT = Poly.one()
+
+
 def poly_gcd_numeric(p: Poly, q: Poly, tol: float = 1e-8) -> tuple[Poly, Poly, Poly]:
     """Cancel near-common roots of p and q.
 
@@ -317,13 +322,13 @@ def poly_gcd_numeric(p: Poly, q: Poly, tol: float = 1e-8) -> tuple[Poly, Poly, P
     divided out.  Returns (reduced p, reduced q, common factor); the common
     factor is monic with roots taken from p's side of each pair.  When no
     pair of roots is within ``tol`` (one distance matrix), nothing pairs and
-    the result is (p, q, 1) with p and q themselves.
+    the result is (p, q, 1) with p and q themselves and a shared constant 1.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("numeric GCD requires nonzero polynomials")
     rp, rq = poly_roots(p), list(poly_roots(q))
     if not rp.size or not rq or np.min(np.abs(np.subtract.outer(rp, rq))) > tol:
-        return p, q, Poly.one()
+        return p, q, _UNIT
     common = []
     kept_p = []
     for r in rp:

@@ -15,9 +15,11 @@ there alone; callers pass only the splits.  The evaluators
 ``state_vector``, ``eval_realization`` and ``kernel_forms`` serve any k.
 
 The one-variable numerator/denominator polynomials, den = det(I - lam D) and
-den * phi, come from samples on a circle and a forward DFT
-(``realization_to_rational``), through the batched kernel
-``linalg.transfer_coefficients`` that the bidisk extraction shares.  The
+den * phi, come from samples on the unit circle and a forward DFT
+(``realization_to_rational``), through the kernel
+``linalg.transfer_coefficients`` that the bidisk extraction shares.  Both
+samples are determinants (den * phi is a bordered one), so a root of den on
+the circle costs nothing.  The
 Faddeev-LeVerrier recurrence (``faddeev_leverrier``) gives the same
 polynomials exactly in arithmetic but loses accuracy for widely spread
 eigenvalues of D; it is kept as a reference.
@@ -166,26 +168,13 @@ def faddeev_leverrier(D: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return p, Ms
 
 
-def _sampling_radius(r: Realization) -> float:
-    """Circle radius staying clear of the moduli of the denominator roots."""
-    eigs = np.linalg.eigvals(r.D)
-    moduli = np.array([1.0 / abs(d) for d in eigs if abs(d) > 1e-300])
-    candidates = [1.0, 0.9, 1.1, 0.8, 1.25, 0.7, 1.45, 0.55, 1.7, 0.45, 2.0, 0.35, 2.5]
-    for rad in candidates:
-        if moduli.size == 0 or np.min(np.abs(moduli - rad)) > 0.03:
-            return rad
-    gaps = [float(np.min(np.abs(moduli - rad))) for rad in candidates]
-    return candidates[int(np.argmax(gaps))]
-
-
 def _rational_by_sampling(r: Realization) -> tuple[Poly, Poly]:
-    """num/den coefficients from values on a circle, via the forward DFT.
+    """num/den coefficients from determinants on the unit circle, via the forward DFT.
 
-    The samples come from ``linalg.transfer_coefficients``, the batched kernel
-    shared with the bidisk extraction; the circle avoids the roots of the
-    denominator (``_sampling_radius``).
+    The samples come from ``linalg.transfer_coefficients``, the kernel shared
+    with the bidisk extraction.
     """
-    num, den = transfer_coefficients(r.A, r.B, r.C, r.D, (r.kappa,), (_sampling_radius(r),))
+    num, den = transfer_coefficients(r.A, r.B, r.C, r.D, (r.kappa,))
     return Poly(num), Poly(den)
 
 
@@ -193,7 +182,7 @@ def realization_to_rational(r: Realization) -> tuple[Poly, Poly]:
     """Exact (numerator, denominator) of phi with den = det(I - lam D).
 
     Both are polynomials of degree at most kappa, recovered from kappa + 1
-    samples of den and den * phi on a circle (``_rational_by_sampling``).
+    samples of den and den * phi on the unit circle (``_rational_by_sampling``).
     """
     if r.kappa == 0:
         return Poly(np.array([r.A])), Poly.one()

@@ -7,6 +7,7 @@ import pytest
 import takagi.bidisk as bidisk_module
 import takagi.disk as disk_module
 from takagi.disk import CombinationError, SolveError
+from takagi.krein import ExtensionError
 from takagi.bidisk import (
     _shifted_denominator,
     _transport_pair,
@@ -403,6 +404,35 @@ class TestSolveBidisk:
             solve_bidisk(p, pair, seed=0)
         assert str(info.value.__cause__) == "single solve is not strict at all nodes: forced"
 
+    def test_single_solve_extraction_breakdown_reaches_the_shifts(self, monkeypatch):
+        # The single solve's extraction is the first call; it breaks down, and
+        # the shifts' own extractions go through.
+        extract, shifts, calls = bidisk_module.to_birational, solve_bidisk_shifts, []
+
+        def first_breaks_down(r):
+            calls.append("extract")
+            if len(calls) == 1:
+                raise ExtensionError("forced")
+            return extract(r)
+
+        def counted(problem, pair):
+            calls.append("shifts")
+            return shifts(problem, pair)
+
+        monkeypatch.setattr(bidisk_module, "to_birational", first_breaks_down)
+        monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", counted)
+        problem, pair, _ = load_problem(str(PAIR_FILE))
+        sol = solve_bidisk(problem, pair, seed=0)
+        assert calls[:2] == ["extract", "shifts"]
+        assert sol.certificates["pass"]
+
+    def test_bad_pair_raises_before_any_solve(self):
+        rng = np.random.default_rng(4)
+        p = random_bidisk_problem(rng, n_max=3)
+        bad = AglerPair(gamma1=np.eye(p.size) * 5.0, gamma2=np.eye(p.size) * 5.0)
+        with pytest.raises(PairValidationError):
+            solve_bidisk(p, bad, seed=0)
+
     def test_default_pair_strict(self):
         rng = np.random.default_rng(8)
         p = random_bidisk_problem(rng, n_max=3)
@@ -491,18 +521,18 @@ class TestSingleSolve:
         assert sol.node_status == ["strict"] * problem.size
 
     def test_shifts_answer_when_single_solve_breaks_down(self, monkeypatch):
-        require_strict, shifts, calls = bidisk_module.require_strict, solve_bidisk_shifts, []
+        strict_tail, shifts, calls = bidisk_module.strict_tail, solve_bidisk_shifts, []
 
-        def single_breaks_down(num, den, problem, stage):
+        def single_breaks_down(den, d, problem, stage):
             if stage == "single solve":
                 raise SolveError("single solve is not strict at all nodes: forced")
-            return require_strict(num, den, problem, stage)
+            return strict_tail(den, d, problem, stage)
 
         def counted(problem, pair):
             calls.append(problem.size)
             return shifts(problem, pair)
 
-        monkeypatch.setattr(bidisk_module, "require_strict", single_breaks_down)
+        monkeypatch.setattr(bidisk_module, "strict_tail", single_breaks_down)
         monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", counted)
         problem, pair = self._problem()
         sol = solve_bidisk(problem, pair, seed=0)

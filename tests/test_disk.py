@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import takagi.disk as disk_module
+from takagi.bidisk import (
+    build_bidisk_realization,
+    regularize_pair,
+    solve_bidisk,
+    solve_bidisk_shifts,
+    to_birational,
+)
 from takagi.disk import (
     CombinationError,
     ShiftedFamily,
@@ -14,9 +23,11 @@ from takagi.disk import (
     solve_all_shifts,
     solve_centered,
 )
+from takagi.io import load_problem
 from takagi.linalg import Inertia
 from takagi.pick import DiskProblem, gram_decompose, pick_matrix
 from takagi.polynomials import Poly, Rational, pad_coeffs, poly_reflect, vacuous_node_factor
+from takagi.verify import node_coordinates
 
 # Nodes and targets of problems/disk_basic.json; every shift solves.
 BASIC = DiskProblem(
@@ -205,24 +216,58 @@ class TestShiftInertia:
             assert gram_decompose(pick_matrix(p)).inertia == inertia
 
 
+PAIR_FILE = Path(__file__).resolve().parent.parent / "problems" / "bidisk_pair.json"
+
+
+def basic_shifts():
+    return BASIC, solve_all_shifts(BASIC)
+
+
+def bidisk_pair_shifts():
+    problem, pair, _ = load_problem(str(PAIR_FILE))
+    return problem, solve_bidisk_shifts(problem, pair)
+
+
+def weak_residual(num, den, problem):
+    """Norm over the nodes of num - w * den, the residual ``_project_weak`` removes."""
+    coords = node_coordinates(problem)
+    return float(np.linalg.norm(num(*coords) - problem.values * den(*coords)))
+
+
 class TestProjection:
     def test_commutes_with_a_real_combination(self):
         # The shifted denominators, each moved off the weak identity by a 1e-5
-        # coefficient perturbation, so that every projection corrects visibly.
-        rng = np.random.default_rng(3)
-        fam = solve_all_shifts(BASIC)
-        d = fam.refl_degree
-        dens = [Poly(pad_coeffs(p.coeffs, (d,)) + 1e-5 * p.norm() * (
-            rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))) for p in fam.dens]
-        t = rng.normal(size=len(dens))
-        projected = [disk_module._project_weak(p, d, BASIC) for p in dens]
-        for p, q in zip(dens, projected):
-            assert np.linalg.norm(pad_coeffs(q.coeffs, (d,)) - pad_coeffs(p.coeffs, (d,))) > 1e-7
-        combined = sum((tj * p for tj, p in zip(t, dens)), start=Poly())
-        once = disk_module._project_weak(combined, d, BASIC)
-        each = sum((tj * q for tj, q in zip(t, projected)), start=Poly())
-        diff = pad_coeffs(once.coeffs, (d,)) - pad_coeffs(each.coeffs, (d,))
-        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(each.coeffs)
+        # coefficient perturbation, so that every projection corrects visibly;
+        # on the disk and on the bidisk.
+        for shifts in (basic_shifts, bidisk_pair_shifts):
+            rng = np.random.default_rng(3)
+            problem, fam = shifts()
+            d = fam.refl_degree
+            degrees = tuple(np.atleast_1d(d))
+            shape = tuple(k + 1 for k in degrees)
+            dens = [Poly(pad_coeffs(p.coeffs, degrees) + 1e-5 * p.norm() * (
+                rng.normal(size=shape) + 1j * rng.normal(size=shape))) for p in fam.dens]
+            t = rng.normal(size=len(dens))
+            projected = [disk_module._project_weak(p, d, problem) for p in dens]
+            for p, q in zip(dens, projected):
+                change = pad_coeffs(q.coeffs, degrees) - pad_coeffs(p.coeffs, degrees)
+                assert np.linalg.norm(change) > 1e-7
+            combined = sum((tj * p for tj, p in zip(t, dens)), start=Poly())
+            once = disk_module._project_weak(combined, d, problem)
+            each = sum((tj * q for tj, q in zip(t, projected)), start=Poly())
+            diff = pad_coeffs(once.coeffs, degrees) - pad_coeffs(each.coeffs, degrees)
+            assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(each.coeffs)
+
+    def test_bidisk_answer_is_projected(self):
+        # The single solve's answer on problems/bidisk_pair.json against its raw
+        # extraction: the projection leaves a smaller weak residual.
+        problem, pair, _ = load_problem(str(PAIR_FILE))
+        br = to_birational(build_bidisk_realization(problem, pair, regularize_pair(pair)))
+        raw, d = best_reflective_pair(br.numerator, br.denominator)
+        sol = solve_bidisk(problem, pair, seed=0, certify=False)
+        assert sol.bidegree == d
+        assert weak_residual(sol.numerator, sol.denominator, problem) < weak_residual(
+            poly_reflect(raw, d), raw, problem)
 
 
 class TestCombine:

@@ -19,7 +19,7 @@ from takagi.linalg import (
 from takagi.io import load_problem
 from takagi.pick import DiskProblem, pick_matrix
 from takagi.polynomials import Poly
-from takagi.realization import Realization, eval_realization
+from takagi.realization import Realization, eval_realization, faddeev_leverrier
 
 from mp_reference import inertia_60_digits
 
@@ -161,12 +161,12 @@ def test_transfer_kernel_one_axis_matches_per_sample_loop(k):
         M = np.eye(k, dtype=complex) - z * D
         return np.linalg.det(M), np.linalg.det(M) * (A + z * (B @ np.linalg.solve(M, C)))
 
-    z = sample_grid((k,), (0.9,))
+    z = sample_grid((k,))
     den, phi = transfer_samples(A, B, C, D, (k,), z)
     expected = np.array([loop(zm) for zm in z[:, 0]])
     assert np.array_equal(den, expected[:, 0])
     assert np.allclose(den * phi, expected[:, 1], rtol=1e-13, atol=0)
-    num_c, den_c = transfer_coefficients(A, B, C, D, (k,), (0.9,))
+    num_c, den_c = transfer_coefficients(A, B, C, D, (k,))
     assert num_c.shape == den_c.shape == (k + 1,)
     for zm in 0.7 * np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5):
         d, n = loop(zm)
@@ -179,7 +179,7 @@ def test_transfer_kernel_two_axes_matches_bidisk_evaluation(blocks):
     rng = np.random.default_rng(sum(blocks) + 10 * blocks[0])
     A, B, C, D = random_colligation_blocks(rng, sum(blocks))
     r = Realization(A=A, B=B, C=C, D=D, J1=SignatureMatrix(np.ones(sum(blocks))), blocks=blocks)
-    num_c, den_c = transfer_coefficients(A, B, C, D, blocks, (1.0, 1.0))
+    num_c, den_c = transfer_coefficients(A, B, C, D, blocks)
     assert num_c.shape == den_c.shape == (blocks[0] + 1, blocks[1] + 1)
     num, den = Poly(num_c), Poly(den_c)
     for _ in range(10):
@@ -188,3 +188,40 @@ def test_transfer_kernel_two_axes_matches_bidisk_evaluation(blocks):
         assert abs(num(*z) / den(*z) - direct) < 1e-10 * (1 + abs(direct))
         E = np.repeat(z, blocks)
         assert abs(den(*z) - np.linalg.det(np.eye(sum(blocks)) - D * E)) < 1e-12
+
+
+def colligation_with_unit_eigenvalue(rng, k):
+    """Colligation blocks whose D has the eigenvalue 1, so I - D E_z is singular at z = 1."""
+    A, B, C, _ = random_colligation_blocks(rng, k)
+    X = np.eye(k) + 0.3 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    rest = 0.5 * (rng.uniform(-1, 1, k - 1) + 1j * rng.uniform(-1, 1, k - 1))
+    return A, B, C, X @ np.diag(np.concatenate([[1.0], rest])) @ np.linalg.inv(X)
+
+
+def test_transfer_kernel_one_axis_is_division_free():
+    # z = 1 is a sample point and I - D is singular there; den is
+    # Faddeev-LeVerrier's det(I - z D) and num = A den + z B adj(I - z D) C.
+    rng = np.random.default_rng(41)
+    k = 4
+    A, B, C, D = colligation_with_unit_eigenvalue(rng, k)
+    assert sample_grid((k,))[0, 0] == 1.0
+    assert abs(np.linalg.det(np.eye(k) - D)) < 1e-12
+    num_c, den_c = transfer_coefficients(A, B, C, D, (k,))
+    p, Ms = faddeev_leverrier(D)
+    num = A * p + np.concatenate([[0.0], [B @ M @ C for M in Ms]])
+    assert np.max(np.abs(den_c - p)) < 1e-12 * max(1.0, np.max(np.abs(p)))
+    assert np.max(np.abs(num_c - num)) < 1e-12 * max(1.0, np.max(np.abs(num)))
+
+
+def test_transfer_kernel_two_axes_is_division_free():
+    # I - D E_z is singular at the sample point z = (1, 1).
+    blocks = (2, 3)
+    rng = np.random.default_rng(42)
+    A, B, C, D = colligation_with_unit_eigenvalue(rng, sum(blocks))
+    assert abs(np.linalg.det(np.eye(sum(blocks)) - D)) < 1e-12
+    r = Realization(A=A, B=B, C=C, D=D, J1=SignatureMatrix(np.ones(sum(blocks))), blocks=blocks)
+    num, den = (Poly(c) for c in transfer_coefficients(A, B, C, D, blocks))
+    for _ in range(10):
+        z = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) * 0.6
+        direct = eval_realization(r, z)
+        assert abs(num(*z) / den(*z) - direct) < 1e-10 * (1 + abs(direct))
