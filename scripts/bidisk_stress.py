@@ -13,10 +13,11 @@ and certified.  Per cell the script prints the certified count, the
 certificate FAILs, how many problems ran the per-node shifted solves
 (``shifts``: the single solve's fallback, counted as in
 ``scripts/pool_outcomes.py``) and how many of those the shifts certified,
-the solver errors by cause, the indices of the problems not certified, and
-the time.  For kinds 0 and 1 it also solves the same data on
-the disk in the weighted coordinate (nodes[:, kind], ``disk.solve`` with
-``seed=k``) and prints how many problems the disk certifies (``disk``), a
+the solver errors by cause, the single solve's causes of the errors that
+the shifts raised (``single``: the error's ``__cause__``), the indices of the
+problems not certified, and the time.  For kinds 0 and 1 it also solves the
+same data on the disk in the weighted coordinate (nodes[:, kind],
+``disk.solve`` with ``seed=k``) and prints how many problems the disk certifies (``disk``), a
 reference for the bidisk pipeline on one-variable pairs.  The last line adds
 up the shift counts, counts the errors whose class is not one of
 ``takagi``'s own, and counts the problems that the disk certifies and the
@@ -72,6 +73,11 @@ def stress_problem(n: int, kind: int, k: int):
     return problem, random_pair(problem, kind, rng)
 
 
+def cause(exc: BaseException) -> str:
+    """Class and message head of a solver error, the key its tallies count."""
+    return f"{type(exc).__name__}: {re.split(r'[:(]', str(exc))[0].strip()}"
+
+
 def disk_certifies(problem, kind: int, k: int) -> bool:
     """Whether ``disk.solve`` certifies the data in coordinate ``kind`` with ``seed=k``."""
     from takagi.disk import solve
@@ -93,7 +99,7 @@ def run(tree: Path) -> None:
     total_disk_only = 0
     for n, kind in cells():
         start = time.perf_counter()
-        certified, cert_fail, missed, causes = 0, 0, [], Counter()
+        certified, cert_fail, missed, causes, single_causes = 0, 0, [], Counter(), Counter()
         shifted, shift_certified = 0, 0
         disk_certified = 0
         for k in range(PROBLEMS):
@@ -103,7 +109,9 @@ def run(tree: Path) -> None:
             try:
                 sol = solve_bidisk(problem, pair, seed=k)
             except Exception as exc:  # every solver failure is a recorded outcome
-                causes[f"{type(exc).__name__}: {re.split(r'[:(]', str(exc))[0].strip()}"] += 1
+                causes[cause(exc)] += 1
+                if exc.__cause__ is not None:
+                    single_causes[cause(exc.__cause__)] += 1
                 untyped += not type(exc).__module__.startswith("takagi")
                 missed.append(k)
             else:
@@ -127,6 +135,7 @@ def run(tree: Path) -> None:
         print(f"N={n:2} kind {kind}: certified {certified}/{PROBLEMS}, "
               f"certificate FAIL {cert_fail}, shifts {shifted} (certified {shift_certified}), "
               f"{disk}errors {dict(sorted(causes.items()))}, "
+              f"single {dict(sorted(single_causes.items()))}, "
               f"missed {missed} ({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"certified {total}/{PROBLEMS * len(cells())}, certificate FAIL {total_fail}, "
           f"shifts {total_shifted} (certified {total_shift_certified}), "

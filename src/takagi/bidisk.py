@@ -12,10 +12,13 @@ with one state block per term) assembles from them a J-unitary colligation
 whose transfer function in two variables,
 phi(lam) = A + B E_lam (I - D E_lam)^{-1} C with E_lam block-scalar,
 is unimodular on the torus off a finite set and interpolates the data.  Its
-numerator and denominator are determinants sampled on the unit torus
-(``to_birational``), and ``solve_bidisk`` returns reflect(den, d)/den through
-the disk's strict tail (``disk.strict_tail``: den projected onto the weak
-identity, then strict at every node required).  When that breaks down,
+numerator and denominator are determinants sampled on the unit torus, by the
+disk's extraction with two state blocks
+(``realization.realization_to_rational``, which ``to_birational`` wraps);
+nothing checks them against the realization, since the certificate judges
+the answer.  ``solve_bidisk`` returns reflect(den, d)/den through the disk's
+strict tail (``disk.strict_tail``: den projected onto the weak identity, then
+strict at every node required).  When that breaks down,
 per-node Moebius re-centering in both coordinates plus a real combination
 upgrades weak interpolation to strict, as on the disk: each shift hands on
 its denominator and bidegree only, and ``combine_bidisk`` takes the pair's
@@ -24,11 +27,12 @@ given: a singular term makes the lurking isometry's domain vectors
 dependent, which ``krein.extend_j_isometry`` handles as on the disk.  The
 polynomials are two-variable ``polynomials.Poly``s and the quotients
 ``polynomials.Rational``s.  Only the per-node solve (``_shifted_denominator``)
-is the bidisk's own; the reflective-pair rule, the pull-back, the vacuous node
-factors, the loop over the shifts, the real combination, the strict tail and
-the torus scan are the disk's (``disk.solve_shifts`` and its neighbours,
-``polynomials.moebius_pullback``, ``polynomials.boundary_values``).  Every
-bidisk error is a ``disk.SolveError``.
+is the bidisk's own; the extraction, the reflective-pair rule, the
+pull-back, the vacuous node factors, the loop over the shifts, the real
+combination, the strict tail and the torus scan are the disk's
+(``disk.solve_shifts`` and its neighbours, ``polynomials.moebius_pullback``,
+``polynomials.boundary_values``).  Every bidisk error is a
+``disk.SolveError``.
 """
 
 from __future__ import annotations
@@ -47,15 +51,7 @@ from .disk import (
     solve_shifts,
     strict_tail,
 )
-from .linalg import (
-    Inertia,
-    check_finite,
-    check_hermitian,
-    hermitize,
-    resolvent_stack,
-    transfer_coefficients,
-    transfer_samples,
-)
+from .linalg import Inertia, check_finite, check_hermitian, hermitize
 from .pick import DiskProblem, GramDecomposition, check_distinct_nodes, gram_decompose, pick_matrix
 from .polynomials import (
     MoebiusMap,
@@ -68,7 +64,7 @@ from .polynomials import (
     pad_coeffs,
     reduce_common_roots,
 )
-from .realization import Realization, lurking_colligation
+from .realization import Realization, lurking_colligation, realization_to_rational
 from .verify import TORAL_NUMERATOR, certify_bidisk, near_pole
 
 PAIR_RESIDUAL_TOL = 1e-9
@@ -82,10 +78,6 @@ class PairValidationError(BidiskError):
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(f"decomposition identity residual {residual:.3e} beyond tolerance")
-
-
-class BirationalExtractionError(BidiskError):
-    pass
 
 
 class RestrictionBreakdown(BidiskError):
@@ -214,53 +206,13 @@ def build_bidisk_realization(
 # Polynomial extraction
 
 
-# Seeded points at which to_birational checks the extracted quotient against
-# the realization: moduli in [0.2, 1.2) in each coordinate, drawn as
-# (modulus1, turn1, modulus2, turn2) rows.
-CHECK_SEED = 20240
-CHECK_POINTS = 24
-CHECK_DRAWS = 200
-CHECK_CHUNK = 32
-
-
 def to_birational(r: Realization) -> Rational:
-    """Exact numerator and denominator det(I - D E_lam) from torus samples and a 2-D DFT.
+    """``realization.realization_to_rational`` of the two-block realization, as a ``Rational``.
 
-    Both come from determinants on the unit torus
-    (``linalg.transfer_coefficients``), so no sample divides by den.  The
-    result is checked against the realization at CHECK_POINTS seeded
-    points that keep clear of the realization's singularities and of the
-    denominator's zeros; BirationalExtractionError reports a disagreement
-    beyond 1e-7.
+    Numerator and denominator det(I - D E_lam) come from determinants on the
+    unit torus and a 2-D DFT, the disk's extraction with two state blocks.
     """
-    if r.kappa == 0:
-        return Rational(numerator=Poly(np.array([[r.A]])), denominator=Poly.one(2))
-    blocks = r.blocks
-    num_c, den_c = transfer_coefficients(r.A, r.B, r.C, r.D, blocks)
-    num, den = Poly(num_c), Poly(den_c)
-    draws = np.random.default_rng(CHECK_SEED).uniform(
-        [0.2, 0.0, 0.2, 0.0], [1.2, 1.0, 1.2, 1.0], size=(CHECK_DRAWS, 4)
-    )
-    points = draws[:, 0::2] * np.exp(2j * np.pi * draws[:, 1::2])
-    den_floor = 1e-10 * max(den.norm(), 1.0)
-    errors = []
-    for start in range(0, CHECK_DRAWS, CHECK_CHUNK):
-        z = points[start : start + CHECK_CHUNK]
-        s = np.linalg.svd(resolvent_stack(r.D, blocks, z), compute_uv=False)
-        z = z[s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)]
-        dv = den(z[:, 0], z[:, 1])
-        keep = np.abs(dv) >= den_floor
-        z, dv = z[keep], dv[keep]
-        _, direct = transfer_samples(r.A, r.B, r.C, r.D, blocks, z)
-        errors.extend(np.abs(num(z[:, 0], z[:, 1]) / dv - direct) / (1.0 + np.abs(direct)))
-        if len(errors) >= CHECK_POINTS:
-            break
-    worst = max(errors[:CHECK_POINTS], default=0.0)
-    if worst > 1e-7:
-        raise BirationalExtractionError(
-            f"polynomial extraction disagrees with the realization ({worst:.3e})"
-        )
-    return Rational(numerator=num, denominator=den)
+    return Rational(*realization_to_rational(r))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +367,7 @@ def solve_bidisk(
 
     The single solve takes the pair's uncentered realization as reflect(den, d)/den,
     with ``regularize_pair``'s inertias; only when it breaks down (in the
-    extension, the extraction or the strict tail) do the re-centered solves
+    extension, the reflective pair or the strict tail) do the re-centered solves
     answer (``solve_bidisk_shifts``, ``combine_bidisk``); when they break down
     too, their error is raised with the single solve's as its ``__cause__``.
     With no pair, the one-variable embedding with all weight on the first

@@ -132,26 +132,6 @@ def resolvent_stack(D: np.ndarray, blocks: tuple[int, ...], points: np.ndarray) 
     return np.eye(D.shape[0], dtype=complex) - e[:, None, :] * D
 
 
-def transfer_samples(
-    A: complex, B: np.ndarray, C: np.ndarray, D: np.ndarray,
-    blocks: tuple[int, ...], points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``det(I - D E_z)`` and ``phi(z) = A + B E_z (I - D E_z)^-1 C`` at each row of ``points``.
-
-    One stacked determinant and one stacked solve serve every point.  The sum
-    runs over the blocks as ``z[r] * (B_r @ x_r)``, with x the state.
-    """
-    M = resolvent_stack(D, blocks, points)
-    den = np.linalg.det(M)
-    x = np.linalg.solve(M, C)
-    bounds = np.cumsum((0, *blocks))
-    phi = A + sum(
-        points[:, r] * (x[:, None, lo:hi] @ B[lo:hi, None])[:, 0, 0]
-        for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    )
-    return den, phi
-
-
 def sample_grid(blocks: tuple[int, ...]) -> np.ndarray:
     """Tensor grid with ``blocks[r] + 1`` equispaced points on the unit circle in axis r.
 

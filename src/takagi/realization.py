@@ -14,15 +14,14 @@ J-unitary matrix.  The state layout (x_i, J1 and the block sizes) is built
 there alone; callers pass only the splits.  The evaluators
 ``state_vector``, ``eval_realization`` and ``kernel_forms`` serve any k.
 
-The one-variable numerator/denominator polynomials, den = det(I - lam D) and
-den * phi, come from samples on the unit circle and a forward DFT
-(``realization_to_rational``), through the kernel
-``linalg.transfer_coefficients`` that the bidisk extraction shares.  Both
-samples are determinants (den * phi is a bordered one), so a root of den on
-the circle costs nothing.  The
-Faddeev-LeVerrier recurrence (``faddeev_leverrier``) gives the same
-polynomials exactly in arithmetic but loses accuracy for widely spread
-eigenvalues of D; it is kept as a reference.
+The numerator/denominator polynomials, den = det(I - D E_lam) and den * phi,
+come from samples on the unit circle (k = 1) or torus (k = 2) and a forward
+DFT (``realization_to_rational``, through ``linalg.transfer_coefficients``);
+the disk and the bidisk both extract there.  Both samples are determinants
+(den * phi is a bordered one), so a root of den on the circle or torus costs
+nothing.  The one-variable Faddeev-LeVerrier recurrence
+(``faddeev_leverrier``) gives the same polynomials exactly in arithmetic but
+loses accuracy for widely spread eigenvalues of D; it is kept as a reference.
 """
 
 from __future__ import annotations
@@ -169,23 +168,23 @@ def faddeev_leverrier(D: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _rational_by_sampling(r: Realization) -> tuple[Poly, Poly]:
-    """num/den coefficients from determinants on the unit circle, via the forward DFT.
-
-    The samples come from ``linalg.transfer_coefficients``, the kernel shared
-    with the bidisk extraction.
-    """
-    num, den = transfer_coefficients(r.A, r.B, r.C, r.D, (r.kappa,))
+    """num/den coefficients from determinants on the unit circle or torus, via the forward DFT."""
+    num, den = transfer_coefficients(r.A, r.B, r.C, r.D, r.blocks)
     return Poly(num), Poly(den)
 
 
 def realization_to_rational(r: Realization) -> tuple[Poly, Poly]:
-    """Exact (numerator, denominator) of phi with den = det(I - lam D).
+    """Exact (numerator, denominator) of phi with den = det(I - D E_lam), for any k.
 
-    Both are polynomials of degree at most kappa, recovered from kappa + 1
-    samples of den and den * phi on the unit circle (``_rational_by_sampling``).
+    Both are polynomials of degree at most ``blocks[r]`` in lam[r], recovered
+    from samples of den and den * phi on the grid of ``linalg.sample_grid``
+    (``_rational_by_sampling``).  The disk and the bidisk both extract here,
+    and nothing re-checks the result against the realization: the
+    certificate judges the answer built from it.
     """
     if r.kappa == 0:
-        return Poly(np.array([r.A])), Poly.one()
+        k = len(r.blocks)
+        return Poly(np.full((1,) * k, r.A)), Poly.one(k)
     return _rational_by_sampling(r)
 
 

@@ -6,8 +6,9 @@ import pytest
 
 import takagi.bidisk as bidisk_module
 import takagi.disk as disk_module
-from takagi.disk import CombinationError, SolveError
-from takagi.krein import ExtensionError
+import takagi.realization as realization_module
+from takagi.disk import CombinationError, ReflectiveStructureError, SolveError, best_reflective_pair
+from takagi.krein import ExtensionError, SignatureMatrix
 from takagi.bidisk import (
     _shifted_denominator,
     _transport_pair,
@@ -15,7 +16,6 @@ from takagi.bidisk import (
     BidiskProblem,
     BidiskSolution,
     BidiskSolveError,
-    BirationalExtractionError,
     PairValidationError,
     build_bidisk_realization,
     combine_bidisk,
@@ -40,7 +40,7 @@ from takagi.polynomials import (
     roots_in_disk,
     vacuous_node_factor,
 )
-from takagi.realization import eval_realization, kernel_forms
+from takagi.realization import Realization, eval_realization, kernel_forms, realization_to_rational
 from takagi.verify import BALANCED_RESTRICTIONS, certify_bidisk, check_unimodular, torus_unimodularity
 
 
@@ -212,11 +212,14 @@ class TestBirationalExtraction:
             assert abs(br.numerator(z[0], z[1]) / dv - direct) < 1e-6 * (1 + abs(direct))
 
     def test_wrong_coefficient_is_rejected(self, monkeypatch):
+        # No check against the realization: the perturbed pair is no longer
+        # reflective (raw defect 1e-5, beyond REFLECTIVE_DEFECT), so the
+        # reflective-pair rule that every bidisk answer goes through rejects it.
         rng = np.random.default_rng(5)
         p = random_bidisk_problem(rng, n_max=3)
         pair = random_two_variable_pair(p, rng)
         r = build_bidisk_realization(p, pair, regularize_pair(pair))
-        extract = bidisk_module.transfer_coefficients
+        extract = realization_module.transfer_coefficients
 
         def perturbed(*args):
             num, den = extract(*args)
@@ -224,9 +227,20 @@ class TestBirationalExtraction:
             num[0, 0] += 1e-5 * np.max(np.abs(num))
             return num, den
 
-        monkeypatch.setattr(bidisk_module, "transfer_coefficients", perturbed)
-        with pytest.raises(BirationalExtractionError):
-            to_birational(r)
+        monkeypatch.setattr(realization_module, "transfer_coefficients", perturbed)
+        br = to_birational(r)
+        with pytest.raises(ReflectiveStructureError):
+            best_reflective_pair(br.numerator, br.denominator)
+
+    def test_zero_state_gives_two_variable_constants(self):
+        r = Realization(A=0.6 - 0.8j, B=np.zeros(0), C=np.zeros(0), D=np.zeros((0, 0)),
+                        J1=SignatureMatrix(np.zeros(0)), blocks=(0, 0))
+        num, den = realization_to_rational(r)
+        assert num.coeffs.shape == den.coeffs.shape == (1, 1)
+        assert num.coeffs[0, 0] == 0.6 - 0.8j and den.coeffs[0, 0] == 1.0
+        br = to_birational(r)
+        assert np.array_equal(br.numerator.coeffs, num.coeffs)
+        assert np.array_equal(br.denominator.coeffs, den.coeffs)
 
     def test_torus_unimodularity_and_toral_report(self):
         rng = np.random.default_rng(6)
@@ -499,6 +513,29 @@ class TestSolveBidisk:
         sol = solve_bidisk(p, one_variable_pair(p, 0), seed=2)
         assert sol.certificates["pass"]
         assert sol.bidegree == (16, 0)
+
+    def test_twenty_nodes_single_solve_certifies(self, monkeypatch):
+        """Problem k = 1 of the N = 20, kind 0 cell of ``scripts/bidisk_stress.py``.
+
+        Its single-solve extraction differs from the realization by 1.8e-7 at
+        seeded points; the certificate, not that difference, judges the
+        answer, and passes the single solve's.
+        """
+        def shifts_not_run(problem, pair):
+            raise AssertionError("the shifted solves ran")
+
+        monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", shifts_not_run)
+        rng = np.random.default_rng([888, 20, 1, 0])
+        while True:
+            nodes = (rng.uniform(-1, 1, (20, 2)) + 1j * rng.uniform(-1, 1, (20, 2))) * 0.5
+            if all(np.max(np.abs(nodes[i] - nodes[j])) > 0.05
+                   for i in range(20) for j in range(i + 1, 20)):
+                break
+        values = rng.uniform(0.3, 2.5, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
+        p = BidiskProblem(nodes=nodes, values=values)
+        sol = solve_bidisk(p, one_variable_pair(p, 0), seed=1)
+        assert sol.certificates["pass"]
+        assert sol.node_status == ["strict"] * p.size
 
 
 PAIR_FILE = Path(__file__).resolve().parent.parent / "problems" / "bidisk_pair.json"

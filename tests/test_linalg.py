@@ -14,7 +14,6 @@ from takagi.linalg import (
     real_combination,
     sample_grid,
     transfer_coefficients,
-    transfer_samples,
 )
 from takagi.io import load_problem
 from takagi.pick import DiskProblem, pick_matrix
@@ -161,11 +160,6 @@ def test_transfer_kernel_one_axis_matches_per_sample_loop(k):
         M = np.eye(k, dtype=complex) - z * D
         return np.linalg.det(M), np.linalg.det(M) * (A + z * (B @ np.linalg.solve(M, C)))
 
-    z = sample_grid((k,))
-    den, phi = transfer_samples(A, B, C, D, (k,), z)
-    expected = np.array([loop(zm) for zm in z[:, 0]])
-    assert np.array_equal(den, expected[:, 0])
-    assert np.allclose(den * phi, expected[:, 1], rtol=1e-13, atol=0)
     num_c, den_c = transfer_coefficients(A, B, C, D, (k,))
     assert num_c.shape == den_c.shape == (k + 1,)
     for zm in 0.7 * np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5):
