@@ -9,7 +9,9 @@ at least 0.05 apart, and targets of modulus 0.2 to 3.  Each problem is solved
 with ``seed=k`` and certified.  Per cell the script prints the certified
 count, the certificate FAILs, the solver errors by cause, how many problems
 ran the per-node shifted solves (``shifts``: the rank-degree solve's fallback,
-counted as in ``scripts/pool_outcomes.py``), and how often the solver's
+counted as in ``scripts/pool_outcomes.py``), the other path's causes of the
+errors (``single``: the error's ``__cause__``, which is the rank-degree
+solve's), and how often the solver's
 inertia of the Pick matrix (``gram_decompose``) agrees with the inertia
 computed at 60 digits with mpmath (``tests/mp_reference.py``).  It reports; it
 is not a gate.
@@ -39,6 +41,7 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))
 from mp_reference import inertia_60_digits  # noqa: E402
+from bidisk_stress import cause  # noqa: E402
 from pool_outcomes import count_shift_calls  # noqa: E402
 
 SIZES = (12, 16, 20, 24)
@@ -60,6 +63,7 @@ def run(tree: Path) -> None:
         for n in SIZES:
             start = time.perf_counter()
             certified, cert_fail, agree, shifted, causes = 0, 0, 0, 0, Counter()
+            single_causes = Counter()
             for k in range(PROBLEMS):
                 rng = np.random.default_rng([777, n, k, len(geometry)])
                 nodes = nodes_of[geometry](rng, n)
@@ -70,7 +74,9 @@ def run(tree: Path) -> None:
                 try:
                     sol = solve(problem, seed=k)
                 except Exception as exc:  # every solver failure is a recorded outcome
-                    causes[f"{type(exc).__name__}: {str(exc).split(':')[0]}"] += 1
+                    causes[cause(exc)] += 1
+                    if exc.__cause__ is not None:
+                        single_causes[cause(exc.__cause__)] += 1
                     continue
                 finally:
                     shifted += shift_calls[0] > before
@@ -82,7 +88,8 @@ def run(tree: Path) -> None:
             print(f"{geometry:6} N={n:2}: certified {certified}/{PROBLEMS}, "
                   f"certificate FAIL {cert_fail}, shifts {shifted}, "
                   f"inertia agrees {agree}/{PROBLEMS}, "
-                  f"errors {dict(sorted(causes.items()))} "
+                  f"errors {dict(sorted(causes.items()))}, "
+                  f"single {dict(sorted(single_causes.items()))} "
                   f"({time.perf_counter() - start:.1f} s)", flush=True)
     cells = len(GEOMETRIES) * len(SIZES)
     print(f"certified {total}/{PROBLEMS * cells}, certificate FAIL {total_fail}")

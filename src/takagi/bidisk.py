@@ -18,7 +18,7 @@ disk's extraction with two state blocks
 nothing checks them against the realization, since the certificate judges
 the answer.  ``solve_bidisk`` returns reflect(den, d)/den through the disk's
 strict tail (``disk.strict_tail``: den projected onto the weak identity, then
-strict at every node required).  When that breaks down,
+strict at every node required), which alone judges it.  When it breaks down,
 per-node Moebius re-centering in both coordinates plus a real combination
 upgrades weak interpolation to strict, as on the disk: each shift hands on
 its denominator and bidegree only, and ``combine_bidisk`` takes the pair's
@@ -27,12 +27,12 @@ given: a singular term makes the lurking isometry's domain vectors
 dependent, which ``krein.extend_j_isometry`` handles as on the disk.  The
 polynomials are two-variable ``polynomials.Poly``s and the quotients
 ``polynomials.Rational``s.  Only the per-node solve (``_shifted_denominator``)
-is the bidisk's own; the extraction, the reflective-pair rule, the
-pull-back, the vacuous node factors, the loop over the shifts, the real
-combination, the strict tail and the torus scan are the disk's
-(``disk.solve_shifts`` and its neighbours, ``polynomials.moebius_pullback``,
-``polynomials.boundary_values``).  Every bidisk error is a
-``disk.SolveError``.
+is the bidisk's own; the extraction, the per-node colligation
+(``disk.centered_pair``), the reflective-pair rule, the pull-back, the vacuous
+node factors, the loop over the shifts, the real combination, the strict tail
+and the torus scan are the disk's (``disk.solve_shifts`` and its neighbours,
+``polynomials.moebius_pullback``, ``polynomials.boundary_values``).  Every
+bidisk error is a ``disk.SolveError``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .disk import (
     ShiftedFamily,
     SolveError,
     best_reflective_pair,
+    centered_pair,
     combine_shifts,
     enforce_weak_interpolation,
     solve_shifts,
@@ -309,9 +310,9 @@ def _shifted_denominator(
     Returns (denominator, bidegree), the per-node solve of ``disk.solve_shifts``.
     """
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
+    validate_pair(shifted, shifted_pair)
     grams = regularize_pair(shifted_pair)
-    br = to_birational(build_bidisk_realization(shifted, shifted_pair, grams))
-    den, d = best_reflective_pair(br.numerator, br.denominator)
+    den, d = centered_pair(shifted.nodes, shifted.values, [(g.u, g.v) for g in grams])
     den = moebius_pullback(den, [m.a for m in maps], d)
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[j] != "strict":
@@ -366,10 +367,11 @@ def solve_bidisk(
     """Full pipeline: the pair's Gram split, the single solve, certification.
 
     The single solve takes the pair's uncentered realization as reflect(den, d)/den,
-    with ``regularize_pair``'s inertias; only when it breaks down (in the
-    extension, the reflective pair or the strict tail) do the re-centered solves
-    answer (``solve_bidisk_shifts``, ``combine_bidisk``); when they break down
-    too, their error is raised with the single solve's as its ``__cause__``.
+    with ``regularize_pair``'s inertias, judged by the strict tail alone; only
+    when it breaks down (in the extension's construction, the extraction or
+    the strict tail) do the re-centered solves answer (``solve_bidisk_shifts``,
+    ``combine_bidisk``); when they break down too, their error is raised with
+    the single solve's as its ``__cause__``.
     With no pair, the one-variable embedding with all weight on the first
     coordinate is used.  PairValidationError, before any solve, when the pair
     misses the decomposition identity.

@@ -3,24 +3,24 @@
 Rank-degree path (``solve_positive``): one colligation from the Gram vectors
 alone, of degrees (pi, nu) even for a singular Pick matrix; for a nonsingular
 one it is the paper's step 1, the uncentered lurking colligation.  General
-path (step 2): a centered solve through a J-unitary colligation (strict at
-the origin, weak elsewhere), one Moebius-shifted solve per node and a real
-combination of the shifted denominators, strict everywhere.  The shifts
-carry denominators only: ``solve_centered`` returns (den, d), a
-``ShiftedFamily`` holds the padded denominators and their common declared
-degree, and ``combine`` takes the Pick matrix's inertia from ``solve``, which
-every shifted Pick matrix shares (a congruence).  ``solve`` tries the
-rank-degree path first unless the Pick matrix is singular and indefinite;
-each path is the other's fallback.  Both end in ``_strict_solution``, the
-strict tail and a Blaschke split.  The certificate counts zeros and poles
-against the Pick matrix's inertia.
+path (step 2): a centered solve through a J-unitary colligation (strict at the
+origin, weak elsewhere), one Moebius-shifted solve per node and a real
+combination of the shifted denominators, strict everywhere.  The shifts carry
+denominators only: ``solve_centered`` returns (den, d), a ``ShiftedFamily``
+holds the padded denominators and their common declared degree, and
+``combine`` takes the Pick matrix's inertia from ``solve``, which every
+shifted Pick matrix shares (a congruence).  ``solve`` tries the rank-degree
+path first unless the Pick matrix is singular and indefinite; each path is the
+other's fallback.  Both end in ``_strict_solution``, the strict tail and a
+Blaschke split.  The certificate counts zeros and poles against the Pick
+matrix's inertia; it and the strict tail alone judge the rank-degree solve.
 
 The strict tail (``strict_tail``: reflect(den, d)/den, den projected once onto
 the weak identity, strict at every node), the shifted-solve stage
-(``solve_shifts``, ``combine_shifts``), the reflective-pair rule
-(``best_reflective_pair``) and the vacuous node factors
-(``enforce_weak_interpolation``) are written once here and serve the bidisk
-as well.
+(``solve_shifts``, ``combine_shifts``), the per-node colligation
+(``centered_pair``), the reflective-pair rule (``best_reflective_pair``) and
+the vacuous node factors (``enforce_weak_interpolation``) are written once
+here and serve the bidisk as well.
 """
 
 from __future__ import annotations
@@ -46,24 +46,17 @@ from .polynomials import (
     poly_reflect,
     reflective_constant,
     roots_in_disk,
-    rotate_reflective,
     vacuous_node_factor,
 )
 from .realization import lurking_colligation, realization_to_rational
-from .verify import certify_disk, check_interpolation, node_coordinates
+from .verify import certify_disk, check_interpolation, declared_degree, node_coordinates
 
-# Largest relative defect of num = c * reflect(den, d) accepted as reflective.
-REFLECTIVE_DEFECT = 1e-6
 # Random real combinations tried before the combination is declared broken down.
 COMBINATION_RETRIES = 64
 
 
 class SolveError(RuntimeError):
     pass
-
-
-class ReflectiveStructureError(SolveError):
-    """Numerator is not a unimodular multiple of the denominator's reflection."""
 
 
 class CombinationError(SolveError):
@@ -77,21 +70,32 @@ BREAKDOWNS = (SolveError, ExtensionError, NonFiniteCoefficientError)
 
 
 def best_reflective_pair(num: Poly, den: Poly) -> tuple[Poly, int | tuple[int, ...]]:
-    """den rotated so that num = reflect(den, d), and the declared degree d.
+    """den rotated by the phase of ``reflective_constant``'s c, and d = ``verify.declared_degree``.
 
-    ``d`` is the larger of the two degrees in each variable (an int on one
-    variable).  The pair must satisfy num = c * reflect(den, d) with |c| = 1,
-    to a relative defect of REFLECTIVE_DEFECT; otherwise
-    ReflectiveStructureError.
+    d is an int on one variable.  Nothing is judged here: the answer
+    reflect(den, d)/den is built from den alone.
     """
-    d = tuple(max(a, b, 0) for a, b in zip(num.degrees, den.degrees))
+    d = declared_degree(num, den)
     d = d[0] if len(d) == 1 else d
-    c, defect = reflective_constant(num, den, d)
-    if defect <= REFLECTIVE_DEFECT and abs(abs(c) - 1.0) <= 1e-6:
-        return rotate_reflective(den, c), d
-    raise ReflectiveStructureError(
-        f"no reflective representation found (raw defect {defect:.3e})"
-    )
+    c, _ = reflective_constant(num, den, d)
+    return np.exp(-0.5j * np.angle(c)) * den, d
+
+
+def centered_pair(nodes, values, splits) -> tuple[Poly, int | tuple[int, ...]]:
+    """``best_reflective_pair`` of a per-node solve's ``lurking_colligation``.
+
+    ExtensionError, sparing the extraction, when the colligation's defect
+    exceeds 1e-8 (kappa + 1) max(1, ||G||_F), with G = w w* + sum_r (u^r u^r*
+    - v^r v^r*) the J-Gram of both sides: the one J-unitarity test.
+    """
+    real = lurking_colligation(nodes, values, splits)
+    defect, bound = real.defect(), 1e-8 * (real.kappa + 1)
+    if defect > bound:  # max(1, ||G||_F) >= 1, so G is formed only past the bound at scale 1
+        gram = sum((u @ u.conj().T - v @ v.conj().T for u, v in splits),
+                   np.outer(values, values.conj()))
+        if defect > bound * max(1.0, float(np.linalg.norm(gram))):
+            raise ExtensionError(f"colligation failed J-unitarity check (defect {defect:.3e})")
+    return best_reflective_pair(*realization_to_rational(real))
 
 
 def enforce_weak_interpolation(
@@ -128,10 +132,9 @@ def solve_centered(problem: DiskProblem) -> tuple[Poly, int]:
     y = dec.y
     if y.shape[1]:
         y = y * np.sqrt(max(1.0, float(np.linalg.norm(G, 2))))
-    real = lurking_colligation(
+    den, d = centered_pair(
         problem.nodes[:, None], problem.values, [(np.hstack([dec.u, y]), np.hstack([dec.v, y]))]
     )
-    den, d = best_reflective_pair(*realization_to_rational(real))
     den, d, statuses = enforce_weak_interpolation(den, d, problem)
     if statuses[0] != "strict":
         raise SolveError("lost strict interpolation at the centered node")
@@ -315,8 +318,9 @@ def solve_positive(problem: DiskProblem, dec: GramDecomposition) -> TakagiSoluti
     colligation is built from the split (u, v) alone, with no null vectors,
     so the transfer function has
     degree rank(Gamma) even when the matrix is singular; with nu = 0 it is the
-    classical pole-free Blaschke product.  Raises SolveError when the extracted
-    pair is not reflective, misses a node or does not reach the degrees (pi, nu).
+    classical pole-free Blaschke product.  Only the answer is judged: SolveError
+    when reflect(den, d)/den is not strict at every node (``strict_tail``) or
+    does not reach the degrees (pi, nu).
     """
     pi, nu, _ = dec.inertia.as_tuple()
     # With a singular matrix the domain columns are dependent, which

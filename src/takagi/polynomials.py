@@ -284,11 +284,6 @@ def reflective_constant(num: Poly, den: Poly, d) -> tuple[complex, float]:
     return c, defect
 
 
-def rotate_reflective(den: Poly, c: complex) -> Poly:
-    """Rotate den by gamma with conj(gamma)/gamma = c, absorbing the constant."""
-    return np.exp(-0.5j * np.angle(c)) * den
-
-
 def ratio_agreement(num0: Poly, den0: Poly, num1: Poly, den1: Poly) -> float:
     """Max relative deviation of num0/den0 from num1/den1 on two circles.
 

@@ -7,7 +7,7 @@ import pytest
 import takagi.bidisk as bidisk_module
 import takagi.disk as disk_module
 import takagi.realization as realization_module
-from takagi.disk import CombinationError, ReflectiveStructureError, SolveError, best_reflective_pair
+from takagi.disk import CombinationError, SolveError
 from takagi.krein import ExtensionError, SignatureMatrix
 from takagi.bidisk import (
     _shifted_denominator,
@@ -212,25 +212,34 @@ class TestBirationalExtraction:
             assert abs(br.numerator(z[0], z[1]) / dv - direct) < 1e-6 * (1 + abs(direct))
 
     def test_wrong_coefficient_is_rejected(self, monkeypatch):
-        # No check against the realization: the perturbed pair is no longer
-        # reflective (raw defect 1e-5, beyond REFLECTIVE_DEFECT), so the
-        # reflective-pair rule that every bidisk answer goes through rejects it.
+        # No check against the realization, and none of the pair's reflective
+        # form: the answer is reflect(den, d)/den, built from den alone.  A
+        # wrong numerator coefficient leaves it unchanged and certified; a
+        # wrong denominator coefficient is rejected by the strict tail.
         rng = np.random.default_rng(5)
         p = random_bidisk_problem(rng, n_max=3)
         pair = random_two_variable_pair(p, rng)
-        r = build_bidisk_realization(p, pair, regularize_pair(pair))
+        reference = solve_bidisk(p, pair, seed=0).denominator.coeffs
         extract = realization_module.transfer_coefficients
 
-        def perturbed(*args):
-            num, den = extract(*args)
-            num = num.copy()
-            num[0, 0] += 1e-5 * np.max(np.abs(num))
-            return num, den
+        def perturbed(which, size):
+            def transfer(*args):
+                pols = [c.copy() for c in extract(*args)]
+                pols[which][0, 0] += size * np.max(np.abs(pols[which]))
+                return tuple(pols)
+            return transfer
 
-        monkeypatch.setattr(realization_module, "transfer_coefficients", perturbed)
-        br = to_birational(r)
-        with pytest.raises(ReflectiveStructureError):
-            best_reflective_pair(br.numerator, br.denominator)
+        for size in (1e-5, 1e-3, 0.1):
+            monkeypatch.setattr(realization_module, "transfer_coefficients", perturbed(0, size))
+            sol = solve_bidisk(p, pair, seed=0)
+            assert sol.certificates["pass"]
+            assert sol.denominator.coeffs.shape == reference.shape
+            assert np.max(np.abs(sol.denominator.coeffs - reference)) <= 1e-12 * np.max(
+                np.abs(reference))
+        monkeypatch.setattr(realization_module, "transfer_coefficients", perturbed(1, 0.1))
+        with pytest.raises(SolveError) as info:
+            solve_bidisk(p, pair, seed=0)
+        assert "single solve is not strict at all nodes" in str(info.value.__cause__)
 
     def test_zero_state_gives_two_variable_constants(self):
         r = Realization(A=0.6 - 0.8j, B=np.zeros(0), C=np.zeros(0), D=np.zeros((0, 0)),
@@ -514,26 +523,29 @@ class TestSolveBidisk:
         assert sol.certificates["pass"]
         assert sol.bidegree == (16, 0)
 
-    def test_twenty_nodes_single_solve_certifies(self, monkeypatch):
-        """Problem k = 1 of the N = 20, kind 0 cell of ``scripts/bidisk_stress.py``.
+    @pytest.mark.parametrize("n, k", [(20, 1), (24, 1), (24, 7)])
+    def test_twenty_nodes_single_solve_certifies(self, monkeypatch, n, k):
+        """Problem k of the N = n, kind 0 cell of ``scripts/bidisk_stress.py``.
 
-        Its single-solve extraction differs from the realization by 1.8e-7 at
-        seeded points; the certificate, not that difference, judges the
-        answer, and passes the single solve's.
+        The certificate alone judges the single solve's answer, and passes it.
+        (20, 1): its extraction differs from the realization by 1.8e-7 at
+        seeded points.  (24, 1): its colligation misses J-unitarity by 1.0e-5.
+        (24, 7): its extracted pair misses the reflective form by a relative
+        2.0e-6.
         """
         def shifts_not_run(problem, pair):
             raise AssertionError("the shifted solves ran")
 
         monkeypatch.setattr(bidisk_module, "solve_bidisk_shifts", shifts_not_run)
-        rng = np.random.default_rng([888, 20, 1, 0])
+        rng = np.random.default_rng([888, n, k, 0])
         while True:
-            nodes = (rng.uniform(-1, 1, (20, 2)) + 1j * rng.uniform(-1, 1, (20, 2))) * 0.5
+            nodes = (rng.uniform(-1, 1, (n, 2)) + 1j * rng.uniform(-1, 1, (n, 2))) * 0.5
             if all(np.max(np.abs(nodes[i] - nodes[j])) > 0.05
-                   for i in range(20) for j in range(i + 1, 20)):
+                   for i in range(n) for j in range(i + 1, n)):
                 break
-        values = rng.uniform(0.3, 2.5, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
+        values = rng.uniform(0.3, 2.5, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         p = BidiskProblem(nodes=nodes, values=values)
-        sol = solve_bidisk(p, one_variable_pair(p, 0), seed=1)
+        sol = solve_bidisk(p, one_variable_pair(p, 0), seed=k)
         assert sol.certificates["pass"]
         assert sol.node_status == ["strict"] * p.size
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import takagi.disk as disk_module
+import takagi.realization as realization_module
 from takagi.bidisk import (
     build_bidisk_realization,
     regularize_pair,
@@ -16,6 +17,7 @@ from takagi.disk import (
     ShiftedFamily,
     SolveError,
     best_reflective_pair,
+    centered_pair,
     combine,
     enforce_weak_interpolation,
     reflective_constant,
@@ -24,9 +26,11 @@ from takagi.disk import (
     solve_centered,
 )
 from takagi.io import load_problem
+from takagi.krein import ExtensionError
 from takagi.linalg import Inertia
 from takagi.pick import DiskProblem, gram_decompose, pick_matrix
 from takagi.polynomials import Poly, Rational, pad_coeffs, poly_reflect, vacuous_node_factor
+from takagi.realization import lurking_colligation
 from takagi.verify import node_coordinates
 
 # Nodes and targets of problems/disk_basic.json; every shift solves.
@@ -85,6 +89,26 @@ class TestReflectiveStructure:
         c, defect = reflective_constant(num, d2, d)
         assert defect < 1e-10
         assert abs(abs(c) - 1.0) < 1e-10
+
+
+class TestCenteredPair:
+    def test_j_unitarity_is_checked_here_alone(self, monkeypatch):
+        # An extension that misses J-unitarity by about 1e-6: the colligation
+        # is still built, and the per-node solve's pair rejects it.
+        extend = realization_module.extend_j_isometry
+
+        def off_by_1e6(J, D, R):
+            # (1 + e) V1 has V* J V - J = (2e + e^2) J: norm 1e-6 here.
+            return (1.0 + 0.25e-6) * extend(J, D, R)
+
+        monkeypatch.setattr(realization_module, "extend_j_isometry", off_by_1e6)
+        p = DiskProblem(nodes=np.array([0.0, -0.4, 0.3j]), values=BASIC.values)
+        dec = gram_decompose(pick_matrix(p))
+        splits = [(dec.u, dec.v)]
+        real = lurking_colligation(p.nodes[:, None], p.values, splits)
+        assert 5e-7 < real.defect() < 2e-6
+        with pytest.raises(ExtensionError, match="J-unitarity"):
+            centered_pair(p.nodes[:, None], p.values, splits)
 
 
 def random_centered_problem(rng, n_max=5):
@@ -403,6 +427,18 @@ class TestSolve:
         values = rng.uniform(0.2, 3.0, 16) * np.exp(2j * np.pi * rng.uniform(0, 1, 16))
         sol = solve(DiskProblem(nodes=nodes, values=values), seed=22)
         assert sol.inertia.zero == 0
+        assert sol.certificates["pass"]
+
+    def test_rank_degree_solve_is_judged_by_its_answer(self, monkeypatch):
+        # A square-node stress problem (N = 16, k = 10), inertia (8, 8, 0).  Its
+        # rank-degree colligation misses J-unitarity by 6.9e-6; the answer
+        # built from it certifies, with no shifted solve to fall back on.
+        def general_fails(problem):
+            raise SolveError("general path failed")
+
+        monkeypatch.setattr(disk_module, "solve_all_shifts", general_fails)
+        sol = solve(square_stress_problem(16, 10), seed=10)
+        assert sol.inertia.as_tuple() == (8, 8, 0)
         assert sol.certificates["pass"]
 
     def test_disk_node_stress_problem_certifies(self):
