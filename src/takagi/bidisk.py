@@ -310,7 +310,6 @@ def _shifted_denominator(
     Returns (denominator, bidegree), the per-node solve of ``disk.solve_shifts``.
     """
     shifted, shifted_pair, maps = _transport_pair(problem, pair, j)
-    validate_pair(shifted, shifted_pair)
     grams = regularize_pair(shifted_pair)
     den, d = centered_pair(shifted.nodes, shifted.values, [(g.u, g.v) for g in grams])
     den = moebius_pullback(den, [m.a for m in maps], d)

@@ -14,9 +14,9 @@ from typing import Any
 
 import numpy as np
 
-from .bidisk import AglerPair, BidiskProblem, BidiskSolution
+from .bidisk import AglerPair, BidiskProblem, BidiskSolution, one_variable_pair
 from .disk import TakagiSolution
-from .linalg import Inertia
+from .linalg import Inertia, inertia_of
 from .pick import DiskProblem
 from .polynomials import BlaschkeProduct, NonFiniteCoefficientError, Poly, Rational
 
@@ -244,7 +244,10 @@ def result_to_solution(data: dict):
     """Rebuild (solution, problem) from a result dictionary for re-certification.
 
     Keys it does not read, such as the ``deltas`` and the weak pair of older
-    bidisk files, are ignored.
+    bidisk files, are ignored.  A bidisk file's ``inertias`` must be those of
+    its pair's terms, recomputed with the zero rule (of
+    ``bidisk.one_variable_pair`` when the file has no pair, as
+    ``bidisk.solve_bidisk`` takes it): the certificate's bounds read them.
     """
     if not isinstance(data, dict):
         raise ProblemFileError("top level must be an object")
@@ -272,6 +275,11 @@ def result_to_solution(data: dict):
         if not (isinstance(rows, list) and len(rows) == 2):
             raise ProblemFileError(f"inertias: expected two inertias, got {rows!r}")
         inertias = [Inertia(*_decode_ints(v, 3, f"inertias[{r}]")) for r, v in enumerate(rows)]
+        terms = (pair or one_variable_pair(problem, 0)).gammas()
+        recomputed = [inertia_of(np.linalg.eigvalsh(G)) for G in terms]
+        if inertias != recomputed:
+            raise ProblemFileError(f"inertias: {rows!r}, but the pair's terms have "
+                                   f"{[list(i.as_tuple()) for i in recomputed]}")
         solution = BidiskSolution(
             numerator=num,
             denominator=den,

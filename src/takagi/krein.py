@@ -5,9 +5,10 @@ J-Grams extends to a full J-unitary matrix.  The extension here is one
 construction: split off the radical of the common Gram, adjoin hyperbolic
 partners to both sides, match J-orthonormalized bases of the two
 J-orthogonal complements sign by sign, polish both bases onto their shared
-Gram S and take V1 = Br S^-1 Bd* J.  The radical, and a degenerate
-complement, are decided by the one zero rule ``linalg.zero_cutoff``.  V1's
-J-unitarity is not tested here; ``disk.centered_pair`` tests it, per node.
+Gram S and take V1 = Br S Bd* J (S, a signed permutation, is its own
+inverse).  The radical, and a degenerate complement, are decided by the one
+zero rule ``linalg.zero_cutoff``.  V1's J-unitarity is not tested here;
+``disk.centered_pair`` tests it, per node.
 
 Dependent domain vectors, which a singular Gram gives on the disk and on the
 bidisk alike, are handled here once: the extension runs on a maximal
@@ -96,14 +97,10 @@ def _j_orthonormal_complement(span: np.ndarray, signs: np.ndarray):
     Returns (basis columns, their +-1 J-norms sorted positives first, each
     group by descending Gram eigenvalue magnitude).
     """
-    n = span.shape[0]
     A = span.conj().T * signs[None, :]
-    if span.shape[1] == 0:
-        Q = np.eye(n, dtype=complex)
-    else:
-        _, s, Vh = np.linalg.svd(A)
-        rank = int(np.sum(s > max(s[0], 1.0) * 1e-13)) if s.size else 0
-        Q = Vh[rank:].conj().T
+    _, s, Vh = np.linalg.svd(A)
+    rank = int(np.sum(s > max(s[0], 1.0) * 1e-13))
+    Q = Vh[rank:].conj().T
     if Q.shape[1] == 0:
         return Q, np.zeros(0)
     Gc = hermitize(Q.conj().T @ (signs[:, None] * Q))
@@ -214,28 +211,27 @@ def _extend_independent(
         S[i, j] = S[j, i] = 1.0
     for k, s in enumerate(sd):
         S[n_pre + len(rad_idx) + k, n_pre + len(rad_idx) + k] = s
-    # Polishing each basis onto the exact Gram makes V1 = Br S^-1 Bd* J
+    # S has +-1 on its diagonal and [[0, 1], [1, 0]] blocks, so S^-1 = S.
+    # Polishing each basis onto the exact Gram makes V1 = Br S Bd* J
     # J-unitary up to the individual basis residuals, with no amplification
     # by the conditioning of the base change.
-    Sinv = np.linalg.inv(S)
-    Bd = _polish_to_gram(Bd, signs, S, Sinv)
-    Br = _polish_to_gram(Br, signs, S, Sinv)
-    return Br @ Sinv @ (Bd.conj().T * signs[None, :])
+    Bd = _polish_to_gram(Bd, signs, S)
+    Br = _polish_to_gram(Br, signs, S)
+    return Br @ S @ (Bd.conj().T * signs[None, :])
 
 
-def _polish_to_gram(
-    B: np.ndarray, signs: np.ndarray, S: np.ndarray, Sinv: np.ndarray, iterations: int = 10
-) -> np.ndarray:
-    """Newton steps toward B* J B = S, kept only while the residual shrinks.
+def _polish_to_gram(B: np.ndarray, signs: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Up to ten Newton steps toward B* J B = S, kept only while the residual shrinks.
 
-    The accepted candidate's Gram residual is the next step's, so each step
-    forms one Gram product.
+    S is its own inverse (``_extend_independent``), so a step is
+    B - B S F / 2 with F = B* J B - S.  The accepted candidate's Gram
+    residual is the next step's, so each step forms one Gram product.
     """
     best = B
     F = best.conj().T @ (signs[:, None] * best) - S
     best_res = float(np.linalg.norm(F))
-    for _ in range(iterations):
-        cand = best - 0.5 * best @ (Sinv @ F)
+    for _ in range(10):
+        cand = best - 0.5 * best @ (S @ F)
         Fc = cand.conj().T @ (signs[:, None] * cand) - S
         res = float(np.linalg.norm(Fc))
         if res >= best_res:

@@ -137,11 +137,9 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly(np.zeros((0,) * rank, dtype=complex))
         a, b = _lift(self.coeffs, rank), _lift(other.coeffs, rank)
-        if rank == 1:
-            return Poly(np.convolve(a, b))
         # Kronecker substitution: with every axis but the first padded to the
-        # product's width, the raveled product is one np.convolve, as on one
-        # variable.
+        # product's width, the raveled product is one np.convolve (on one
+        # variable, the convolve of the coefficients themselves).
         shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
         a, b = (pad_coeffs(c, (c.shape[0] - 1, *(n - 1 for n in shape[1:]))) for c in (a, b))
         return Poly(np.convolve(a.ravel(), b.ravel())[: math.prod(shape)].reshape(shape))
@@ -270,14 +268,13 @@ def pad_to_degree(p: Poly, d, target) -> Poly:
 def reflective_constant(num: Poly, den: Poly, d) -> tuple[complex, float]:
     """Estimate c with num = c * reflect(den, d); return (c, relative defect).
 
-    ``d`` is the declared degree, one per variable (or an int on one variable).
+    ``d`` is the declared degree, one per variable (or an int on one variable);
+    ``den`` is nonzero (an extraction's, with constant term 1).
     """
     degrees = _degrees(d)
     rc = reflect_coeffs(den.coeffs, degrees)
     nc = pad_coeffs(num.coeffs, degrees)
-    big = np.abs(rc) > 1e-6 * max(float(np.max(np.abs(rc))), 1e-300)
-    if not np.any(big):
-        return 1.0 + 0.0j, np.inf
+    big = np.abs(rc) > 1e-6 * float(np.max(np.abs(rc)))
     ratios = nc[big] / rc[big]
     c = complex(np.median(ratios.real) + 1j * np.median(ratios.imag))
     defect = float(np.max(np.abs(nc - c * rc))) / max(float(np.max(np.abs(nc))), 1e-300)
@@ -347,16 +344,12 @@ def poly_gcd_numeric(p: Poly, q: Poly, tol: float = 1e-8) -> tuple[Poly, Poly, P
 def reduce_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num/den with near-common roots cancelled, when the reduced ratio still agrees.
 
-    Tries root-matching tolerances 1e-9, then 1e-7; returns the pair unchanged
-    when no root pairs up or the reduced ratio departs from the original by more
-    than 1e-7 at both tolerances.
+    Roots pair up within 1e-9; returns the pair unchanged when no root pairs
+    up or the reduced ratio departs from the original by more than 1e-7.
     """
-    for tol in (1e-9, 1e-7):
-        n0, d0, common = poly_gcd_numeric(num, den, tol)
-        if common.degree <= 0:
-            break
-        if ratio_agreement(num, den, n0, d0) <= 1e-7:
-            return n0, d0
+    n0, d0, common = poly_gcd_numeric(num, den, 1e-9)
+    if common.degree > 0 and ratio_agreement(num, den, n0, d0) <= 1e-7:
+        return n0, d0
     return num, den
 
 

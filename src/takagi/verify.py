@@ -300,8 +300,9 @@ def certify_bidisk(solution, problem) -> dict:
     """Certificate block for a bidisk solution; all quantities recomputed.
 
     The bidegree bound is pi^r + nu^r per variable, from the inertias of the
-    pair's terms, and the bidegree checked against it is the
-    ``declared_degree`` of num and den, so a numerator of higher degree than
+    pair's terms (``solution.inertias``; ``io.result_to_solution`` rejects a
+    result file whose inertias are not its pair's), and the bidegree checked
+    against it is the ``declared_degree`` of num and den, so a numerator of higher degree than
     the denominator cannot pass.  Each balanced-disk restriction of the answer
     has at most pi^1 + pi^2 zeros and nu^1 + nu^2 poles in the disk; the
     ``BALANCED_RESTRICTIONS`` maps go to one ``bidisk.restrict_balanced`` call.

@@ -12,6 +12,7 @@ from takagi.krein import ExtensionError, SignatureMatrix
 from takagi.bidisk import (
     _shifted_denominator,
     _transport_pair,
+    PAIR_RESIDUAL_TOL,
     AglerPair,
     BidiskProblem,
     BidiskSolution,
@@ -402,13 +403,16 @@ class TestShiftedSolves:
     @pytest.mark.parametrize("kind", [0, 1, 2])
     def test_transported_pair_keeps_both_inertias(self, kind):
         # combine_bidisk takes the pair's inertias for every shift: the
-        # transport is a diagonal congruence of each term.
+        # transport is a diagonal congruence of each term.  It also keeps the
+        # decomposition identity, which _shifted_denominator does not re-check.
         p, _, rng = self._setup()
         pair = random_two_variable_pair(p, rng) if kind == 2 else one_variable_pair(p, kind)
         inertias = [g.inertia for g in regularize_pair(pair)]
+        tol = PAIR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(p.values))) ** 2)
         for j in range(p.size):
-            _, shifted_pair, _ = _transport_pair(p, pair, j)
+            shifted, shifted_pair, _ = _transport_pair(p, pair, j)
             assert [g.inertia for g in regularize_pair(shifted_pair)] == inertias
+            assert pair_residual(shifted, shifted_pair) <= tol
 
 
 class TestSolveBidisk:

@@ -247,6 +247,10 @@ class TestMalformedResult:
     # Each case corrupts one field of a solved result file.
     CASES = {
         "bidisk-no-inertias": ("problems/bidisk_pair.json", "inertias", []),
+        # The honest inertias are (2, 1, 0) and (1, 2, 0); the certificate's
+        # bounds read this field, so a forged one is an input error.
+        "bidisk-forged-inertias": ("problems/bidisk_pair.json", "inertias",
+                                   [[5, 5, 0], [5, 5, 0]]),
         "disk-short-inertia": ("problems/disk_basic.json", "inertia", [1, 2]),
         "disk-text-inertia": ("problems/disk_basic.json", "inertia", ["x", 0, 0]),
         "disk-zero-outside": ("problems/disk_basic.json", "blaschke", {

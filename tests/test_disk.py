@@ -538,6 +538,36 @@ class TestSolveOrder:
             solve(problem, seed=0)
         assert order == ["general", "rank-degree"]
 
+    def test_rank_degree_solve_answers_when_every_shift_breaks_down(self):
+        # disk-small seed 101 problem 10 of the benchmark pool: inertia
+        # (1, 4, 1), so the shifts go first.  Each breaks down (J-unitarity
+        # defects of about 4e-4, or strictness lost at its own node), and the
+        # rank-degree solve, unstubbed, answers at degrees (pi, nu).
+        problem = DiskProblem(
+            nodes=np.array([
+                -0.35950135480710754 - 0.05045157746590307j,
+                0.24421420049738346 - 0.10218455626571972j,
+                -0.4024473208201978 - 0.30905293923432325j,
+                0.4789739070989311 + 0.49309741172614197j,
+                0.0645137099863303 - 0.532405282077175j,
+                0.39329248041320103 + 0.11957733645702463j,
+            ]),
+            values=np.array([
+                -3.5960632665406775 + 3.3344713508753143j,
+                -0.6792569056452623 + 7.196679297214592j,
+                -11.192389242752562 + 16.250934413042312j,
+                1.4473682750290606 + 0.8248831314377901j,
+                -2.467379948496832 - 10.089256320317354j,
+                1.4443639010593723 + 2.976419307150923j,
+            ]),
+        )
+        assert gram_decompose(pick_matrix(problem)).inertia.as_tuple() == (1, 4, 1)
+        with pytest.raises(SolveError, match="every shifted solve failed"):
+            solve_all_shifts(problem)
+        sol = solve(problem, seed=10)
+        assert sol.certificates["pass"]
+        assert (sol.f.degree, sol.g.degree) == (1, 4)
+
 
 class TestInterpolantCallable:
     def test_scalar_and_vector(self):

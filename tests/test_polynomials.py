@@ -52,10 +52,15 @@ class TestPoly:
         assert np.allclose(p.coeffs, [-1.0, 0.0, 1.0])
 
     def test_product_is_np_convolve_bit_for_bit(self):
+        # One variable takes the Kronecker path of Poly.__mul__; its bits are
+        # those of one np.convolve, for a constant (length 1) and the zero poly.
         rng = np.random.default_rng(5)
-        for m, n in [(1, 1), (1, 7), (5, 3), (13, 19)]:
+        for m, n in [(1, 1), (1, 7), (5, 3), (13, 19), (7, 1)]:
             a = rng.normal(size=m) + 1j * rng.normal(size=m)
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for x, y in ((a, b), (a, np.zeros(n)), (np.zeros(m), b)):
+                product = (Poly(x) * Poly(y)).coeffs
+                assert product.tobytes() == Poly(np.convolve(x, y)).coeffs.tobytes()
             assert np.array_equal((Poly(a) * Poly(b)).coeffs, np.convolve(a, b))
 
 
