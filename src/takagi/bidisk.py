@@ -196,10 +196,8 @@ def build_bidisk_realization(
 
     ``grams`` are the terms' Gram splits as ``regularize_pair`` returns them;
     block r holds term r's split (u^r, v^r) and E_lam scales it by the
-    coordinate lam^r (``realization.lurking_colligation``).  Raises
-    PairValidationError when the pair misses the decomposition identity.
+    coordinate lam^r (``realization.lurking_colligation``).
     """
-    validate_pair(problem, pair)
     return lurking_colligation(problem.nodes, problem.values, [(g.u, g.v) for g in grams])
 
 

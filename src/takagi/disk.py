@@ -40,6 +40,7 @@ from .polynomials import (
     NonFiniteCoefficientError,
     Poly,
     Rational,
+    find_roots,
     moebius_pullback,
     pad_coeffs,
     pad_to_degree,
@@ -273,6 +274,7 @@ def _strict_solution(
 ) -> TakagiSolution:
     """``strict_tail``'s num/den split into Blaschke factors."""
     num, den, statuses = strict_tail(den, d, problem, stage)
+    find_roots([num, den])  # both at once: equal-size companions share one eigvals call
     f = _inner_factor(num)
     g = _inner_factor(den)
     interp = Rational(numerator=num, denominator=den)

@@ -1,14 +1,23 @@
 """Indefinite inner products: signature matrices and J-isometry extension.
 
 A partially defined map sending domain vectors to range vectors with equal
-J-Grams extends to a full J-unitary matrix.  The extension here is one
-construction: split off the radical of the common Gram, adjoin hyperbolic
-partners to both sides, match J-orthonormalized bases of the two
-J-orthogonal complements sign by sign, polish both bases onto their shared
-Gram S and take V1 = Br S Bd* J (S, a signed permutation, is its own
-inverse).  The radical, and a degenerate complement, are decided by the one
-zero rule ``linalg.zero_cutoff``.  V1's J-unitarity is not tested here;
-``disk.centered_pair`` tests it, per node.
+J-Grams extends to a full J-unitary matrix.  Both sides are first rotated
+and scaled by the eigenvectors of the common Gram.  When the n x N domain
+has N = n - 1 and the Gram no radical, the extension is a square
+completion (``_square_completion``, after Ball, Gohberg & Rodman,
+*Interpolation of Rational Matrix Functions*, 1990): each side gains its one
+J-orthogonal complement vector, read off a complete QR, and
+V1 = [R r][D d]^-1 comes from one solve, then is polished toward
+J-unitarity (``_polish_to_gram`` with S = J).
+Otherwise it is the general construction: split off the radical of the
+common Gram, adjoin hyperbolic partners to both sides, match
+J-orthonormalized bases of the two J-orthogonal complements sign by sign,
+polish both bases onto their shared Gram S and take V1 = Br S Bd* J (S, a
+signed permutation, is its own inverse).  It stays for complements of
+dimension two or more: in a mixed-signature complement the choice of
+J-orthonormal basis changes V1.  The radical, and a degenerate
+complement, are decided by the one zero rule ``linalg.zero_cutoff``.  V1's
+J-unitarity is not tested here; ``disk.centered_pair`` tests it, per node.
 
 Dependent domain vectors, which a singular Gram gives on the disk and on the
 bidisk alike, are handled here once: the extension runs on a maximal
@@ -185,6 +194,9 @@ def _extend_independent(
     )
     Sd = Sd * col_scale[None, :]
     Sr = Sr * col_scale[None, :]
+    # One complement vector per side and no radical: the square completion.
+    if N == n - 1 and not radical.any():
+        return _square_completion(Sd, Sr, signs)
     rad_idx = list(np.nonzero(radical)[0])
     Fd, Fr = Sd.copy(), Sr.copy()
     for i in rad_idx:
@@ -220,12 +232,34 @@ def _extend_independent(
     return Br @ S @ (Bd.conj().T * signs[None, :])
 
 
+def _square_completion(Sd: np.ndarray, Sr: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """V1 = [Sr r] [Sd d]^-1 for n x (n-1) bases with +-1 diagonal J-Grams,
+    polished toward V1* J V1 = J; ExtensionError when the complement signs differ."""
+    Bd, sd = _complete_basis(Sd, signs)
+    Br, sr = _complete_basis(Sr, signs)
+    if sd != sr:
+        raise ExtensionError("complement signatures do not match")
+    V1 = np.linalg.solve(Bd.T, Br.T).T
+    return _polish_to_gram(V1, signs, np.diag(signs))
+
+
+def _complete_basis(S: np.ndarray, signs: np.ndarray):
+    """[S c] and the sign of c's J-norm: c is J times the last column of a complete
+    QR of S, J-normalized.  ExtensionError when its J-norm is zero under the zero
+    rule over the completed Gram's diagonal (S's entries there are +-1)."""
+    c = signs * np.linalg.qr(S, mode="complete")[0][:, -1]
+    norm = float(np.real(np.vdot(c, signs * c)))
+    if abs(norm) <= zero_cutoff(np.append(np.ones(S.shape[1]), norm)):
+        raise ExtensionError("complement J-Gram is degenerate")
+    return np.hstack([S, c[:, None] / np.sqrt(abs(norm))]), np.sign(norm)
+
+
 def _polish_to_gram(B: np.ndarray, signs: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Up to ten Newton steps toward B* J B = S, kept only while the residual shrinks.
 
-    S is its own inverse (``_extend_independent``), so a step is
-    B - B S F / 2 with F = B* J B - S.  The accepted candidate's Gram
-    residual is the next step's, so each step forms one Gram product.
+    S is its own inverse (the shared Gram of ``_extend_independent``, or J),
+    so a step is B - B S F / 2 with F = B* J B - S.  The accepted candidate's
+    Gram residual is the next step's, so each step forms one Gram product.
     """
     best = B
     F = best.conj().T @ (signs[:, None] * best) - S

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from takagi import krein
 from takagi.krein import (
     ExtensionError,
     GramMismatchError,
@@ -136,3 +137,47 @@ class TestExtension:
         D = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         V1 = extend_j_isometry(J, D, U @ D)
         assert abs(np.linalg.det(V1)) > 1e-8
+
+
+class TestSquareCompletion:
+    """n x (n-1) domains with a nonsingular J-Gram: one complement vector per side."""
+
+    @pytest.mark.parametrize("dropped_sign", [1.0, -1.0])
+    def test_square_completion_extends(self, dropped_sign, monkeypatch):
+        """D spans the J-orthogonal complement of column k of a J-unitary W, whose
+        J-norm ``dropped_sign`` is the complement's; the general route never runs."""
+        def general_route(*args):
+            raise AssertionError("the square completion took the general route")
+
+        monkeypatch.setattr(krein, "_j_orthonormal_complement", general_route)
+        rng = np.random.default_rng(7)
+        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        J = SignatureMatrix(signs)
+        k = int(np.flatnonzero(signs == dropped_sign)[0])
+        W = random_j_unitary(signs, rng)
+        M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        D = np.delete(W, k, axis=1) @ M
+        R = random_j_unitary(signs, rng) @ D
+        V1 = extend_j_isometry(J, D, R)
+        assert np.linalg.norm(V1 @ D - R) < 1e-8 * max(1.0, np.linalg.norm(R))
+        assert j_unitarity_defect(J, V1) < 1e-8 * 6
+
+    def test_square_domain_with_radical_takes_general_route(self, monkeypatch):
+        """An isotropic column makes a radical: the general route extends it."""
+        calls = []
+        complement = krein._j_orthonormal_complement
+
+        def counted(*args):
+            calls.append(1)
+            return complement(*args)
+
+        monkeypatch.setattr(krein, "_j_orthonormal_complement", counted)
+        rng = np.random.default_rng(8)
+        signs = np.array([1.0, -1.0, 1.0, 1.0])
+        J = SignatureMatrix(signs)
+        D = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
+        R = random_j_unitary(signs, rng) @ D
+        V1 = extend_j_isometry(J, D, R)
+        assert len(calls) == 2
+        assert np.linalg.norm(V1 @ D - R) < 1e-7 * np.linalg.norm(R)
+        assert j_unitarity_defect(J, V1) < 1e-8 * 4
